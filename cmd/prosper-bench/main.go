@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	prosper-bench [-quick] [-out FILE] [-parallel n] [-cpuprofile FILE] [-memprofile FILE]
+//	prosper-bench [-quick] [-out FILE] [-parallel n]
 //	prosper-bench -compare OLD.json [-tolerance pct] [-quick] [-parallel n]
 //
 // The report has four sections. "deterministic" holds simulation
@@ -25,10 +25,6 @@
 // eyeballing, excluded from -compare entirely because they vary run to
 // run.
 //
-// -cpuprofile/-memprofile write pprof profiles covering the suite (the
-// heap profile after a runtime.GC so it reflects live data); feed them
-// to prosper-prof for the package-level component attribution.
-//
 // -compare loads a previous report and exits non-zero if any
 // deterministic metric drifted beyond -tolerance percent (default 0:
 // exact match), if the allocation-throughput ratchet regressed, or if
@@ -47,7 +43,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -436,8 +431,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tolerance := fs.Float64("tolerance", 0, "allowed per-metric drift for -compare, in percent")
 	throughputTol := fs.Float64("throughput-tolerance", 20, "allowed host-throughput regression for -compare, in percent (improvements always pass)")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent runs (results identical for any value)")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the suite to FILE (feed to prosper-prof)")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile to FILE after the suite (preceded by runtime.GC)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -446,42 +439,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(stderr, "prosper-bench:", err)
-			return 2
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(stderr, "prosper-bench:", err)
-			return 2
-		}
-		defer pprof.StopCPUProfile()
-	}
-
 	rep := runSuite(*quick, *parallel)
-
-	if *cpuprofile != "" {
-		pprof.StopCPUProfile() // flush before any compare exit; the deferred stop becomes a no-op
-	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(stderr, "prosper-bench:", err)
-			return 2
-		}
-		runtime.GC() // heap profile reflects live data, not transient garbage
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			fmt.Fprintln(stderr, "prosper-bench:", err)
-			return 2
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(stderr, "prosper-bench:", err)
-			return 2
-		}
-	}
 
 	if *comparePath != "" {
 		raw, err := os.ReadFile(*comparePath)

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"prosper/internal/hostprof"
 )
 
 // TestQuickSuiteDeterministic runs the quick suite twice (serial and
@@ -103,37 +101,6 @@ func TestCompareSelfAndRegression(t *testing.T) {
 	out.Reset()
 	if code := run([]string{"-quick", "-compare", bad, "-tolerance", "100"}, &out, &errb); code != 0 {
 		t.Fatalf("compare with 100%% tolerance exited %d:\n%s", code, out.String())
-	}
-}
-
-// TestProfileFlags runs the quick suite with -cpuprofile and
-// -memprofile and checks both outputs decode with internal/hostprof —
-// the same path prosper-prof takes, so the bench → prof pipeline is
-// covered end to end without depending on sample counts (a fast suite
-// may catch few or no CPU samples).
-func TestProfileFlags(t *testing.T) {
-	dir := t.TempDir()
-	cpu := filepath.Join(dir, "cpu.pb.gz")
-	mem := filepath.Join(dir, "mem.pb.gz")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-quick", "-cpuprofile", cpu, "-memprofile", mem, "-out", filepath.Join(dir, "rep.json")}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
-	}
-	for _, path := range []string{cpu, mem} {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := hostprof.Parse(raw)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if len(p.SampleTypes) == 0 {
-			t.Fatalf("%s: no sample types", path)
-		}
-		if _, err := hostprof.Attribute(p, -1); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
 	}
 }
 

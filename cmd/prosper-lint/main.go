@@ -5,21 +5,12 @@
 //
 // Usage:
 //
-//	prosper-lint [-json] [-list] [-graph-out file] [-baseline old.json] [pattern ...]
+//	prosper-lint [-json] [-list] [pattern ...]
 //
 // Patterns are module-relative package patterns ("./...", the default,
 // or directories like "internal/kernel" or "internal/..."). Output is
 // one "file:line:col: [pass] message" per finding, or a deterministic
 // JSON report with -json (CI archives it as an artifact).
-//
-// -graph-out writes the interprocedural debug artifact: the
-// deterministic call graph (nodes, edges, hot-path roots, reachability)
-// plus the component→state ownership write map.
-//
-// -baseline diffs the run against a previously archived -json report:
-// only findings absent from the baseline (matched by pass/file/message,
-// line-insensitive) fail the build, enabling incremental adoption of
-// noisy passes.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load/type-check error.
 //
@@ -27,11 +18,6 @@
 // or the line directly above:
 //
 //	//prosperlint:ignore <pass>[,<pass>...] <reason>
-//
-// Declare a hot-path root for the hotalloc pass on a function
-// declaration the same way:
-//
-//	//prosperlint:hotpath <reason>
 package main
 
 import (
@@ -49,8 +35,6 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit the report as deterministic JSON")
 	list := fs.Bool("list", false, "list the available passes and exit")
-	graphOut := fs.String("graph-out", "", "write the call-graph + ownership-map debug dump to `file`")
-	baseline := fs.String("baseline", "", "diff against a previous -json report `file`; only new findings fail")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -80,26 +64,6 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *graphOut != "" {
-		if runner.Program == nil {
-			fmt.Fprintln(stderr, "prosper-lint: no interprocedural pass ran; nothing to dump")
-			return 2
-		}
-		f, err := os.Create(*graphOut)
-		if err != nil {
-			fmt.Fprintln(stderr, "prosper-lint:", err)
-			return 2
-		}
-		werr := runner.Program.WriteGraph(f, runner.Loader.Root)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(stderr, "prosper-lint:", werr)
-			return 2
-		}
-	}
-
 	if *jsonOut {
 		if err := rep.WriteJSON(stdout, runner.Loader.Root); err != nil {
 			fmt.Fprintln(stderr, "prosper-lint:", err)
@@ -107,29 +71,6 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		rep.WriteText(stdout, runner.Loader.Root)
-	}
-
-	if *baseline != "" {
-		f, err := os.Open(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "prosper-lint:", err)
-			return 2
-		}
-		base, err := analysis.ReadBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(stderr, "prosper-lint:", err)
-			return 2
-		}
-		fresh := analysis.DiffBaseline(rep.Relativized(runner.Loader.Root), base)
-		fmt.Fprintf(stderr, "prosper-lint: %d finding(s) not in baseline %s\n", len(fresh), *baseline)
-		for _, f := range fresh {
-			fmt.Fprintf(stderr, "  new: %s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Pass, f.Message)
-		}
-		if len(fresh) > 0 {
-			return 1
-		}
-		return 0
 	}
 
 	if len(rep.Findings) > 0 {

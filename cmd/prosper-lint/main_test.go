@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -75,92 +73,6 @@ func TestJSONOutput(t *testing.T) {
 		if f.Line == 0 || f.Pass == "" || f.Message == "" {
 			t.Errorf("incomplete finding: %+v", f)
 		}
-	}
-}
-
-func TestGraphOut(t *testing.T) {
-	dir := t.TempDir()
-	graph := filepath.Join(dir, "graph.txt")
-	var out, errb bytes.Buffer
-	code := run([]string{"-graph-out", graph, "internal/stats"}, ".", &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit = %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
-	}
-	data, err := os.ReadFile(graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(data)
-	if !strings.HasPrefix(text, "# prosper-lint interprocedural graph v1\n") {
-		t.Errorf("graph dump missing version header:\n%.200s", text)
-	}
-	for _, section := range []string{"[roots]", "[nodes]", "[ownership]"} {
-		if !strings.Contains(text, section) {
-			t.Errorf("graph dump missing %s section", section)
-		}
-	}
-	if !strings.Contains(text, "node (*internal/stats.Counters).Inc") {
-		t.Errorf("graph dump missing a known node:\n%.400s", text)
-	}
-}
-
-func TestGraphOutUnwritablePathExitsTwo(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-graph-out", filepath.Join(t.TempDir(), "no", "such", "dir", "g.txt"),
-		"internal/stats"}, ".", &out, &errb)
-	if code != 2 {
-		t.Errorf("exit = %d, want 2 when the graph file cannot be created", code)
-	}
-}
-
-func TestBaselineAbsorbsKnownFindings(t *testing.T) {
-	target := "internal/analysis/testdata/src/wallclock"
-
-	// First run archives the findings as the baseline.
-	var base, errb bytes.Buffer
-	if code := run([]string{"-json", target}, ".", &base, &errb); code != 1 {
-		t.Fatalf("baseline run: exit = %d, stderr: %s", code, errb.String())
-	}
-	dir := t.TempDir()
-	baseFile := filepath.Join(dir, "baseline.json")
-	if err := os.WriteFile(baseFile, base.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second run against the baseline: same findings, so exit 0.
-	var out bytes.Buffer
-	errb.Reset()
-	code := run([]string{"-baseline", baseFile, target}, ".", &out, &errb)
-	if code != 0 {
-		t.Fatalf("diff run: exit = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(errb.String(), "0 finding(s) not in baseline") {
-		t.Errorf("diff summary missing: %s", errb.String())
-	}
-}
-
-func TestBaselineFreshFindingsExitOne(t *testing.T) {
-	// An empty report as baseline: every current finding is fresh.
-	dir := t.TempDir()
-	baseFile := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(baseFile, []byte(`{"module":"prosper","findings":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb bytes.Buffer
-	code := run([]string{"-baseline", baseFile, "internal/analysis/testdata/src/wallclock"}, ".", &out, &errb)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1\nstderr: %s", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "new: ") {
-		t.Errorf("fresh findings not listed on stderr: %s", errb.String())
-	}
-}
-
-func TestBaselineMissingFileExitsTwo(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-baseline", "no-such-baseline.json", "internal/stats"}, ".", &out, &errb)
-	if code != 2 {
-		t.Errorf("exit = %d, want 2 when the baseline file is missing", code)
 	}
 }
 

@@ -71,15 +71,6 @@ type Finisher interface {
 	Finish(r *Reporter)
 }
 
-// ProgramPass is implemented by interprocedural passes: after every
-// package has been visited, the runner builds one shared Program (call
-// graph + per-function summaries, see callgraph.go) and hands it to
-// each ProgramPass before the Finishers run.
-type ProgramPass interface {
-	Pass
-	RunProgram(prog *Program, r *Reporter)
-}
-
 // AllPasses returns fresh instances of every shipped pass, in the order
 // they run.
 func AllPasses() []Pass {
@@ -89,7 +80,6 @@ func AllPasses() []Pass {
 		NewConcurrency(),
 		NewStatsKeys(),
 		NewSnapshot(),
-		NewHotAlloc(),
 		NewOwnership(),
 	}
 }
@@ -107,11 +97,6 @@ type Report struct {
 type Runner struct {
 	Loader *Loader
 	Passes []Pass
-
-	// Program is the interprocedural view built by the last Analyze
-	// call, when the pass suite contained a ProgramPass (the CLI's
-	// -graph-out renders it). Nil otherwise.
-	Program *Program
 }
 
 // NewRunner returns a runner over the module containing dir with the
@@ -155,30 +140,6 @@ func (r *Runner) Analyze(pkgs []*Package) *Report {
 	for _, pkg := range pkgs {
 		for _, pass := range r.Passes {
 			pass.Run(pkg, rep)
-		}
-	}
-	needsProgram := false
-	for _, pass := range r.Passes {
-		if _, ok := pass.(ProgramPass); ok {
-			needsProgram = true
-			break
-		}
-	}
-	if needsProgram {
-		r.Program = BuildProgram(r.Loader, pkgs)
-		// A hotpath directive whose target line carries no function
-		// declaration marks nothing; surface it as a directive finding.
-		for file, ds := range rep.directives {
-			for i, d := range ds {
-				if d.Verb == "hotpath" && d.Err == "" && !r.Program.HotpathAttached(file, d.Line) {
-					rep.directives[file][i].Err = "hotpath directive is not attached to a function declaration (it must sit on the func line or the line directly above)"
-				}
-			}
-		}
-		for _, pass := range r.Passes {
-			if pp, ok := pass.(ProgramPass); ok {
-				pp.RunProgram(r.Program, rep)
-			}
 		}
 	}
 	for _, pass := range r.Passes {

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -29,10 +28,6 @@ var fixturePath = map[string]string{
 	// The snapshot pass checks any package with SaveSnap/LoadSnap pairs;
 	// the synthetic path just has to dodge the real ones.
 	"testdata/src/snapshot": "prosper/internal/fixsnap",
-	// hotalloc reaches wherever //prosperlint:hotpath roots are declared,
-	// so its fixture needs no deterministic-package pose; it imports the
-	// real internal/sim to exercise continuation-edge detection.
-	"testdata/src/hotalloc": "prosper/internal/fixhot",
 	// The ownership pair: fixowner owns the state under a synthetic
 	// domain; fixwriter poses as internal/trace (sim-deterministic) so
 	// its pokes count as sim-time writes. fixowner must be loaded first
@@ -120,15 +115,6 @@ func runFixture(t *testing.T, passes []Pass, dirs ...string) *Report {
 	l, pkgs := loadFixtures(t, dirs...)
 	r := &Runner{Loader: l, Passes: passes}
 	return r.Analyze(pkgs)
-}
-
-func TestHotAllocPass(t *testing.T) {
-	rep := runFixture(t, []Pass{NewHotAlloc()}, "testdata/src/hotalloc")
-	_, pkgs := loadFixtures(t, "testdata/src/hotalloc")
-	checkAgainstWants(t, rep, collectWants(pkgs))
-	if rep.Suppressed != 0 {
-		t.Errorf("suppressed = %d, want 0 (fixture has no ignore directives)", rep.Suppressed)
-	}
 }
 
 func TestOwnershipPass(t *testing.T) {
@@ -329,8 +315,7 @@ func TestPassNamesStable(t *testing.T) {
 		names = append(names, p.Name())
 	}
 	got := strings.Join(names, " ")
-	if got != "maprange wallclock concurrency statskeys snapshot hotalloc ownership" {
+	if got != "maprange wallclock concurrency statskeys snapshot ownership" {
 		t.Errorf("pass suite = %q", got)
 	}
-	_ = fmt.Sprintf // keep fmt imported for future debugging ease
 }

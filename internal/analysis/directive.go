@@ -14,29 +14,26 @@ const DirectivePass = "directive"
 // and friends, it must be a line comment with no space after "//".
 const directivePrefix = "//prosperlint:"
 
-// Directive is one parsed //prosperlint: comment. Two verbs exist:
+// Directive is one parsed //prosperlint: comment. One verb exists:
 //
 //	//prosperlint:ignore <pass>[,<pass>...] <reason>
-//	//prosperlint:hotpath <reason>
 //
-// Placement semantics are shared: a directive that shares its line with
-// code targets that line; a directive alone on its line targets the
-// line directly below it (blank lines do not extend the reach). An
-// ignore directive suppresses findings on its target line; a hotpath
-// directive declares the function whose `func` keyword sits on its
-// target line as a hot-path root for the hotalloc pass (see callgraph.go).
+// A directive that shares its line with code targets that line; a
+// directive alone on its line targets the line directly below it (blank
+// lines do not extend the reach). It suppresses findings of the named
+// passes on its target line.
 type Directive struct {
-	Verb   string   // "ignore" or "hotpath"
+	Verb   string   // "ignore" for every well-formed directive
 	Line   int      // line the comment sits on
 	Col    int      // column of the comment
 	Target int      // line it applies to
-	Passes []string // ignore only: pass names it applies to
+	Passes []string // pass names it applies to
 	Reason string   // mandatory justification
 	Err    string   // non-empty for a malformed directive
 }
 
 // matchesPass reports whether the directive suppresses the named pass.
-// Only ignore directives suppress anything.
+// A directive with an unknown verb suppresses nothing.
 func (d Directive) matchesPass(pass string) bool {
 	if d.Verb != "ignore" {
 		return false
@@ -70,17 +67,8 @@ func ParseDirectives(fset *token.FileSet, f *ast.File, src []byte) []Directive {
 			verb, args, _ := strings.Cut(rest, " ")
 			d.Verb = verb
 			args = strings.TrimSpace(args)
-			if verb == "hotpath" {
-				if args == "" {
-					d.Err = "hotpath directive is missing a reason: say why this function is a hot-path root"
-				} else {
-					d.Reason = args
-				}
-				out = append(out, d)
-				continue
-			}
 			if verb != "ignore" {
-				d.Err = "unknown prosperlint directive //prosperlint:" + verb + " (only \"ignore\" and \"hotpath\" exist)"
+				d.Err = "unknown prosperlint directive //prosperlint:" + verb + " (only \"ignore\" exists)"
 				out = append(out, d)
 				continue
 			}

@@ -3,6 +3,8 @@ package analysis
 import (
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -110,11 +112,11 @@ func f() {
 `,
 			want: []Directive{{
 				Verb: "silence", Line: 3, Target: 3,
-				Err: `unknown prosperlint directive //prosperlint:silence (only "ignore" and "hotpath" exist)`,
+				Err: `unknown prosperlint directive //prosperlint:silence (only "ignore" exists)`,
 			}},
 		},
 		{
-			name: "hotpath above a func targets the func line",
+			name: "hotpath is an unknown verb",
 			src: `package p
 //prosperlint:hotpath per-access entry point
 func f() {
@@ -122,30 +124,7 @@ func f() {
 `,
 			want: []Directive{{
 				Verb: "hotpath", Line: 2, Target: 3,
-				Reason: "per-access entry point",
-			}},
-		},
-		{
-			name: "hotpath on the func line targets it",
-			src: `package p
-func f() { //prosperlint:hotpath per-access entry point
-}
-`,
-			want: []Directive{{
-				Verb: "hotpath", Line: 2, Target: 2,
-				Reason: "per-access entry point",
-			}},
-		},
-		{
-			name: "hotpath without a reason is an error",
-			src: `package p
-//prosperlint:hotpath
-func f() {
-}
-`,
-			want: []Directive{{
-				Verb: "hotpath", Line: 2, Target: 3,
-				Err: "hotpath directive is missing a reason: say why this function is a hot-path root",
+				Err: `unknown prosperlint directive //prosperlint:hotpath (only "ignore" exists)`,
 			}},
 		},
 		{
@@ -209,11 +188,11 @@ func TestDirectiveMatchesPass(t *testing.T) {
 			t.Errorf("matchesPass(%q) = %v, want %v", pass, got, want)
 		}
 	}
-	// A hotpath directive never suppresses findings, whatever its target
-	// line carries.
-	h := Directive{Verb: "hotpath", Passes: []string{"maprange"}}
+	// A directive with an unknown verb never suppresses findings,
+	// whatever passes it names.
+	h := Directive{Verb: "silence", Passes: []string{"maprange"}}
 	if h.matchesPass("maprange") {
-		t.Error("hotpath directive matched a pass; only ignore directives suppress")
+		t.Error("unknown-verb directive matched a pass; only ignore directives suppress")
 	}
 }
 
@@ -233,5 +212,40 @@ func now() int64 { return 0 }
 	}
 	if !strings.Contains(got[0].Reason, "file-leading") {
 		t.Errorf("reason = %q", got[0].Reason)
+	}
+}
+
+// TestRetiredDirectivesAreFindings runs the full pass suite over a
+// package carrying a directive for a retired verb or pass: each must
+// come back as a directive finding, so a leftover annotation fails lint
+// instead of silently marking or suppressing nothing.
+func TestRetiredDirectivesAreFindings(t *testing.T) {
+	for _, tc := range []struct{ directive, sub string }{
+		{"//prosperlint:hotpath r", "unknown prosperlint directive //prosperlint:hotpath"},
+		{"//prosperlint:ignore hotalloc r", `directive names unknown pass "hotalloc"`},
+	} {
+		t.Run(tc.directive, func(t *testing.T) {
+			dir := t.TempDir()
+			src := "package p\n\n" + tc.directive + "\nfunc f() {}\n"
+			if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, err := NewLoader(".")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkg, err := l.LoadDir(dir, "prosper/internal/vm")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := (&Runner{Loader: l, Passes: AllPasses()}).Analyze([]*Package{pkg})
+			if len(rep.Findings) != 1 {
+				t.Fatalf("got %d findings, want 1: %+v", len(rep.Findings), rep.Findings)
+			}
+			f := rep.Findings[0]
+			if f.Pass != DirectivePass || f.Line != 3 || !strings.Contains(f.Message, tc.sub) {
+				t.Errorf("finding = %+v, want [%s] on line 3 containing %q", f, DirectivePass, tc.sub)
+			}
+		})
 	}
 }

@@ -18,7 +18,6 @@ func TestGoldenJSON(t *testing.T) {
 	dirs := []string{
 		"testdata/src/concurrency",
 		"testdata/src/directive",
-		"testdata/src/hotalloc",
 		"testdata/src/maprange",
 		// fixowner must precede fixwriter: the writer's import resolves
 		// from the loader cache.

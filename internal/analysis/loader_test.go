@@ -117,3 +117,20 @@ func TestImportResolvesModuleAndStd(t *testing.T) {
 		t.Errorf("std import resolved to %q", std.Path())
 	}
 }
+
+// TestLoaderUnresolvedImport pins the Loader's failure mode on a
+// module-local import that maps to no directory: a descriptive error,
+// not a panic or a silent nil package.
+func TestLoaderUnresolvedImport(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = l.LoadDir("testdata/src/badimport", "prosper/internal/badimport")
+	if err == nil {
+		t.Fatal("LoadDir succeeded on a package with an unresolvable module-local import")
+	}
+	if !strings.Contains(err.Error(), "prosper/internal/definitely/missing") {
+		t.Errorf("error does not name the missing import path: %v", err)
+	}
+}

@@ -1,20 +1,27 @@
 package analysis
 
-import "fmt"
+import (
+	"fmt"
+	"go/ast"
+	"go/token"
+	"go/types"
+	"strings"
+)
 
-// Ownership is the machine-checked shared-state ownership map that
-// ROADMAP item 2 (the deterministic parallel engine) requires before
-// the event wheel can be sharded: every write site in sim-deterministic
-// code is attributed to the component domain that owns the written
-// state (domainOf: the package after internal/, which coincides with
-// the sim.Component names), and a write that crosses domains must be on
-// the documented boundary list below or it is a finding.
+// Ownership is the machine-checked shared-state ownership map a
+// sharded event wheel needs before it can split the machine across
+// threads (the deterministic parallel engine on ROADMAP.md): every write
+// site in sim-deterministic code is attributed to the component domain
+// that owns the written state (domainOf: the package after internal/,
+// which coincides with the sim.Component names), and a write that
+// crosses domains must be on the documented boundary list below or it is
+// a finding.
 //
-// The full inventory — same-domain writes included — is rendered by
-// Program.OwnershipMap into the -graph-out artifact, byte-identical
-// across runs. internal/sim/par will extend the boundary list with its
-// vetted cross-shard channels; until then the list is exactly the
-// coupling the current single-threaded machine is known to have.
+// The pass reads each function's own write sites and never follows a
+// call, so it runs package by package. A parallel engine would extend the
+// boundary list with its vetted cross-shard channels; until then the
+// list is exactly the coupling the current single-threaded machine is
+// known to have.
 type Ownership struct{}
 
 // NewOwnership returns the pass.
@@ -27,9 +34,6 @@ func (*Ownership) Name() string { return "ownership" }
 func (*Ownership) Doc() string {
 	return "cross-component writes to shared machine state outside the documented boundary list"
 }
-
-// Run implements Pass. The work is whole-program; see RunProgram.
-func (*Ownership) Run(pkg *Package, r *Reporter) {}
 
 // ownershipBoundary is one sanctioned cross-domain write: writer-domain
 // code may write owner-domain state matching State ("Type.Field",
@@ -95,21 +99,124 @@ func boundaryAllowed(writer, owner, state string) bool {
 	return false
 }
 
-// RunProgram implements ProgramPass: flag cross-domain writes from
-// sim-deterministic code that the boundary list does not sanction.
-func (*Ownership) RunProgram(prog *Program, r *Reporter) {
-	for _, n := range prog.Nodes {
-		if !isDeterministicPkg(n.Pkg.Path) {
-			continue
-		}
-		writer := domainOf(n.Pkg.Path)
-		for _, w := range n.Writes {
-			if w.Owner == writer || boundaryAllowed(writer, w.Owner, w.State) {
+// Run implements Pass: flag cross-domain writes from sim-deterministic
+// code that the boundary list does not sanction.
+func (*Ownership) Run(pkg *Package, r *Reporter) {
+	if !isDeterministicPkg(pkg.Path) {
+		return
+	}
+	writer := domainOf(pkg.Path)
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
 				continue
 			}
-			r.Report("ownership", w.Pos, fmt.Sprintf(
-				"%s code writes %s-owned state %s: cross-component write not on the documented boundary list",
-				writer, w.Owner, w.State))
+			for _, w := range writeSites(pkg.Info, fd.Body) {
+				if w.Owner == writer || boundaryAllowed(writer, w.Owner, w.State) {
+					continue
+				}
+				r.Report("ownership", w.Pos, fmt.Sprintf(
+					"%s code writes %s-owned state %s: cross-component write not on the documented boundary list",
+					writer, w.Owner, w.State))
+			}
 		}
 	}
+}
+
+// writeSite is one write to shared state: a package-level variable or a
+// field of a named struct type.
+type writeSite struct {
+	Pos   token.Pos
+	Owner string // component domain owning the written state
+	State string // "Type.Field" or "var Name"
+}
+
+// domainOf maps an import path to its component ownership domain: the
+// path segment after the last "internal/" ("prosper/internal/cache" ->
+// "cache"), or the last path segment otherwise. For the simulator's
+// packages this coincides with the sim.Component names (machine being
+// the documented multi-component package).
+func domainOf(path string) string {
+	if i := strings.LastIndex(path, "internal/"); i >= 0 {
+		rest := path[i+len("internal/"):]
+		if j := strings.Index(rest, "/"); j >= 0 {
+			rest = rest[:j]
+		}
+		return rest
+	}
+	if j := strings.LastIndex(path, "/"); j >= 0 {
+		return path[j+1:]
+	}
+	return path
+}
+
+// writeSites returns every shared-state write in a function body,
+// closures included: assignments (not definitions) and ++/-- whose
+// target is a package-level variable or a field of a named struct type.
+func writeSites(info *types.Info, body *ast.BlockStmt) []writeSite {
+	var out []writeSite
+	record := func(pos token.Pos, lhs ast.Expr) {
+		lhs = ast.Unparen(lhs)
+		// Writing through an index expression mutates the indexed
+		// container; attribute the write to the container itself.
+		if ix, ok := lhs.(*ast.IndexExpr); ok {
+			lhs = ast.Unparen(ix.X)
+		}
+		switch l := lhs.(type) {
+		case *ast.Ident:
+			v, ok := info.ObjectOf(l).(*types.Var)
+			if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
+				return
+			}
+			out = append(out, writeSite{Pos: pos, Owner: domainOf(v.Pkg().Path()), State: "var " + v.Name()})
+		case *ast.SelectorExpr:
+			if sel, ok := info.Selections[l]; ok && sel.Kind() == types.FieldVal {
+				field, _ := sel.Obj().(*types.Var)
+				if field == nil || field.Pkg() == nil {
+					return
+				}
+				// A field write through a value-typed local (op.Kind = ...
+				// where op is a plain struct variable) mutates the local
+				// copy, not shared state.
+				if base, ok := ast.Unparen(l.X).(*ast.Ident); ok {
+					if v, ok := info.ObjectOf(base).(*types.Var); ok && !v.IsField() &&
+						v.Pkg() != nil && v.Parent() != v.Pkg().Scope() {
+						if _, isPtr := v.Type().Underlying().(*types.Pointer); !isPtr {
+							return
+						}
+					}
+				}
+				recv := sel.Recv()
+				if ptr, ok := recv.(*types.Pointer); ok {
+					recv = ptr.Elem()
+				}
+				typeName := "?"
+				if named, ok := recv.(*types.Named); ok {
+					typeName = named.Obj().Name()
+				}
+				out = append(out, writeSite{Pos: pos, Owner: domainOf(field.Pkg().Path()), State: typeName + "." + field.Name()})
+				return
+			}
+			// Qualified package-level variable: otherpkg.Var = x.
+			if v, ok := info.Uses[l.Sel].(*types.Var); ok &&
+				v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+				out = append(out, writeSite{Pos: pos, Owner: domainOf(v.Pkg().Path()), State: "var " + v.Name()})
+			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.AssignStmt:
+			if s.Tok != token.DEFINE {
+				for _, lhs := range s.Lhs {
+					record(lhs.Pos(), lhs)
+				}
+			}
+		case *ast.IncDecStmt:
+			record(s.X.Pos(), s.X)
+		}
+		return true
+	})
+	return out
 }

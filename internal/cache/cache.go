@@ -210,8 +210,6 @@ func (c *Cache) nextAccess(write bool, addr uint64, done sim.Done) {
 
 // Access services one access to the line containing addr. The access is
 // aligned internally; callers may pass arbitrary byte addresses.
-//
-//prosperlint:hotpath per-line cache access: the L1/L2 service path runs once per segment
 func (c *Cache) Access(write bool, addr uint64, done sim.Done) {
 	if write {
 		c.cWriteAccesses.Inc()
@@ -249,7 +247,7 @@ func (c *Cache) miss(write bool, lineAddr uint64, done sim.Done) {
 		// Coalesce with the in-flight fetch of the same line.
 		c.cMisses.Inc()
 		c.cCoalesced.Inc()
-		m.waiters = append(m.waiters, waiter{write: write, done: done, arrived: c.eng.Now()}) //prosperlint:ignore hotalloc amortized: waiter slices are recycled with their MSHRs at steady state
+		m.waiters = append(m.waiters, waiter{write: write, done: done, arrived: c.eng.Now()})
 		if m.jid == 0 {
 			// A sampled coalescer adopts the fetch if the initiator was
 			// unsampled, so the downstream levels still get tagged (the
@@ -261,12 +259,12 @@ func (c *Cache) miss(write bool, lineAddr uint64, done sim.Done) {
 	if len(c.mshrs) >= c.cfg.MSHRs {
 		// Not yet a hit or a miss: the retry will classify it.
 		c.cMSHRStalls.Inc()
-		c.blocked = append(c.blocked, deferredAccess{write: write, addr: lineAddr, done: done, arrived: c.eng.Now()}) //prosperlint:ignore hotalloc amortized: the blocked list is drained and reused; growth is bounded by offered load
+		c.blocked = append(c.blocked, deferredAccess{write: write, addr: lineAddr, done: done, arrived: c.eng.Now()})
 		return
 	}
 	c.cMisses.Inc()
 	m := c.allocMSHR()
-	m.waiters = append(m.waiters, waiter{write: write, done: done, arrived: c.eng.Now()}) //prosperlint:ignore hotalloc amortized: waiter slices are recycled with their MSHRs at steady state
+	m.waiters = append(m.waiters, waiter{write: write, done: done, arrived: c.eng.Now()})
 	m.issued = c.eng.Now()
 	m.jid = done.Journey()
 	c.mshrs[lineAddr] = m
@@ -331,7 +329,7 @@ func (c *Cache) allocMSHR() *mshr {
 		c.mshrFree = c.mshrFree[:n-1]
 		return m
 	}
-	return &mshr{} //prosperlint:ignore hotalloc pool-miss only: freeMSHR recycles entries, so steady state allocates nothing
+	return &mshr{}
 }
 
 func (c *Cache) freeMSHR(m *mshr) {

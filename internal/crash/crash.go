@@ -269,7 +269,7 @@ func (o *stackObserver) ObserveStore(vaddr uint64, size int) {
 	if vaddr+uint64(size) <= o.g.lo || vaddr >= o.g.hi {
 		return
 	}
-	o.g.stores = append(o.g.stores, storeRec{ //prosperlint:ignore hotalloc bounded recording: the stack-store log is the harness's product, not sim overhead
+	o.g.stores = append(o.g.stores, storeRec{
 		cycle: o.eng.Now(),
 		line:  mem.LineOf(vaddr),
 		n:     mem.LinesSpanned(vaddr, size),

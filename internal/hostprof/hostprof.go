@@ -1,16 +1,10 @@
-// Package hostprof owns the host-side profiling primitives: the sanctioned
-// monotonic clock that sim.Profile batches against, and a stdlib-only
-// decoder for pprof CPU/heap profiles that attributes samples to simulated
-// components by package path.
+// Package hostprof owns the sanctioned host clock: Nanotime, the
+// monotonic reading sim.Engine.EnableProfiling batches against.
 //
 // This is the one sim-adjacent package allowed to read the host clock
 // (prosper-lint's wallclock allowlist): simulation code measures in
 // sim.Time cycles, and anything here is host-side observability that never
 // feeds back into simulated behavior.
-//
-// The decoder follows the same ethos as internal/analysis's Loader: no
-// module dependencies, just enough of the format (gzip framing +
-// protobuf varints) to read what the Go runtime writes.
 package hostprof
 
 import "time"

@@ -202,14 +202,14 @@ func (j *Journey) attribute() {
 	if j.End <= j.Start {
 		return
 	}
-	cuts := make([]sim.Time, 0, 2*len(j.Spans)+2) //prosperlint:ignore hotalloc sampled path: attribute runs once per sampled journey at finish, not per access
-	cuts = append(cuts, j.Start, j.End)           //prosperlint:ignore hotalloc sampled path: attribute runs once per sampled journey at finish, not per access
+	cuts := make([]sim.Time, 0, 2*len(j.Spans)+2)
+	cuts = append(cuts, j.Start, j.End)
 	for _, sp := range j.Spans {
 		if sp.Enter > j.Start && sp.Enter < j.End {
-			cuts = append(cuts, sp.Enter) //prosperlint:ignore hotalloc sampled path: attribute runs once per sampled journey at finish, not per access
+			cuts = append(cuts, sp.Enter)
 		}
 		if sp.Exit > j.Start && sp.Exit < j.End {
-			cuts = append(cuts, sp.Exit) //prosperlint:ignore hotalloc sampled path: attribute runs once per sampled journey at finish, not per access
+			cuts = append(cuts, sp.Exit)
 		}
 	}
 	slices.Sort(cuts)
@@ -303,7 +303,7 @@ func (r *Recorder) Start(now sim.Time, write bool, vaddr uint64, size, segs int)
 	if splitmix64(r.seq^r.seed)%r.rate != 0 {
 		return 0
 	}
-	j := &Journey{ //prosperlint:ignore hotalloc sampled path: the unsampled fast path returns before this (pinned by AllocsPerRun)
+	j := &Journey{
 		JID:     uint32(len(r.journeys) + 1),
 		Seq:     r.seq,
 		Write:   write,
@@ -313,7 +313,7 @@ func (r *Recorder) Start(now sim.Time, write bool, vaddr uint64, size, segs int)
 		End:     now,
 		pending: segs,
 	}
-	r.journeys = append(r.journeys, j) //prosperlint:ignore hotalloc sampled path: the unsampled fast path returns before this (pinned by AllocsPerRun)
+	r.journeys = append(r.journeys, j)
 	r.open++
 	return j.JID
 }
@@ -343,7 +343,7 @@ func (r *Recorder) Span(jid uint32, stage Stage, cause Cause, enter, exit sim.Ti
 	if exit < enter {
 		exit = enter
 	}
-	j.Spans = append(j.Spans, Span{Stage: stage, Cause: cause, Enter: enter, Exit: exit}) //prosperlint:ignore hotalloc sampled path: get() returns nil for unsampled accesses before this append
+	j.Spans = append(j.Spans, Span{Stage: stage, Cause: cause, Enter: enter, Exit: exit})
 }
 
 // SegDone retires one line segment of the journey at cycle now; the

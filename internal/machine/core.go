@@ -157,14 +157,14 @@ func (c *Core) allocOp() *memOp {
 		c.opFree = c.opFree[:n-1]
 		return op
 	}
-	return &memOp{} //prosperlint:ignore hotalloc pool-miss only: freeOp recycles memOps, so steady state allocates nothing
+	return &memOp{}
 }
 
 func (c *Core) freeOp(op *memOp) {
 	op.data = nil
 	op.readDone = nil
 	op.writeDone = nil
-	c.opFree = append(c.opFree, op) //prosperlint:ignore hotalloc amortized: free-list growth is bounded by peak concurrency
+	c.opFree = append(c.opFree, op)
 }
 
 func (c *Core) allocSeg() *segOp {
@@ -173,17 +173,17 @@ func (c *Core) allocSeg() *segOp {
 		c.segFree = c.segFree[:n-1]
 		return s
 	}
-	s := &segOp{core: c}                                    //prosperlint:ignore hotalloc pool-miss only: freeSeg recycles segOps, so steady state allocates nothing
-	s.translatedFn = s.translated                           //prosperlint:ignore hotalloc pool-miss only: bound once per pooled segOp and reused for its lifetime
-	s.lineDoneTok = sim.Thunk(sim.CompWorkload, s.lineDone) //prosperlint:ignore hotalloc pool-miss only: bound once per pooled segOp and reused for its lifetime
-	s.issueFn = s.issue                                     //prosperlint:ignore hotalloc pool-miss only: bound once per pooled segOp and reused for its lifetime
-	s.creditFn = s.credited                                 //prosperlint:ignore hotalloc pool-miss only: bound once per pooled segOp and reused for its lifetime
+	s := &segOp{core: c}
+	s.translatedFn = s.translated
+	s.lineDoneTok = sim.Thunk(sim.CompWorkload, s.lineDone)
+	s.issueFn = s.issue
+	s.creditFn = s.credited
 	return s
 }
 
 func (c *Core) freeSeg(s *segOp) {
 	s.op = nil
-	c.segFree = append(c.segFree, s) //prosperlint:ignore hotalloc amortized: free-list growth is bounded by peak concurrency
+	c.segFree = append(c.segFree, s)
 }
 
 func (c *Core) allocWalk() *walkOp {
@@ -192,15 +192,15 @@ func (c *Core) allocWalk() *walkOp {
 		c.walkFree = c.walkFree[:n-1]
 		return w
 	}
-	w := &walkOp{core: c}                    //prosperlint:ignore hotalloc pool-miss only: freeWalk recycles walkOps, so steady state allocates nothing
-	w.stepFn = sim.Thunk(sim.CompVM, w.step) //prosperlint:ignore hotalloc pool-miss only: bound once per pooled walkOp and reused for its lifetime
+	w := &walkOp{core: c}
+	w.stepFn = sim.Thunk(sim.CompVM, w.step)
 	return w
 }
 
 func (c *Core) freeWalk(w *walkOp) {
 	w.k = nil
 	w.entry = nil
-	c.walkFree = append(c.walkFree, w) //prosperlint:ignore hotalloc amortized: free-list growth is bounded by peak concurrency
+	c.walkFree = append(c.walkFree, w)
 }
 
 // L1 returns the core's private L1D (the Prosper tracker taps the port in
@@ -330,14 +330,14 @@ func (c *Core) fault(vaddr uint64, write bool, jid uint32, k func(uint64)) {
 		panic("machine: page fault with no handler")
 	}
 	if err := c.OnFault(vaddr, write); err != nil {
-		panic("machine: " + err.Error()) //prosperlint:ignore hotalloc panic path: the concat feeds a fatal error on an unhandled fault
+		panic("machine: " + err.Error())
 	}
 	if jid != 0 {
 		now := c.eng.Now()
 		c.journeys.Span(jid, journey.StageTLB, journey.CauseFault, now, now+c.mach.Cfg.PageFaultCycles)
 	}
 	c.TLB.Invalidate(vaddr)
-	c.eng.Schedule(sim.CompVM, c.mach.Cfg.PageFaultCycles, func() { //prosperlint:ignore hotalloc fault path: page faults are rare by design; the retry closure is documented above
+	c.eng.Schedule(sim.CompVM, c.mach.Cfg.PageFaultCycles, func() {
 		c.translate(vaddr, write, jid, k)
 	})
 }
@@ -347,8 +347,6 @@ func (c *Core) fault(vaddr uint64, write bool, jid uint32, k func(uint64)) {
 // run loop waits for done before issuing the next op), so the buffer
 // handed to done is only valid until the core issues its next load — it
 // is reused, not reallocated.
-//
-//prosperlint:hotpath per-access load entry: every workload load funnels through here
 func (c *Core) Read(vaddr uint64, size int, done func([]byte)) {
 	c.Counters.Inc("core.loads")
 	if c.Tracer != nil {
@@ -360,7 +358,7 @@ func (c *Core) Read(vaddr uint64, size int, done func([]byte)) {
 	op := c.allocOp()
 	op.readDone = done
 	if cap(op.buf) < size {
-		op.buf = make([]byte, size) //prosperlint:ignore hotalloc growth-only: the op buffer is reused across loads and grows to the high-water mark
+		op.buf = make([]byte, size)
 	} else {
 		op.buf = op.buf[:size]
 	}
@@ -374,8 +372,6 @@ func (c *Core) Read(vaddr uint64, size int, done func([]byte)) {
 // when it completes in the memory system; completion returns the buffer
 // credit asynchronously, so a full store buffer stalls the core exactly
 // like real hardware.
-//
-//prosperlint:hotpath per-access store entry: every workload store funnels through here
 func (c *Core) Write(vaddr uint64, data []byte, done func()) {
 	c.Counters.Inc("core.stores")
 	if c.Tracer != nil {
@@ -504,7 +500,7 @@ func (c *Core) acquireStoreCredit(k func()) {
 		return
 	}
 	c.Counters.Inc("core.store_buffer_stalls")
-	c.storeWaiters = append(c.storeWaiters, k) //prosperlint:ignore hotalloc amortized: the credit-waiter list is drained and reused under backpressure
+	c.storeWaiters = append(c.storeWaiters, k)
 }
 
 // releaseStoreCreditJourney is the sampled-store completion: the credit

@@ -203,8 +203,6 @@ func (d *Device) AttachJourneys(r *journey.Recorder, nvm bool) {
 
 // Access requests one line-sized access at addr; done fires when the
 // device completes it. Writes may be delayed by write-buffer backpressure.
-//
-//prosperlint:hotpath per-line device access: every cache miss lands here
 func (d *Device) Access(write bool, addr uint64, done sim.Done) {
 	p := pendingAccess{write: write, addr: addr, done: done, arrived: d.eng.Now()}
 	if d.admissible(write) {
@@ -212,7 +210,7 @@ func (d *Device) Access(write bool, addr uint64, done sim.Done) {
 		return
 	}
 	d.cBufferStalls.Inc()
-	d.waiting = append(d.waiting, p) //prosperlint:ignore hotalloc amortized: the backpressure queue is drained and reused; growth is bounded
+	d.waiting = append(d.waiting, p)
 }
 
 func (d *Device) admissible(write bool) bool {
@@ -290,12 +288,12 @@ func (d *Device) start(p pendingAccess) {
 func (d *Device) enqueueCompletion(finish sim.Time, c devCompletion) {
 	if d.openBatch >= 0 && d.openFinish == finish && d.eng.ScheduleSeq() == d.openSeq {
 		b := d.batches[d.openBatch]
-		b.items = append(b.items, c) //prosperlint:ignore hotalloc amortized: completion batches are pooled and reused at steady state
+		b.items = append(b.items, c)
 		return
 	}
 	idx := d.allocBatch()
 	b := d.batches[idx]
-	b.items = append(b.items, c) //prosperlint:ignore hotalloc amortized: completion batches are pooled and reused at steady state
+	b.items = append(b.items, c)
 	b.when = finish
 	b.seq = d.eng.ScheduleSeq() // the seq AtDone will assign below
 	d.eng.AtDone(finish, sim.Bind(sim.CompMem, d.completeFn, uint64(idx)))
@@ -310,7 +308,7 @@ func (d *Device) allocBatch() int {
 		d.batchFree = d.batchFree[:n-1]
 		return idx
 	}
-	d.batches = append(d.batches, &completionBatch{}) //prosperlint:ignore hotalloc pool-miss only: batches are recycled through freeBatches at steady state
+	d.batches = append(d.batches, &completionBatch{})
 	return len(d.batches) - 1
 }
 

@@ -84,7 +84,7 @@ func (d *Domain) WriteAdmitted(addr uint64) {
 			d.snapPool = d.snapPool[:n-1]
 		}
 	}
-	d.pending[line] = append(q, snap) //prosperlint:ignore hotalloc amortized: the admitted-write ring is reused; growth is bounded by buffer depth
+	d.pending[line] = append(q, snap)
 }
 
 // WriteCompleted implements PersistSink: the oldest in-flight write of

@@ -21,7 +21,7 @@ func (s *Storage) page(addr uint64, create bool) *[PageSize]byte {
 	base := PageOf(addr)
 	p := s.pages[base]
 	if p == nil && create {
-		p = new([PageSize]byte) //prosperlint:ignore hotalloc first-touch only: sparse backing pages allocate once per touched page
+		p = new([PageSize]byte)
 		s.pages[base] = p
 	}
 	return p

@@ -48,8 +48,8 @@ var componentNames = [NumComponents]string{
 }
 
 // String returns the component's stable lowercase name. These names are
-// part of the prosper-bench report schema (host_attribution keys) and of
-// prosper-prof's output; renaming one is a breaking change.
+// part of the prosper-bench report schema (host_attribution keys);
+// renaming one is a breaking change.
 func (c Component) String() string {
 	if int(c) < NumComponents {
 		return componentNames[c]

@@ -291,7 +291,7 @@ func (e *Engine) AssertDrained() error {
 // A negative delay panics: the simulator never travels backwards.
 func (e *Engine) Schedule(comp Component, delay Time, fn func()) {
 	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay)) //prosperlint:ignore hotalloc panic path: the message formats only when a negative delay aborts the run
+		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
 	e.At(comp, e.now+delay, fn)
 }
@@ -300,7 +300,7 @@ func (e *Engine) Schedule(comp Component, delay Time, fn func()) {
 // attributing the event to comp.
 func (e *Engine) At(comp Component, t Time, fn func()) {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now)) //prosperlint:ignore hotalloc panic path: the message formats only when scheduling into the past aborts the run
+		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
 	e.push(event{when: t, seq: e.seq, fn: fn, comp: comp})
 	e.seq++
@@ -310,7 +310,7 @@ func (e *Engine) At(comp Component, t Time, fn func()) {
 // is attributed to the token's owner.
 func (e *Engine) ScheduleDone(delay Time, d Done) {
 	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay)) //prosperlint:ignore hotalloc panic path: the message formats only when a negative delay aborts the run
+		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
 	e.AtDone(e.now+delay, d)
 }
@@ -319,7 +319,7 @@ func (e *Engine) ScheduleDone(delay Time, d Done) {
 // attributed to the token's owner.
 func (e *Engine) AtDone(t Time, d Done) {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now)) //prosperlint:ignore hotalloc panic path: the message formats only when scheduling into the past aborts the run
+		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
 	e.push(event{when: t, seq: e.seq, fn: d.fn, afn: d.afn, arg: d.arg, comp: d.comp})
 	e.seq++
@@ -329,7 +329,7 @@ func (e *Engine) AtDone(t Time, d Done) {
 // slots down and writing ev once at its final position keeps the inner
 // loop to one comparison and one copy per level.
 func (e *Engine) push(ev event) {
-	e.queue = append(e.queue, ev) //prosperlint:ignore hotalloc amortized: the event heap grows to the high-water mark and is reused
+	e.queue = append(e.queue, ev)
 	q := e.queue
 	i := len(q) - 1
 	for i > 0 {

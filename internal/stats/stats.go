@@ -60,9 +60,9 @@ func NewCounters() *Counters {
 func (c *Counters) slot(name string) *uint64 {
 	p, ok := c.values[name]
 	if !ok {
-		p = new(uint64) //prosperlint:ignore hotalloc first-use only: counter cells allocate once per distinct key
+		p = new(uint64)
 		c.values[name] = p
-		c.order = append(c.order, name) //prosperlint:ignore hotalloc first-use only: counter cells allocate once per distinct key
+		c.order = append(c.order, name)
 	}
 	return p
 }

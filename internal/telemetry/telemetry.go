@@ -193,7 +193,7 @@ func (t *Tracer) Instant(track Track, name string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, event{ph: 'i', tid: track.tid, name: name, ts: t.now(), args: args}) //prosperlint:ignore hotalloc tracing only: the event buffer exists only when a trace sink is attached
+	t.events = append(t.events, event{ph: 'i', tid: track.tid, name: name, ts: t.now(), args: args})
 }
 
 // Counter records one sample of a counter-track series; Perfetto renders

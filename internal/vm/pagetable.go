@@ -7,9 +7,7 @@
 // physical addresses each table node carries. Host profiling follows the
 // same split: the walker's continuations and page-fault events are born
 // sim.CompVM, so engine event counts attribute walk/fault work here even
-// though this package schedules nothing itself, while pprof samples in
-// vm code attribute by package path (prosper-prof maps internal/vm to
-// the vm component).
+// though this package schedules nothing itself.
 package vm
 
 import "fmt"
@@ -99,7 +97,7 @@ func indexAt(vaddr uint64, level int) int {
 
 func checkVA(vaddr uint64) {
 	if vaddr >= MaxVirtual {
-		panic(fmt.Sprintf("vm: non-canonical virtual address %#x", vaddr)) //prosperlint:ignore hotalloc panic path: the message formats only for a non-canonical address abort
+		panic(fmt.Sprintf("vm: non-canonical virtual address %#x", vaddr))
 	}
 }
 
