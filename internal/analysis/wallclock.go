@@ -13,9 +13,9 @@ import (
 //
 // The pass scans every package except the approved host-side timing
 // owners (internal/runner's executor and internal/stats' RunLog). Host
-// tools like cmd/prosper-bench legitimately measure wall time, but they
-// must say so with a //prosperlint:ignore directive: the sim/host time
-// boundary is documented, never silent.
+// tools like cmd/prosper-experiments legitimately measure wall time, but
+// they must say so with a //prosperlint:ignore directive: the sim/host
+// time boundary is documented, never silent.
 type Wallclock struct{}
 
 // NewWallclock returns the pass.

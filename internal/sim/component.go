@@ -48,8 +48,9 @@ var componentNames = [NumComponents]string{
 }
 
 // String returns the component's stable lowercase name. These names are
-// part of the prosper-bench report schema (host_attribution keys);
-// renaming one is a breaking change.
+// keys of the quick-suite golden (internal/runner's event_counts) and of
+// the benchmark's <component>.* metrics; renaming one is a breaking
+// change.
 func (c Component) String() string {
 	if int(c) < NumComponents {
 		return componentNames[c]

@@ -5,8 +5,8 @@ package sim
 //
 //   - event counts: how many dispatched events each component owned.
 //     Pure integer bookkeeping on the deterministic event stream, so the
-//     counts are exactly reproducible (and exact-checked by
-//     prosper-bench, like sim_cycles).
+//     counts are exactly reproducible (and exact-checked by the
+//     quick-suite golden, like sim_cycles).
 //
 //   - host nanoseconds: how much wall time the dispatch loop spent in
 //     each component's callbacks. Reading the host clock per event would
