@@ -6,6 +6,7 @@
 //
 //	prosper-experiments [-interval us] [-checkpoints n] [-ops n]
 //	                    [-parallel n] [-progress] [-list]
+//	                    [-trace-out FILE [-sample-every cycles]]
 //	                    [-journey-out FILE [-journey-sample-rate n]
 //	                    [-journey-seed s]]
 //	                    [fig1 fig2 ... | all | quick]
@@ -68,13 +69,11 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulation runs per experiment")
 	list := flag.Bool("list", false, "print the experiment registry and exit")
 	progress := flag.Bool("progress", true, "report per-run progress (spec, sim cycles, wall seconds) on stderr")
-	progressJSON := flag.String("progress-json", "", "also append per-run progress records as JSON lines to FILE")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event / Perfetto JSON trace of every run to FILE")
 	journeyOut := flag.String("journey-out", "", "write sampled per-access journey records (JSON lines) of every run to FILE")
 	journeyRate := flag.Uint64("journey-sample-rate", 4096, "sample 1-in-N accesses for -journey-out (deterministic in the access sequence number)")
 	journeySeed := flag.Uint64("journey-seed", 1, "seed for -journey-out access sampling")
-	metricsOut := flag.String("metrics-out", "", "write periodic metrics-registry snapshots as JSON lines to FILE")
-	sampleEvery := flag.Int64("sample-every", 30_000, "telemetry sampling cadence in simulated cycles (30000 = 10 µs)")
+	sampleEvery := flag.Int64("sample-every", 30_000, "cadence of -trace-out's occupancy counter samples, in simulated cycles (30000 = 10 µs)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator to FILE")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to FILE at exit")
 	crashSweep := flag.Bool("crash-sweep", false, "run the power-failure crash sweep over every mechanism instead of the figures")
@@ -110,15 +109,8 @@ func main() {
 	scale.Workers = *parallel
 	if *progress {
 		scale.Log = stats.NewRunLog(os.Stderr)
-	} else if *progressJSON != "" {
-		scale.Log = stats.NewRunLog(nil)
 	}
-	if *progressJSON != "" {
-		f := mustCreate(*progressJSON)
-		defer f.Close()
-		scale.Log.StreamJSON(f)
-	}
-	if *traceOut != "" || *metricsOut != "" {
+	if *traceOut != "" {
 		scale.Trace = telemetry.NewTrace()
 		scale.SampleEvery = sim.Time(*sampleEvery)
 	}
@@ -218,11 +210,6 @@ func main() {
 		check(scale.Trace.WriteJSON(f))
 		check(f.Close())
 		fmt.Fprintf(os.Stderr, "[trace written to %s — open it at https://ui.perfetto.dev]\n", *traceOut)
-	}
-	if *metricsOut != "" {
-		f := mustCreate(*metricsOut)
-		check(scale.Trace.WriteMetricsJSONL(f))
-		check(f.Close())
 	}
 	if *journeyOut != "" {
 		f := mustCreate(*journeyOut)

@@ -57,8 +57,8 @@ type Scale struct {
 	// order (before execution starts), so the serialized trace bytes are
 	// identical for any Workers value.
 	Trace *telemetry.Trace
-	// SampleEvery is the telemetry occupancy/metrics sampling cadence in
-	// cycles (0: the kernel's 10 µs default).
+	// SampleEvery is the telemetry occupancy sampling cadence in cycles
+	// (0: the kernel's 10 µs default).
 	SampleEvery sim.Time
 
 	// Journal, when non-nil, samples per-access journeys on every run:

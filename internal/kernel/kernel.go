@@ -40,8 +40,9 @@ type Config struct {
 	// occupancy samples of the memory system. Nil (the default) keeps
 	// every instrumentation site on its zero-cost fast path.
 	Tracer *telemetry.Tracer
-	// SampleEvery is the occupancy/metrics sampling cadence in cycles
-	// (default 10 µs of sim time); only meaningful with a Tracer.
+	// SampleEvery is the cadence, in cycles, at which the Tracer's
+	// occupancy counter tracks are sampled (default 10 µs of sim time);
+	// only meaningful with a Tracer.
 	SampleEvery sim.Time
 	// Journey, when non-nil, samples end-to-end access journeys on every
 	// component of the memory path (internal/journey). Nil (the default)
@@ -165,7 +166,8 @@ func (k *Kernel) buildMetrics() {
 }
 
 // startTelemetry binds the tracer to the engine, gives the trackers
-// their event lanes, and starts the periodic occupancy/metrics sampler.
+// their event lanes, and starts the periodic sampler of the occupancy
+// counter tracks (memory queues, MSHRs, store buffers, tracker tables).
 // With a nil tracer it does nothing: no lanes, no ticker, no events.
 func (k *Kernel) startTelemetry() {
 	k.Trace = k.Cfg.Tracer
@@ -211,11 +213,7 @@ func (k *Kernel) startTelemetry() {
 	if every <= 0 {
 		every = 10 * sim.Microsecond
 	}
-	reg := k.Metrics
-	m.Eng.NewTicker(sim.CompSim, every, func() {
-		k.Trace.Sample(probes)
-		k.Trace.SnapshotMetrics(reg)
-	})
+	m.Eng.NewTicker(sim.CompSim, every, func() { k.Trace.Sample(probes) })
 }
 
 // env builds the mechanism environment for a process.

@@ -34,9 +34,6 @@ func tracedRun(t *testing.T) []byte {
 	k.RunFor(900 * sim.Microsecond)
 	p.Shutdown()
 
-	if k.Trace.Snapshots() == 0 {
-		t.Fatal("sampler recorded no metrics snapshots")
-	}
 	var buf bytes.Buffer
 	if err := trace.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

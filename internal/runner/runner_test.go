@@ -170,9 +170,8 @@ func TestEngineDrains(t *testing.T) {
 }
 
 // tracedPlanBytes runs the plan with fresh tracers allocated in plan
-// order on the given worker count and returns the serialized trace and
-// metrics bytes.
-func tracedPlanBytes(t *testing.T, workers int) (trace, metrics []byte) {
+// order on the given worker count and returns the serialized trace.
+func tracedPlanBytes(t *testing.T, workers int) []byte {
 	t.Helper()
 	tr := telemetry.NewTrace()
 	plan := Plan{Name: "traced"}
@@ -186,34 +185,57 @@ func tracedPlanBytes(t *testing.T, workers int) (trace, metrics []byte) {
 	if _, err := (&Executor{Workers: workers}).Run(plan); err != nil {
 		t.Fatal(err)
 	}
-	var tb, mb bytes.Buffer
-	if err := tr.WriteJSON(&tb); err != nil {
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteMetricsJSONL(&mb); err != nil {
-		t.Fatal(err)
-	}
-	return tb.Bytes(), mb.Bytes()
+	return buf.Bytes()
 }
 
 // TestTraceDeterministicAcrossWorkerCounts is the -parallel half of the
-// telemetry determinism guarantee: serialized trace and metrics bytes
-// must be identical at 1 and 4 workers, because lanes are allocated in
-// plan order before execution and each run only touches its own tracer.
+// telemetry determinism guarantee: serialized trace bytes must be
+// identical at 1 and 4 workers, because lanes are allocated in plan
+// order before execution and each run only touches its own tracer.
 func TestTraceDeterministicAcrossWorkerCounts(t *testing.T) {
-	t1, m1 := tracedPlanBytes(t, 1)
-	t4, m4 := tracedPlanBytes(t, 4)
+	t1 := tracedPlanBytes(t, 1)
+	t4 := tracedPlanBytes(t, 4)
 	if !bytes.Equal(t1, t4) {
 		t.Fatalf("trace bytes differ between workers=1 (%d B) and workers=4 (%d B)", len(t1), len(t4))
-	}
-	if !bytes.Equal(m1, m4) {
-		t.Fatalf("metrics bytes differ between workers=1 (%d B) and workers=4 (%d B)", len(m1), len(m4))
 	}
 	if len(t1) == 0 || !bytes.Contains(t1, []byte(`"ph":"X"`)) {
 		t.Fatal("trace suspiciously empty; determinism check proves nothing")
 	}
-	if !bytes.Contains(m1, []byte(`"metrics":{`)) {
-		t.Fatal("metrics stream empty; determinism check proves nothing")
+}
+
+// TestTracingLeavesStatsUntouched: the tracer only observes. A traced
+// checkpointing run reports the same RunStats as an untraced one; only
+// the event totals differ, by the sampler ticker's own sim-owned events.
+func TestTracingLeavesStatsUntouched(t *testing.T) {
+	bare := testSpec("observed", 1)
+	bare.Profile = true
+	traced := bare
+	tc := telemetry.NewTrace().NewTracer("observed")
+	traced.Tracer = tc
+	traced.SampleEvery = 20 * sim.Microsecond
+
+	a, b := bare.Run(), traced.Run()
+	if tc.Events() == 0 {
+		t.Fatal("tracer recorded nothing; the comparison proves nothing")
+	}
+	for c := range a.EventCounts {
+		if sim.Component(c) != sim.CompSim && a.EventCounts[c] != b.EventCounts[c] {
+			t.Errorf("%v events: untraced %d, traced %d", sim.Component(c), a.EventCounts[c], b.EventCounts[c])
+		}
+	}
+	if b.EventCounts[sim.CompSim] <= a.EventCounts[sim.CompSim] {
+		t.Errorf("sim events: untraced %d, traced %d; want the ticker's events on top",
+			a.EventCounts[sim.CompSim], b.EventCounts[sim.CompSim])
+	}
+	for _, r := range []*RunStats{&a, &b} {
+		r.EventsFired, r.EventCounts, r.EventNanos = 0, [sim.NumComponents]uint64{}, [sim.NumComponents]int64{}
+	}
+	if a != b {
+		t.Fatalf("tracing changed the run's stats:\nuntraced %+v\ntraced   %+v", a, b)
 	}
 }
 

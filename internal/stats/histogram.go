@@ -132,27 +132,6 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return h.max
 }
 
-// Merge adds other's samples into h. Merging is associative and
-// commutative: any grouping of Merge calls yields the same state as
-// observing every sample into one histogram. No-op when either side is
-// nil.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil || other.count == 0 {
-		return
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	for i, n := range other.buckets {
-		h.buckets[i] += n
-	}
-	h.count += other.count
-	h.sum += other.sum
-}
-
 // Reset clears all samples.
 func (h *Histogram) Reset() {
 	if h == nil {

@@ -8,31 +8,22 @@ import (
 	"time"
 )
 
-func TestRunLogStreamsAndSummarizes(t *testing.T) {
+func TestRunLogProgressLine(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewRunLog(&buf)
 	l.Record(RunRecord{Name: "fig8/gapbs_pr/base", SimCycles: 600_000, Wall: 20 * time.Millisecond})
-	l.Record(RunRecord{Name: "fig8/gapbs_pr/prosper", SimCycles: 300_000, Wall: 10 * time.Millisecond})
+	l.Record(RunRecord{Name: "fig8/gapbs_pr/prosper", SimCycles: 300_000, Wall: 0})
 
-	if n := len(l.Records()); n != 2 {
-		t.Fatalf("records = %d", n)
-	}
-	out := buf.String()
-	for _, want := range []string{"fig8/gapbs_pr/base", "600000 cycles", "Mcycles/s"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("stream output missing %q:\n%s", want, out)
-		}
-	}
-	sum := l.Summary().String()
-	for _, want := range []string{"TOTAL", "900000", "fig8/gapbs_pr/prosper"} {
-		if !strings.Contains(sum, want) {
-			t.Fatalf("summary missing %q:\n%s", want, sum)
-		}
+	want := "  run fig8/gapbs_pr/base                                 600000 cycles    0.020s  (30.0 Mcycles/s)\n" +
+		"  run fig8/gapbs_pr/prosper                              300000 cycles    0.000s\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("progress lines:\n%q\nwant:\n%q", got, want)
 	}
 }
 
 func TestRunLogConcurrentRecords(t *testing.T) {
-	l := NewRunLog(nil) // nil writer: collect only
+	var buf bytes.Buffer
+	l := NewRunLog(&buf)
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
@@ -42,7 +33,13 @@ func TestRunLogConcurrentRecords(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := len(l.Records()); n != 32 {
-		t.Fatalf("records = %d, want 32", n)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 32 {
+		t.Fatalf("lines = %d, want 32", len(lines))
+	}
+	for _, line := range lines {
+		if !strings.HasPrefix(line, "  run r ") || !strings.HasSuffix(line, "Mcycles/s)") {
+			t.Fatalf("interleaved or malformed line %q", line)
+		}
 	}
 }

@@ -1,11 +1,9 @@
-// Package stats provides the counters, distributions, and table rendering
+// Package stats provides the counters, histograms, and table rendering
 // used by every simulated component and by the experiment harnesses.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -123,112 +121,4 @@ func (c *Counters) String() string {
 		fmt.Fprintf(&b, "%-40s %d\n", name, *c.values[name])
 	}
 	return b.String()
-}
-
-// Distribution accumulates scalar samples and reports summary statistics.
-type Distribution struct {
-	samples []float64
-	sorted  bool
-}
-
-// Observe records one sample.
-func (d *Distribution) Observe(v float64) {
-	d.samples = append(d.samples, v)
-	d.sorted = false
-}
-
-// N returns the number of samples.
-func (d *Distribution) N() int { return len(d.samples) }
-
-// Sum returns the sum of all samples.
-func (d *Distribution) Sum() float64 {
-	s := 0.0
-	for _, v := range d.samples {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean, or zero for an empty distribution.
-func (d *Distribution) Mean() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	return d.Sum() / float64(len(d.samples))
-}
-
-// Stddev returns the population standard deviation.
-func (d *Distribution) Stddev() float64 {
-	n := len(d.samples)
-	if n == 0 {
-		return 0
-	}
-	m := d.Mean()
-	ss := 0.0
-	for _, v := range d.samples {
-		ss += (v - m) * (v - m)
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Max returns the largest sample, or zero for an empty distribution.
-func (d *Distribution) Max() float64 {
-	out := 0.0
-	for i, v := range d.samples {
-		if i == 0 || v > out {
-			out = v
-		}
-	}
-	return out
-}
-
-// Min returns the smallest sample, or zero for an empty distribution.
-func (d *Distribution) Min() float64 {
-	out := 0.0
-	for i, v := range d.samples {
-		if i == 0 || v < out {
-			out = v
-		}
-	}
-	return out
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) using
-// nearest-rank on the sorted samples.
-func (d *Distribution) Percentile(p float64) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	if !d.sorted {
-		sort.Float64s(d.samples)
-		d.sorted = true
-	}
-	if p <= 0 {
-		return d.samples[0]
-	}
-	if p >= 100 {
-		return d.samples[len(d.samples)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(d.samples)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return d.samples[rank]
-}
-
-// GeoMean computes the geometric mean of positive values; non-positive
-// inputs are skipped.
-func GeoMean(values []float64) float64 {
-	logSum := 0.0
-	n := 0
-	for _, v := range values {
-		if v > 0 {
-			logSum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -51,83 +50,26 @@ func TestCountersSnapshotIsCopy(t *testing.T) {
 	}
 }
 
-func TestDistributionMoments(t *testing.T) {
-	var d Distribution
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		d.Observe(v)
-	}
-	if d.N() != 8 {
-		t.Fatalf("N = %d", d.N())
-	}
-	if math.Abs(d.Mean()-5) > 1e-9 {
-		t.Fatalf("mean = %f", d.Mean())
-	}
-	if math.Abs(d.Stddev()-2) > 1e-9 {
-		t.Fatalf("stddev = %f", d.Stddev())
-	}
-	if d.Max() != 9 || d.Min() != 2 {
-		t.Fatalf("min/max = %f/%f", d.Min(), d.Max())
-	}
-}
-
-func TestDistributionEmpty(t *testing.T) {
-	var d Distribution
-	if d.Mean() != 0 || d.Stddev() != 0 || d.Max() != 0 || d.Percentile(50) != 0 {
-		t.Fatal("empty distribution should report zeros")
-	}
-}
-
-func TestDistributionPercentile(t *testing.T) {
-	var d Distribution
-	for i := 1; i <= 100; i++ {
-		d.Observe(float64(i))
-	}
-	if got := d.Percentile(50); got != 50 {
-		t.Fatalf("p50 = %f", got)
-	}
-	if got := d.Percentile(100); got != 100 {
-		t.Fatalf("p100 = %f", got)
-	}
-	if got := d.Percentile(0); got != 1 {
-		t.Fatalf("p0 = %f", got)
-	}
-}
-
-// Property: percentile is monotonic in p and bounded by min/max.
+// Property: a histogram quantile is monotonic in q and bounded by the
+// observed min/max.
 func TestPercentileMonotonicProperty(t *testing.T) {
-	f := func(vals []float64, a, b uint8) bool {
+	f := func(vals []uint32, a, b uint8) bool {
 		if len(vals) == 0 {
 			return true
 		}
-		var d Distribution
+		h := NewHistogram()
 		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-			d.Observe(v)
+			h.Observe(uint64(v))
 		}
-		pa, pb := float64(a%101), float64(b%101)
-		if pa > pb {
-			pa, pb = pb, pa
+		qa, qb := float64(a%101)/100, float64(b%101)/100
+		if qa > qb {
+			qa, qb = qb, qa
 		}
-		va, vb := d.Percentile(pa), d.Percentile(pb)
-		return va <= vb && va >= d.Min() && vb <= d.Max()
+		va, vb := h.Quantile(qa), h.Quantile(qb)
+		return va <= vb && va >= h.Min() && vb <= h.Max()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 4, 16})
-	if math.Abs(got-4) > 1e-9 {
-		t.Fatalf("geomean = %f, want 4", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("geomean of empty should be 0")
-	}
-	if g := GeoMean([]float64{-1, 0, 8}); math.Abs(g-8) > 1e-9 {
-		t.Fatalf("geomean skipping non-positives = %f, want 8", g)
 	}
 }
 

@@ -112,16 +112,6 @@ func (r *Registry) Each(emit func(name string, v uint64)) {
 	}
 }
 
-// Snapshot captures every metric's current name and value, in Each
-// order.
-func (r *Registry) Snapshot() (names []string, values []uint64) {
-	r.Each(func(n string, v uint64) {
-		names = append(names, n)
-		values = append(values, v)
-	})
-	return names, values
-}
-
 // WriteText renders "name value" lines in Each order — the DumpStats
 // text format.
 func (r *Registry) WriteText(w io.Writer) {

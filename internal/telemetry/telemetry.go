@@ -65,24 +65,15 @@ type event struct {
 	args []Arg
 }
 
-// metricsSnap is one registry snapshot at a sim timestamp.
-type metricsSnap struct {
-	cycle  sim.Time
-	names  []string
-	values []uint64
-}
-
 // Tracer records one simulation run's telemetry. It is not safe for
 // concurrent use — by construction a run's tracer is only touched from
 // that run's single-threaded sim engine, which is what keeps event order
 // deterministic.
 type Tracer struct {
 	pid     int
-	name    string
 	eng     *sim.Engine
 	nextTID int
 	events  []event
-	snaps   []metricsSnap
 }
 
 // Enabled reports whether the tracer actually records (false for nil).
@@ -224,30 +215,12 @@ func (t *Tracer) Sample(probes []CounterProbe) {
 	}
 }
 
-// SnapshotMetrics captures the registry's full current state, stamped
-// with the current sim time, for WriteMetricsJSONL.
-func (t *Tracer) SnapshotMetrics(r *Registry) {
-	if t == nil || r == nil {
-		return
-	}
-	names, values := r.Snapshot()
-	t.snaps = append(t.snaps, metricsSnap{cycle: t.now(), names: names, values: values})
-}
-
 // Events returns how many trace events the tracer holds (tests).
 func (t *Tracer) Events() int {
 	if t == nil {
 		return 0
 	}
 	return len(t.events)
-}
-
-// Snapshots returns how many metrics snapshots the tracer holds (tests).
-func (t *Tracer) Snapshots() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.snaps)
 }
 
 // Trace is the top-level collection: one Tracer per simulation run, each
@@ -271,7 +244,7 @@ func (tr *Trace) NewTracer(name string) *Tracer {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	t := &Tracer{pid: len(tr.tracers) + 1, name: name}
+	t := &Tracer{pid: len(tr.tracers) + 1}
 	t.events = append(t.events, event{ph: 'M', name: "process_name", args: []Arg{S("name", name)}})
 	tr.tracers = append(tr.tracers, t)
 	return t
@@ -331,24 +304,4 @@ func writeEvent(bw *bufio.Writer, pid int, e *event, first *bool) {
 		bw.WriteString("}")
 	}
 	bw.WriteString("}")
-}
-
-// WriteMetricsJSONL serializes every tracer's periodic registry
-// snapshots as JSON lines: {"run":...,"cycle":...,"metrics":{...}}.
-// Like WriteJSON the output is byte-deterministic in plan order.
-func (tr *Trace) WriteMetricsJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, t := range tr.tracers {
-		for _, s := range t.snaps {
-			fmt.Fprintf(bw, `{"run":%s,"cycle":%d,"metrics":{`, strconv.Quote(t.name), s.cycle)
-			for i, n := range s.names {
-				if i > 0 {
-					bw.WriteString(",")
-				}
-				fmt.Fprintf(bw, "%s:%d", strconv.Quote(n), s.values[i])
-			}
-			bw.WriteString("}}\n")
-		}
-	}
-	return bw.Flush()
 }

@@ -28,8 +28,7 @@ func TestNilTracerSafe(t *testing.T) {
 	tc.Instant(track, "i", S("s", "v"))
 	tc.Counter(track, "c", "depth", 7)
 	tc.Sample([]CounterProbe{{Track: track, Name: "n", Series: "s", Get: func() int64 { return 1 }}})
-	tc.SnapshotMetrics(NewRegistry())
-	if tc.Events() != 0 || tc.Snapshots() != 0 {
+	if tc.Events() != 0 {
 		t.Fatal("nil tracer recorded something")
 	}
 	var zero Span
@@ -105,6 +104,15 @@ func TestTracerLaneOrder(t *testing.T) {
 	}
 }
 
+// snapshot collects every metric's name and value in Each order.
+func snapshot(r *Registry) (names []string, values []uint64) {
+	r.Each(func(n string, v uint64) {
+		names = append(names, n)
+		values = append(values, v)
+	})
+	return names, values
+}
+
 func TestRegistryOrderingAndSnapshot(t *testing.T) {
 	c1 := stats.NewCounters()
 	c1.Add("zeta", 3)
@@ -121,7 +129,7 @@ func TestRegistryOrderingAndSnapshot(t *testing.T) {
 	})
 	r.Register("cache", c2)
 
-	names, values := r.Snapshot()
+	names, values := snapshot(r)
 	wantNames := []string{"dev.alpha", "dev.zeta", "proc.checkpoints", "proc.thread0.user_ops", "cache.beta"}
 	wantValues := []uint64{1, 3, 9, 42, 2}
 	if len(names) != len(wantNames) {
@@ -156,51 +164,6 @@ func TestRegistryOrderingAndSnapshot(t *testing.T) {
 	if strings.Index(raw, `"dev.alpha"`) > strings.Index(raw, `"dev.zeta"`) ||
 		strings.Index(raw, `"cache.beta"`) > strings.Index(raw, `"sim.cycles"`) {
 		t.Fatalf("registry JSON key order not preserved:\n%s", raw)
-	}
-}
-
-func TestMetricsJSONL(t *testing.T) {
-	eng := sim.NewEngine()
-	tr := NewTrace()
-	tc := tr.NewTracer("m-run")
-	tc.Bind(eng)
-
-	c := stats.NewCounters()
-	r := NewRegistry()
-	r.Register("dev", c)
-
-	c.Add("ops", 1)
-	eng.RunUntil(10)
-	tc.SnapshotMetrics(r)
-	c.Add("ops", 4)
-	eng.RunUntil(20)
-	tc.SnapshotMetrics(r)
-
-	var buf bytes.Buffer
-	if err := tr.WriteMetricsJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2:\n%s", len(lines), buf.String())
-	}
-	type snap struct {
-		Run     string            `json:"run"`
-		Cycle   int64             `json:"cycle"`
-		Metrics map[string]uint64 `json:"metrics"`
-	}
-	var s0, s1 snap
-	if err := json.Unmarshal([]byte(lines[0]), &s0); err != nil {
-		t.Fatalf("line 0 invalid JSON: %v", err)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &s1); err != nil {
-		t.Fatalf("line 1 invalid JSON: %v", err)
-	}
-	if s0.Run != "m-run" || s0.Cycle != 10 || s0.Metrics["dev.ops"] != 1 {
-		t.Fatalf("snapshot 0 wrong: %+v", s0)
-	}
-	if s1.Cycle != 20 || s1.Metrics["dev.ops"] != 5 {
-		t.Fatalf("snapshot 1 wrong: %+v", s1)
 	}
 }
 
@@ -294,7 +257,7 @@ func TestRegistryEmptyPrefix(t *testing.T) {
 	c.Add("core0.tlb.hits", 3)
 	r := NewRegistry()
 	r.Register("", c)
-	names, values := r.Snapshot()
+	names, values := snapshot(r)
 	if len(names) != 1 || names[0] != "core0.tlb.hits" || values[0] != 3 {
 		t.Fatalf("empty prefix snapshot = %v %v", names, values)
 	}
