@@ -15,9 +15,11 @@ import (
 // best, introduces scheduler-dependent ordering.
 //
 // The workload package's pull-based generators are the known exception:
-// a producer goroutine synchronized through an unbuffered channel is
-// deterministic by construction, and its sites carry reasoned ignore
-// directives rather than a blanket exemption.
+// each producer goroutine is a pure function of its Context, and each
+// unbuffered send hands a full batch of ops, and ownership of its
+// buffer, to the single consumer, so the op stream is deterministic by
+// construction. Its sites carry reasoned ignore directives rather than a
+// blanket exemption.
 type Concurrency struct{}
 
 // NewConcurrency returns the pass.

@@ -8,8 +8,12 @@
 // Programs are pull-based op generators: the kernel (or the trace
 // capturer) repeatedly calls Next and executes the returned operation.
 // Generators are written as ordinary Go code — including real recursion
-// for Quicksort — running in a producer goroutine synchronized through an
-// unbuffered channel, which keeps them deterministic.
+// for Quicksort — running in a producer goroutine. The producer fills a
+// fixed batch of ops and hands the whole batch, and ownership of its
+// buffer, to the single consumer through an unbuffered channel. It may
+// run up to two batches ahead of the consumer, which cannot change the
+// op stream: a generator body is a pure function of its Context and seed
+// and reads no state the kernel writes.
 package workload
 
 import "prosper/internal/sim"
@@ -66,10 +70,14 @@ type Checkpointable interface {
 	Restore([]byte)
 }
 
-// stopped is the sentinel used to unwind a generator goroutine on Close.
+// stoppedErr is the sentinel used to unwind a generator goroutine on Close.
 type stoppedErr struct{}
 
 func (stoppedErr) Error() string { return "workload: generator stopped" }
+
+// batch is the number of ops the producer hands the consumer per channel
+// operation. Each program holds two buffers of this many ops (about 5 KB).
+const batch = 64
 
 // G is the helper state passed to generator bodies: it tracks the stack
 // pointer, owns the deterministic RNG, and provides emit primitives.
@@ -77,9 +85,15 @@ type G struct {
 	Ctx Context
 	Rng *sim.Rand
 
-	sp      uint64
-	ops     chan Op       //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
-	stop    chan struct{} //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
+	sp uint64
+	// buf is bufs[cur], the batch being filled, while the consumer reads
+	// bufs[cur^1]. Sending buf completes only once the consumer has
+	// finished bufs[cur^1], so the producer may then refill it.
+	buf     []Op
+	bufs    [2][]Op
+	cur     int
+	ops     chan []Op     //prosperlint:ignore concurrency batch handoff: the producer is a pure function of its Context, and each unbuffered send hands a full batch, and ownership of its buffer, to the single consumer
+	stop    chan struct{} //prosperlint:ignore concurrency stop is closed exactly once by Close, which unwinds the single producer
 	stopped bool
 }
 
@@ -88,11 +102,25 @@ func (g *G) SP() uint64 { return g.sp }
 
 func (g *G) send(op Op) {
 	op.SP = g.sp
-	select { //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
-	case g.ops <- op: //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
+	g.buf = append(g.buf, op)
+	if len(g.buf) == batch {
+		g.flush()
+	}
+}
+
+// flush hands the ops emitted so far to the consumer and switches to the
+// other buffer.
+func (g *G) flush() {
+	if len(g.buf) == 0 {
+		return
+	}
+	select { //prosperlint:ignore concurrency batch handoff: the producer is a pure function of its Context, and each unbuffered send hands a full batch, and ownership of its buffer, to the single consumer
+	case g.ops <- g.buf: //prosperlint:ignore concurrency batch handoff: the producer is a pure function of its Context, and each unbuffered send hands a full batch, and ownership of its buffer, to the single consumer
 	case <-g.stop: //prosperlint:ignore concurrency stop is closed exactly once by Close; the panic unwinds the producer deterministically
 		panic(stoppedErr{})
 	}
+	g.cur ^= 1
+	g.buf = g.bufs[g.cur][:0]
 }
 
 // Compute advances simulated time.
@@ -138,6 +166,7 @@ type genProgram struct {
 	name string
 	body func(*G)
 	g    *G
+	ops  []Op // the rest of the batch received last
 	done bool
 }
 
@@ -158,11 +187,13 @@ func (p *genProgram) Start(ctx Context) {
 		Ctx:  ctx,
 		Rng:  sim.NewRand(ctx.Seed),
 		sp:   ctx.StackHi,
-		ops:  make(chan Op),       //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
-		stop: make(chan struct{}), //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
+		ops:  make(chan []Op),     //prosperlint:ignore concurrency batch handoff: the producer is a pure function of its Context, and each unbuffered send hands a full batch, and ownership of its buffer, to the single consumer
+		stop: make(chan struct{}), //prosperlint:ignore concurrency stop is closed exactly once by Close, which unwinds the single producer
+		bufs: [2][]Op{make([]Op, 0, batch), make([]Op, 0, batch)},
 	}
+	g.buf = g.bufs[0]
 	p.g = g
-	go func() { //prosperlint:ignore concurrency one producer goroutine per program, lockstep with its consumer; no shared sim state
+	go func() { //prosperlint:ignore concurrency one producer goroutine per program, handing whole batches to its single consumer; no shared sim state
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(stoppedErr); !ok {
@@ -172,18 +203,24 @@ func (p *genProgram) Start(ctx Context) {
 			close(g.ops) //prosperlint:ignore concurrency close signals end-of-ops to the single consumer
 		}()
 		p.body(g)
+		g.flush()
 	}()
 }
 
 func (p *genProgram) Next() Op {
-	if p.done {
-		return Op{Kind: End}
+	if len(p.ops) == 0 {
+		if p.done {
+			return Op{Kind: End}
+		}
+		ops, ok := <-p.g.ops //prosperlint:ignore concurrency batch handoff: the producer is a pure function of its Context, and each unbuffered send hands a full batch, and ownership of its buffer, to the single consumer
+		if !ok {
+			p.done = true
+			return Op{Kind: End}
+		}
+		p.ops = ops
 	}
-	op, ok := <-p.g.ops //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
-	if !ok {
-		p.done = true
-		return Op{Kind: End}
-	}
+	op := p.ops[0]
+	p.ops = p.ops[1:]
 	return op
 }
 
@@ -194,7 +231,8 @@ func (p *genProgram) Close() {
 	p.g.stopped = true
 	close(p.g.stop) //prosperlint:ignore concurrency close signals stop to the single producer exactly once
 	// Drain until the producer exits so its goroutine is collected.
-	for range p.g.ops { //prosperlint:ignore concurrency drain after stop: values are discarded, order is irrelevant
+	for range p.g.ops { //prosperlint:ignore concurrency drain after stop: batches are discarded, order is irrelevant
 	}
+	p.ops = nil
 	p.done = true
 }
