@@ -39,8 +39,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -61,45 +63,82 @@ type experiment struct {
 }
 
 func main() {
-	intervalUS := flag.Int("interval", 200, "checkpoint interval in simulated microseconds (paper: 10000)")
-	checkpoints := flag.Int("checkpoints", 10, "checkpoints per measured run")
-	traceOps := flag.Int("ops", 150000, "trace length for motivation figures")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of ASCII tables")
-	chartOut := flag.Bool("chart", false, "also render each figure as an ASCII bar chart")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulation runs per experiment")
-	list := flag.Bool("list", false, "print the experiment registry and exit")
-	progress := flag.Bool("progress", true, "report per-run progress (spec, sim cycles, wall seconds) on stderr")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event / Perfetto JSON trace of every run to FILE")
-	journeyOut := flag.String("journey-out", "", "write sampled per-access journey records (JSON lines) of every run to FILE")
-	journeyRate := flag.Uint64("journey-sample-rate", 4096, "sample 1-in-N accesses for -journey-out (deterministic in the access sequence number)")
-	journeySeed := flag.Uint64("journey-seed", 1, "seed for -journey-out access sampling")
-	sampleEvery := flag.Int64("sample-every", 30_000, "cadence of -trace-out's occupancy counter samples, in simulated cycles (30000 = 10 µs)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator to FILE")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to FILE at exit")
-	crashSweep := flag.Bool("crash-sweep", false, "run the power-failure crash sweep over every mechanism instead of the figures")
-	crashPoints := flag.Int("crash-points", 64, "crash points per mechanism for -crash-sweep")
-	crashSeed := flag.Int64("crash-seed", 1, "PRNG seed for -crash-sweep point sampling")
-	snapshotOut := flag.String("snapshot-out", "", "run the snapshot spec and save a machine snapshot to FILE instead of the figures")
-	snapshotAt := flag.Int("snapshot-at", 2, "measured-window commit to snapshot at for -snapshot-out (counts from 1)")
-	resumeFrom := flag.String("resume-from", "", "resume the machine snapshot in FILE and finish its measured window instead of the figures")
-	snapshotMech := flag.String("snapshot-mech", "prosper", "stack mechanism for -snapshot-out / -resume-from")
-	snapshotSeed := flag.Uint64("snapshot-seed", 1, "workload seed for -snapshot-out / -resume-from")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point. -cpuprofile and -memprofile cover
+// every mode: profiling starts before the mode dispatch, and both files
+// are finished on every return path.
+func run(args []string, stdout, stderr io.Writer) (status int) {
+	fs := flag.NewFlagSet("prosper-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	intervalUS := fs.Int("interval", 200, "checkpoint interval in simulated microseconds (paper: 10000)")
+	checkpoints := fs.Int("checkpoints", 10, "checkpoints per measured run")
+	traceOps := fs.Int("ops", 150000, "trace length for motivation figures")
+	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of ASCII tables")
+	chartOut := fs.Bool("chart", false, "also render each figure as an ASCII bar chart")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent simulation runs per experiment")
+	list := fs.Bool("list", false, "print the experiment registry and exit")
+	progress := fs.Bool("progress", true, "report per-run progress (spec, sim cycles, wall seconds) on stderr")
+	traceOut := fs.String("trace-out", "", "write a Chrome trace-event / Perfetto JSON trace of every run to FILE")
+	journeyOut := fs.String("journey-out", "", "write sampled per-access journey records (JSON lines) of every run to FILE")
+	journeyRate := fs.Uint64("journey-sample-rate", 4096, "sample 1-in-N accesses for -journey-out (deterministic in the access sequence number)")
+	journeySeed := fs.Uint64("journey-seed", 1, "seed for -journey-out access sampling")
+	sampleEvery := fs.Int64("sample-every", 30_000, "cadence of -trace-out's occupancy counter samples, in simulated cycles (30000 = 10 µs)")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the simulator to FILE")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile to FILE at exit")
+	crashSweep := fs.Bool("crash-sweep", false, "run the power-failure crash sweep over every mechanism instead of the figures")
+	crashPoints := fs.Int("crash-points", 64, "crash points per mechanism for -crash-sweep")
+	crashSeed := fs.Int64("crash-seed", 1, "PRNG seed for -crash-sweep point sampling")
+	snapshotOut := fs.String("snapshot-out", "", "run the snapshot spec and save a machine snapshot to FILE instead of the figures")
+	snapshotAt := fs.Int("snapshot-at", 2, "measured-window commit to snapshot at for -snapshot-out (counts from 1)")
+	resumeFrom := fs.String("resume-from", "", "resume the machine snapshot in FILE and finish its measured window instead of the figures")
+	snapshotMech := fs.String("snapshot-mech", "prosper", "stack mechanism for -snapshot-out / -resume-from")
+	snapshotSeed := fs.Uint64("snapshot-seed", 1, "workload seed for -snapshot-out / -resume-from")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			return fail(stderr, err, 0)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fail(stderr, err, 0)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			status = fail(stderr, f.Close(), status)
+		}()
+	}
+	if *memprofile != "" {
+		defer func() {
+			status = fail(stderr, writeFile(*memprofile, func(w io.Writer) error {
+				runtime.GC()
+				return pprof.WriteHeapProfile(w)
+			}), status)
+		}()
+	}
 
 	if *crashSweep {
-		os.Exit(runCrashSweep(*crashPoints, *crashSeed, *parallel))
+		return runCrashSweep(stdout, stderr, *crashPoints, *crashSeed, *parallel)
 	}
 	if *snapshotOut != "" && *resumeFrom != "" {
-		fmt.Fprintln(os.Stderr, "prosper-experiments: -snapshot-out and -resume-from are mutually exclusive")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "prosper-experiments: -snapshot-out and -resume-from are mutually exclusive")
+		return 2
 	}
 	if *snapshotOut != "" {
-		os.Exit(runSnapshotSave(*snapshotOut, *snapshotMech, *snapshotSeed,
-			sim.Time(*intervalUS)*sim.Microsecond, *checkpoints, *snapshotAt))
+		return runSnapshotSave(stdout, stderr, *snapshotOut, *snapshotMech, *snapshotSeed,
+			sim.Time(*intervalUS)*sim.Microsecond, *checkpoints, *snapshotAt)
 	}
 	if *resumeFrom != "" {
-		os.Exit(runResume(*resumeFrom, *snapshotMech, *snapshotSeed,
-			sim.Time(*intervalUS)*sim.Microsecond, *checkpoints))
+		return runResume(stdout, stderr, *resumeFrom, *snapshotMech, *snapshotSeed,
+			sim.Time(*intervalUS)*sim.Microsecond, *checkpoints)
 	}
 
 	scale := experiments.DefaultScale()
@@ -108,7 +147,7 @@ func main() {
 	scale.TraceOps = *traceOps
 	scale.Workers = *parallel
 	if *progress {
-		scale.Log = stats.NewRunLog(os.Stderr)
+		scale.Log = stats.NewRunLog(stderr)
 	}
 	if *traceOut != "" {
 		scale.Trace = telemetry.NewTrace()
@@ -118,15 +157,6 @@ func main() {
 		scale.Journal = journey.NewJournal()
 		scale.JourneySampleRate = *journeyRate
 		scale.JourneySeed = *journeySeed
-	}
-	if *cpuprofile != "" {
-		f := mustCreate(*cpuprofile)
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "prosper-experiments:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
 	}
 
 	exps := []experiment{
@@ -150,20 +180,20 @@ func main() {
 	}
 
 	if *list {
-		printRegistry(os.Stdout, exps)
-		return
+		printRegistry(stdout, exps)
+		return 0
 	}
 
 	byName := map[string]experiment{}
 	for _, e := range exps {
 		byName[e.name] = e
 	}
-	args := flag.Args()
-	if len(args) == 0 {
-		args = []string{"quick"}
+	names := fs.Args()
+	if len(names) == 0 {
+		names = []string{"quick"}
 	}
 	var selected []experiment
-	for _, a := range args {
+	for _, a := range names {
 		switch a {
 		case "all":
 			selected = append(selected, exps...)
@@ -176,10 +206,10 @@ func main() {
 		default:
 			e, ok := byName[a]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "prosper-experiments: unknown experiment %q\n\n", a)
-				printRegistry(os.Stderr, exps)
-				fmt.Fprintln(os.Stderr, "\n(run 'prosper-experiments -list' to see this registry again)")
-				os.Exit(2)
+				fmt.Fprintf(stderr, "prosper-experiments: unknown experiment %q\n\n", a)
+				printRegistry(stderr, exps)
+				fmt.Fprintln(stderr, "\n(run 'prosper-experiments -list' to see this registry again)")
+				return 2
 			}
 			selected = append(selected, e)
 		}
@@ -189,47 +219,41 @@ func main() {
 		start := time.Now() //prosperlint:ignore wallclock host metric: per-experiment wall time is stderr progress only, not part of the table
 		tb := e.run()
 		if *jsonOut {
-			if err := tb.WriteJSON(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if err := tb.WriteJSON(stdout); err != nil {
+				return fail(stderr, err, 0)
 			}
 		} else {
-			fmt.Println(tb.String())
+			fmt.Fprintln(stdout, tb.String())
 			if *chartOut {
 				if ch := chartFor(e.name, tb); ch != nil && ch.NumRows() > 0 {
-					fmt.Println(ch.String())
+					fmt.Fprintln(stdout, ch.String())
 				}
 			}
 		}
-		fmt.Fprintf(os.Stderr, "[%s completed in %v wall time, %d workers]\n",
+		fmt.Fprintf(stderr, "[%s completed in %v wall time, %d workers]\n",
 			e.name, time.Since(start).Round(time.Millisecond), *parallel) //prosperlint:ignore wallclock host metric: per-experiment wall time is stderr progress only, not part of the table
 	}
 
 	if *traceOut != "" {
-		f := mustCreate(*traceOut)
-		check(scale.Trace.WriteJSON(f))
-		check(f.Close())
-		fmt.Fprintf(os.Stderr, "[trace written to %s — open it at https://ui.perfetto.dev]\n", *traceOut)
+		if err := writeFile(*traceOut, scale.Trace.WriteJSON); err != nil {
+			return fail(stderr, err, 0)
+		}
+		fmt.Fprintf(stderr, "[trace written to %s — open it at https://ui.perfetto.dev]\n", *traceOut)
 	}
 	if *journeyOut != "" {
-		f := mustCreate(*journeyOut)
-		check(scale.Journal.WriteJSONL(f))
-		check(f.Close())
-		fmt.Fprintf(os.Stderr, "[journey journal written to %s — explore it with prosper-journey]\n", *journeyOut)
+		if err := writeFile(*journeyOut, scale.Journal.WriteJSONL); err != nil {
+			return fail(stderr, err, 0)
+		}
+		fmt.Fprintf(stderr, "[journey journal written to %s — explore it with prosper-journey]\n", *journeyOut)
 	}
-	if *memprofile != "" {
-		f := mustCreate(*memprofile)
-		runtime.GC()
-		check(pprof.WriteHeapProfile(f))
-		check(f.Close())
-	}
+	return 0
 }
 
 // runCrashSweep crashes every persistence mechanism at `points` seeded
 // cycles, recovers each surviving NVM image, and prints one summary line
 // per mechanism. Violations are listed individually; any violation makes
 // the exit status 1.
-func runCrashSweep(points int, seed int64, workers int) int {
+func runCrashSweep(stdout, stderr io.Writer, points int, seed int64, workers int) int {
 	status := 0
 	for _, mech := range crash.Mechanisms() {
 		start := time.Now() //prosperlint:ignore wallclock host metric: sweep wall time is stderr progress only, verdicts come from sim state
@@ -240,41 +264,49 @@ func runCrashSweep(points int, seed int64, workers int) int {
 			Workers:   workers,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "prosper-experiments: crash sweep %s: %v\n", mech, err)
+			fmt.Fprintf(stderr, "prosper-experiments: crash sweep %s: %v\n", mech, err)
 			return 1
 		}
-		fmt.Println(res.Summary())
+		fmt.Fprintln(stdout, res.Summary())
 		for _, v := range res.Violations() {
-			fmt.Printf("  VIOLATION at cycle %d (P=%d S=%d): %s\n", v.Cycle, v.Commit, v.Epoch, v.Violation)
+			fmt.Fprintf(stdout, "  VIOLATION at cycle %d (P=%d S=%d): %s\n", v.Cycle, v.Commit, v.Epoch, v.Violation)
 			status = 1
 		}
-		fmt.Fprintf(os.Stderr, "[crash-sweep %s completed in %v wall time, %d workers]\n",
+		fmt.Fprintf(stderr, "[crash-sweep %s completed in %v wall time, %d workers]\n",
 			mech, time.Since(start).Round(time.Millisecond), workers) //prosperlint:ignore wallclock host metric: sweep wall time is stderr progress only, verdicts come from sim state
 	}
 	return status
 }
 
-// mustCreate opens an output file or exits with a diagnostic.
-func mustCreate(path string) *os.File {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "prosper-experiments:", err)
-		os.Exit(1)
+// fail reports a non-nil err on stderr and returns the exit status that
+// follows: 1, unless status already records an earlier failure.
+func fail(stderr io.Writer, err error, status int) int {
+	if err == nil {
+		return status
 	}
-	return f
+	fmt.Fprintln(stderr, "prosper-experiments:", err)
+	if status == 0 {
+		return 1
+	}
+	return status
 }
 
-// check exits with a diagnostic on a failed output write.
-func check(err error) {
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "prosper-experiments:", err)
-		os.Exit(1)
+		return err
 	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printRegistry lists every experiment with its cost class, plus the two
 // pseudo-targets.
-func printRegistry(w *os.File, exps []experiment) {
+func printRegistry(w io.Writer, exps []experiment) {
 	fmt.Fprintln(w, "experiments (quick = seconds; heavy = minutes at default scale):")
 	for _, e := range exps {
 		marker := "quick"

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"prosper/internal/persist"
@@ -48,8 +49,8 @@ func snapshotSpec(mech string, seed uint64, interval sim.Time, checkpoints int) 
 // snapshot contract errors (bad magic, corrupt sections, wrong spec,
 // unsupported configuration, ...) exit 2 like other usage errors; plain
 // I/O failures exit 1.
-func snapshotExit(context string, err error) int {
-	fmt.Fprintf(os.Stderr, "prosper-experiments: %s: %v\n", context, err)
+func snapshotExit(stderr io.Writer, context string, err error) int {
+	fmt.Fprintf(stderr, "prosper-experiments: %s: %v\n", context, err)
 	for _, typed := range []error{
 		snapshot.ErrBadMagic, snapshot.ErrVersion, snapshot.ErrTruncated,
 		snapshot.ErrCorrupt, snapshot.ErrNotQuiescent,
@@ -65,57 +66,57 @@ func snapshotExit(context string, err error) int {
 // printRunStats renders the deterministic headline numbers of a run so
 // a saved-then-resumed pair can be diffed by eye (or by cmp: the full
 // RunStats equality is pinned by the resume gate tests).
-func printRunStats(res runner.RunStats) {
-	fmt.Printf("%s: user_ops=%d user_cycles=%d checkpoints=%d checkpoint_bytes=%d events_fired=%d sim_end=%d\n",
+func printRunStats(stdout io.Writer, res runner.RunStats) {
+	fmt.Fprintf(stdout, "%s: user_ops=%d user_cycles=%d checkpoints=%d checkpoint_bytes=%d events_fired=%d sim_end=%d\n",
 		res.Name, res.UserOps, res.UserCycles, res.Checkpoints, res.CheckpointBytes, res.EventsFired, res.SimEnd)
 }
 
 // runSnapshotSave runs the snapshot spec, saving a machine snapshot to
 // path at the snapAt-th checkpoint commit, and prints the run's stats.
-func runSnapshotSave(path, mech string, seed uint64, interval sim.Time, checkpoints, snapAt int) int {
+func runSnapshotSave(stdout, stderr io.Writer, path, mech string, seed uint64, interval sim.Time, checkpoints, snapAt int) int {
 	sp, err := snapshotSpec(mech, seed, interval, checkpoints)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "prosper-experiments:", err)
+		fmt.Fprintln(stderr, "prosper-experiments:", err)
 		return 2
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "prosper-experiments:", err)
+		fmt.Fprintln(stderr, "prosper-experiments:", err)
 		return 1
 	}
 	res, err := sp.RunSnapshot(f, snapAt)
 	if err != nil {
 		f.Close()
-		return snapshotExit("snapshot", err)
+		return snapshotExit(stderr, "snapshot", err)
 	}
 	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "prosper-experiments:", err)
+		fmt.Fprintln(stderr, "prosper-experiments:", err)
 		return 1
 	}
-	printRunStats(res)
-	fmt.Fprintf(os.Stderr, "[snapshot of commit %d written to %s]\n", snapAt, path)
+	printRunStats(stdout, res)
+	fmt.Fprintf(stderr, "[snapshot of commit %d written to %s]\n", snapAt, path)
 	return 0
 }
 
 // runResume restores a snapshot saved by runSnapshotSave into a fresh
 // kernel, finishes the measured window, and prints the run's stats —
 // byte-identical to what the saving run printed.
-func runResume(path, mech string, seed uint64, interval sim.Time, checkpoints int) int {
+func runResume(stdout, stderr io.Writer, path, mech string, seed uint64, interval sim.Time, checkpoints int) int {
 	sp, err := snapshotSpec(mech, seed, interval, checkpoints)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "prosper-experiments:", err)
+		fmt.Fprintln(stderr, "prosper-experiments:", err)
 		return 2
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "prosper-experiments:", err)
+		fmt.Fprintln(stderr, "prosper-experiments:", err)
 		return 1
 	}
 	defer f.Close()
 	res, err := sp.ResumeRun(f)
 	if err != nil {
-		return snapshotExit("resume", err)
+		return snapshotExit(stderr, "resume", err)
 	}
-	printRunStats(res)
+	printRunStats(stdout, res)
 	return 0
 }

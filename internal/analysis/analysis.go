@@ -80,7 +80,6 @@ func AllPasses() []Pass {
 		NewConcurrency(),
 		NewStatsKeys(),
 		NewSnapshot(),
-		NewOwnership(),
 	}
 }
 

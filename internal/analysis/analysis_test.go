@@ -28,12 +28,6 @@ var fixturePath = map[string]string{
 	// The snapshot pass checks any package with SaveSnap/LoadSnap pairs;
 	// the synthetic path just has to dodge the real ones.
 	"testdata/src/snapshot": "prosper/internal/fixsnap",
-	// The ownership pair: fixowner owns the state under a synthetic
-	// domain; fixwriter poses as internal/trace (sim-deterministic) so
-	// its pokes count as sim-time writes. fixowner must be loaded first
-	// so fixwriter's import resolves from the loader cache.
-	"testdata/src/ownership/fixowner":  "prosper/internal/fixowner",
-	"testdata/src/ownership/fixwriter": "prosper/internal/trace",
 }
 
 func loadFixtures(t *testing.T, dirs ...string) (*Loader, []*Package) {
@@ -115,16 +109,6 @@ func runFixture(t *testing.T, passes []Pass, dirs ...string) *Report {
 	l, pkgs := loadFixtures(t, dirs...)
 	r := &Runner{Loader: l, Passes: passes}
 	return r.Analyze(pkgs)
-}
-
-func TestOwnershipPass(t *testing.T) {
-	rep := runFixture(t, []Pass{NewOwnership()},
-		"testdata/src/ownership/fixowner", "testdata/src/ownership/fixwriter")
-	_, pkgs := loadFixtures(t, "testdata/src/ownership/fixowner", "testdata/src/ownership/fixwriter")
-	checkAgainstWants(t, rep, collectWants(pkgs))
-	if rep.Suppressed != 1 {
-		t.Errorf("suppressed = %d, want 1 (the documented reset-time coupling)", rep.Suppressed)
-	}
 }
 
 func TestSnapshotPass(t *testing.T) {
@@ -315,7 +299,7 @@ func TestPassNamesStable(t *testing.T) {
 		names = append(names, p.Name())
 	}
 	got := strings.Join(names, " ")
-	if got != "maprange wallclock concurrency statskeys snapshot ownership" {
+	if got != "maprange wallclock concurrency statskeys snapshot" {
 		t.Errorf("pass suite = %q", got)
 	}
 }

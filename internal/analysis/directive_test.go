@@ -223,6 +223,7 @@ func TestRetiredDirectivesAreFindings(t *testing.T) {
 	for _, tc := range []struct{ directive, sub string }{
 		{"//prosperlint:hotpath r", "unknown prosperlint directive //prosperlint:hotpath"},
 		{"//prosperlint:ignore hotalloc r", `directive names unknown pass "hotalloc"`},
+		{"//prosperlint:ignore ownership r", `directive names unknown pass "ownership"`},
 	} {
 		t.Run(tc.directive, func(t *testing.T) {
 			dir := t.TempDir()

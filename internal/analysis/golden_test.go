@@ -19,10 +19,6 @@ func TestGoldenJSON(t *testing.T) {
 		"testdata/src/concurrency",
 		"testdata/src/directive",
 		"testdata/src/maprange",
-		// fixowner must precede fixwriter: the writer's import resolves
-		// from the loader cache.
-		"testdata/src/ownership/fixowner",
-		"testdata/src/ownership/fixwriter",
 		"testdata/src/snapshot",
 		"testdata/src/statskeys/fixa",
 		"testdata/src/statskeys/fixb",

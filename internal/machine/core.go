@@ -49,9 +49,6 @@ type Core struct {
 	// stall the store pipeline must absorb before the store retires
 	// (e.g. SSP's shadow-line remap resolution from NVM).
 	StoreHook func(vaddr, paddr uint64, size int) sim.Time
-	// Tracer, when set, observes every program-issued memory operation at
-	// issue time (the SniP-style tracing tap used by internal/trace).
-	Tracer func(write bool, vaddr uint64, size int)
 
 	storeCredits int      //prosperlint:ignore snapshot SaveSnap asserts the store buffer drained; a fresh boot's full credit pool needs no restoring
 	storeWaiters []func() //prosperlint:ignore snapshot SaveSnap asserts no waiters; a fresh boot's empty list needs no restoring
@@ -349,9 +346,6 @@ func (c *Core) fault(vaddr uint64, write bool, jid uint32, k func(uint64)) {
 // is reused, not reallocated.
 func (c *Core) Read(vaddr uint64, size int, done func([]byte)) {
 	c.Counters.Inc("core.loads")
-	if c.Tracer != nil {
-		c.Tracer(false, vaddr, size)
-	}
 	if size <= 0 {
 		return
 	}
@@ -374,9 +368,6 @@ func (c *Core) Read(vaddr uint64, size int, done func([]byte)) {
 // like real hardware.
 func (c *Core) Write(vaddr uint64, data []byte, done func()) {
 	c.Counters.Inc("core.stores")
-	if c.Tracer != nil {
-		c.Tracer(true, vaddr, len(data))
-	}
 	if c.Observer != nil {
 		c.Observer.ObserveStore(vaddr, len(data))
 	}

@@ -1,52 +1,6 @@
 package trace
 
-import (
-	"bytes"
-	"testing"
-)
-
-// FuzzRead hardens the binary trace decoder against malformed input: it
-// must return an error or a valid trace, never panic or over-allocate.
-func FuzzRead(f *testing.F) {
-	// Seed with a real encoding and a few mutations.
-	tr := &Trace{StackHi: 0x7fff0000, StackLo: 0x7ff00000}
-	tr.Records = append(tr.Records,
-		Record{Time: 1, Addr: 0x7ffe0000, SP: 0x7ffe0000, Size: 8, Write: true, Stack: true},
-		Record{Time: 2, Addr: 0x10000000, Size: 4},
-	)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		f.Fatal(err)
-	}
-	good := buf.Bytes()
-	f.Add(good)
-	f.Add([]byte{})
-	f.Add([]byte("garbage that is not a trace"))
-	// Header claiming an absurd record count with no payload.
-	huge := append([]byte{}, good[:24]...)
-	huge[4], huge[5], huge[6], huge[7] = 0xff, 0xff, 0xff, 0xff
-	f.Add(huge)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Valid decodes must round-trip.
-		var out bytes.Buffer
-		if err := got.Write(&out); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		again, err := Read(&out)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(again.Records) != len(got.Records) {
-			t.Fatalf("round trip changed record count: %d vs %d",
-				len(again.Records), len(got.Records))
-		}
-	})
-}
+import "testing"
 
 // FuzzAnalyses runs the trace analyses over arbitrary record sets: they
 // must never panic and must preserve basic accounting identities.

@@ -1,16 +1,10 @@
 // Package trace provides memory-access trace capture and the analyses the
 // paper's motivation section performs on Pin/SniP traces: stack-vs-heap
 // operation breakdowns (Fig 1), stack writes beyond the interval-final SP
-// (Fig 2), and per-granularity checkpoint copy sizes (Fig 4). It also
-// supports a compact binary encoding for storing traces.
+// (Fig 2), and per-granularity checkpoint copy sizes (Fig 4).
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-
 	"prosper/internal/sim"
 	"prosper/internal/workload"
 )
@@ -105,78 +99,4 @@ func (t *Trace) Duration() sim.Time {
 		return 0
 	}
 	return t.Records[len(t.Records)-1].Time
-}
-
-const magic = uint32(0x50545243) // "CRTP"
-
-// Write encodes the trace in a compact binary format.
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(t.Records)))
-	binary.LittleEndian.PutUint64(hdr[8:], t.StackHi)
-	binary.LittleEndian.PutUint64(hdr[16:], t.StackLo)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var rec [29]byte
-	for _, r := range t.Records {
-		binary.LittleEndian.PutUint64(rec[0:], uint64(r.Time))
-		binary.LittleEndian.PutUint64(rec[8:], r.Addr)
-		binary.LittleEndian.PutUint64(rec[16:], r.SP)
-		binary.LittleEndian.PutUint32(rec[24:], uint32(r.Size))
-		flags := byte(0)
-		if r.Write {
-			flags |= 1
-		}
-		if r.Stack {
-			flags |= 2
-		}
-		rec[28] = flags
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read decodes a trace written by Write.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var hdr [24]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
-		return nil, fmt.Errorf("trace: bad magic")
-	}
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	// Cap the preallocation: the count is untrusted input and a malformed
-	// header must not drive a multi-gigabyte allocation. The slice still
-	// grows to the real record count.
-	prealloc := n
-	if prealloc > 1<<20 {
-		prealloc = 1 << 20
-	}
-	t := &Trace{
-		StackHi: binary.LittleEndian.Uint64(hdr[8:]),
-		StackLo: binary.LittleEndian.Uint64(hdr[16:]),
-		Records: make([]Record, 0, prealloc),
-	}
-	var rec [29]byte
-	for i := uint32(0); i < n; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, Record{
-			Time:  sim.Time(binary.LittleEndian.Uint64(rec[0:])),
-			Addr:  binary.LittleEndian.Uint64(rec[8:]),
-			SP:    binary.LittleEndian.Uint64(rec[16:]),
-			Size:  int32(binary.LittleEndian.Uint32(rec[24:])),
-			Write: rec[28]&1 != 0,
-			Stack: rec[28]&2 != 0,
-		})
-	}
-	return t, nil
 }

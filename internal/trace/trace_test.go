@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
-	"testing/quick"
 
 	"prosper/internal/sim"
 	"prosper/internal/workload"
@@ -123,70 +121,6 @@ func TestReductionFactorFig4Ordering(t *testing.T) {
 	}
 	if ycsb < 4 {
 		t.Fatalf("ycsb reduction = %.1f, expected > 4", ycsb)
-	}
-}
-
-func TestEncodingRoundTrip(t *testing.T) {
-	tr := captureApp(workload.GapbsPR(), 5000)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.StackHi != tr.StackHi || got.StackLo != tr.StackLo {
-		t.Fatal("geometry lost")
-	}
-	if len(got.Records) != len(tr.Records) {
-		t.Fatalf("records = %d vs %d", len(got.Records), len(tr.Records))
-	}
-	for i := range got.Records {
-		if got.Records[i] != tr.Records[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a trace file....."))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-// Property: encoding round-trips arbitrary record sets.
-func TestEncodingProperty(t *testing.T) {
-	f := func(times []uint32, addrs []uint64, flags []bool) bool {
-		tr := &Trace{StackHi: 0x7fff0000, StackLo: 0x7ff00000}
-		n := len(times)
-		if len(addrs) < n {
-			n = len(addrs)
-		}
-		for i := 0; i < n; i++ {
-			w := i < len(flags) && flags[i]
-			tr.Records = append(tr.Records, Record{
-				Time: sim.Time(times[i]), Addr: addrs[i], SP: addrs[i] &^ 7,
-				Size: int32(i%16 + 1), Write: w, Stack: !w,
-			})
-		}
-		var buf bytes.Buffer
-		if tr.Write(&buf) != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil || len(got.Records) != len(tr.Records) {
-			return false
-		}
-		for i := range got.Records {
-			if got.Records[i] != tr.Records[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 
