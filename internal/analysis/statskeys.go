@@ -59,7 +59,7 @@ type metricAPI struct {
 var metricAPIs = []metricAPI{
 	{
 		pkgSuffix: "internal/stats", typeName: "Counters",
-		register: map[string]bool{"Handle": true, "Add": true, "Inc": true, "Set": true},
+		register: map[string]bool{"Handle": true, "Lazy": true, "Add": true, "Inc": true, "Set": true},
 		read:     map[string]bool{"Get": true},
 	},
 	{

@@ -76,6 +76,10 @@ type Core struct {
 	walkFree []*walkOp
 
 	Counters *stats.Counters
+	// Per-op counters, registered on first use so Counters keeps the
+	// order the string-keyed Inc calls gave it.
+	loads, stores, pageWalks  stats.LazyCounter
+	sbStalls, storeHookStalls stats.LazyCounter
 }
 
 func newCore(m *Machine, id int) *Core {
@@ -91,6 +95,11 @@ func newCore(m *Machine, id int) *Core {
 	}
 	c.relCreditTok = sim.Thunk(sim.CompWorkload, c.releaseStoreCredit)
 	c.relCreditJFn = c.releaseStoreCreditJourney
+	c.loads = c.Counters.Lazy("core.loads")
+	c.stores = c.Counters.Lazy("core.stores")
+	c.pageWalks = c.Counters.Lazy("core.page_walks")
+	c.sbStalls = c.Counters.Lazy("core.store_buffer_stalls")
+	c.storeHookStalls = c.Counters.Lazy("core.store_hook_stalls")
 	return c
 }
 
@@ -255,7 +264,7 @@ func (c *Core) translate(vaddr uint64, write bool, jid uint32, k func(paddr uint
 // startWalk issues the dependent chain of page-table reads through L2 and
 // records the end-to-end walk latency into the TLB's distribution.
 func (c *Core) startWalk(w *walkOp) {
-	c.Counters.Inc("core.page_walks")
+	c.pageWalks.Inc()
 	w.n = c.AS.PT.WalkAddrsInto(w.vaddr, &w.addrs)
 	w.began = c.eng.Now()
 	w.i = 0
@@ -345,7 +354,7 @@ func (c *Core) fault(vaddr uint64, write bool, jid uint32, k func(uint64)) {
 // handed to done is only valid until the core issues its next load — it
 // is reused, not reallocated.
 func (c *Core) Read(vaddr uint64, size int, done func([]byte)) {
-	c.Counters.Inc("core.loads")
+	c.loads.Inc()
 	if size <= 0 {
 		return
 	}
@@ -367,7 +376,7 @@ func (c *Core) Read(vaddr uint64, size int, done func([]byte)) {
 // credit asynchronously, so a full store buffer stalls the core exactly
 // like real hardware.
 func (c *Core) Write(vaddr uint64, data []byte, done func()) {
-	c.Counters.Inc("core.stores")
+	c.stores.Inc()
 	if c.Observer != nil {
 		c.Observer.ObserveStore(vaddr, len(data))
 	}
@@ -420,7 +429,7 @@ func (s *segOp) translated(paddr uint64) {
 	}
 	s.paddr = paddr
 	if stall > 0 {
-		c.Counters.Inc("core.store_hook_stalls")
+		c.storeHookStalls.Inc()
 		if s.jid != 0 {
 			now := c.eng.Now()
 			c.journeys.Span(s.jid, journey.StageHook, journey.CauseStoreHook, now, now+stall)
@@ -490,7 +499,7 @@ func (c *Core) acquireStoreCredit(k func()) {
 		k()
 		return
 	}
-	c.Counters.Inc("core.store_buffer_stalls")
+	c.sbStalls.Inc()
 	c.storeWaiters = append(c.storeWaiters, k)
 }
 

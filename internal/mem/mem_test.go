@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"prosper/internal/sim"
+	"prosper/internal/snapbuf"
 )
 
 func TestStorageReadWriteRoundTrip(t *testing.T) {
@@ -85,6 +86,48 @@ func TestStorageDropRange(t *testing.T) {
 	}
 	if got := s.ReadU64(NVMBase + 0x2000); got != 2 {
 		t.Fatalf("NVM lost after DRAM drop: %d", got)
+	}
+}
+
+// TestStoragePageMemoInvalidation reads a page through the last-page
+// memo, then removes or replaces it with DropRange, ReplaceRange and
+// LoadSnap: each must read back as zero or the new contents, never the
+// memoized page.
+func TestStoragePageMemoInvalidation(t *testing.T) {
+	const addr = 0x3008
+	s := NewStorage()
+	s.ReadU64(addr) // a nil lookup must not be memoized
+	s.WriteU64(addr, 1)
+	if got := s.ReadU64(addr); got != 1 { // memoized
+		t.Fatalf("read = %d, want 1", got)
+	}
+	s.DropRange(DRAMBase, DRAMSize)
+	if got := s.ReadU64(addr); got != 0 {
+		t.Fatalf("dropped page read %d through the memo, want 0", got)
+	}
+	s.WriteU64(addr, 2)
+	if got, n := s.ReadU64(addr), s.MaterializedPages(); got != 2 || n != 1 {
+		t.Fatalf("rewrite after drop: read %d with %d pages, want 2 with 1", got, n)
+	}
+
+	from := NewStorage()
+	from.WriteU64(addr, 3)
+	s.ReplaceRange(DRAMBase, DRAMSize, from)
+	if got := s.ReadU64(addr); got != 3 {
+		t.Fatalf("replaced page read %d, want 3", got)
+	}
+
+	w := snapbuf.NewWriter()
+	from.WriteU64(addr, 4)
+	from.SaveSnap(w)
+	if got := s.ReadU64(addr); got != 3 { // memoize the page LoadSnap replaces
+		t.Fatalf("read = %d, want 3", got)
+	}
+	if err := s.LoadSnap(snapbuf.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ReadU64(addr); got != 4 {
+		t.Fatalf("loaded page read %d, want 4", got)
 	}
 }
 

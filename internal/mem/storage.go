@@ -10,6 +10,12 @@ import (
 // before that, like real zero-filled memory.
 type Storage struct {
 	pages map[uint64]*[PageSize]byte
+
+	// last memoizes the most recent non-nil page lookup (at lastBase).
+	// A derived cache of pages: DropRange and LoadSnap clear it, and a
+	// nil lookup never fills it.
+	lastBase uint64
+	last     *[PageSize]byte //prosperlint:ignore snapshot derived cache of pages; LoadSnap clears it and SaveSnap has nothing to save
 }
 
 // NewStorage returns an empty store.
@@ -19,11 +25,18 @@ func NewStorage() *Storage {
 
 func (s *Storage) page(addr uint64, create bool) *[PageSize]byte {
 	base := PageOf(addr)
+	if s.last != nil && s.lastBase == base {
+		return s.last
+	}
 	p := s.pages[base]
-	if p == nil && create {
+	if p == nil {
+		if !create {
+			return nil
+		}
 		p = new([PageSize]byte)
 		s.pages[base] = p
 	}
+	s.lastBase, s.last = base, p
 	return p
 }
 
@@ -108,6 +121,7 @@ func (s *Storage) DropRange(base, size uint64) {
 	if base%PageSize != 0 || size%PageSize != 0 {
 		panic(fmt.Sprintf("mem: DropRange not page aligned: %#x+%#x", base, size))
 	}
+	s.last = nil
 	for pageBase := range s.pages {
 		if pageBase >= base && pageBase < base+size {
 			delete(s.pages, pageBase)

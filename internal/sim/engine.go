@@ -9,17 +9,31 @@
 // (see Rand). Re-running a configuration always reproduces the same cycle
 // counts and statistics.
 //
-// The event queue is an index-based 4-ary min-heap over a flat []event
-// slice: no container/heap, no interface boxing, and the slice backing
-// doubles as the event free list (popped slots are reused by later
-// pushes), so steady-state scheduling allocates nothing. Ordering is the
-// strict total order (when, seq) — seq is unique per event — so any
-// correct min-heap pops events in exactly the same sequence; switching
-// the heap arity cannot change a single simulated cycle.
+// The event queue is a timing wheel of 256 one-cycle FIFO buckets for
+// events due within 256 cycles of now, backed by a flat 4-ary min-heap
+// for the rest. Nearly all events are near: in a store-bound run 99.6%
+// land 1-16 cycles ahead (the 1-cycle kernel step, the 3-cycle L1 hit,
+// the 12-cycle L2), in a miss-bound run 99.7% within 256 cycles, and the
+// heap keeps only checkpoint ticks and long NVM waits. The next bucket is
+// found through an occupancy bitmap with bits.TrailingZeros64. Bucket
+// events live in one slab linked through slab indices; freed slots form
+// a free list, so steady-state scheduling allocates nothing.
+//
+// Dispatch order is the strict total order (when, seq), exactly as a
+// single heap would pop it, because:
+//   - a bucket holds a single cycle, and Schedule/At append in seq order;
+//   - every clock advance moves newly in-window far events into their
+//     bucket before any event at the new cycle can push a same-cycle one;
+//   - events that arrive with a lower seq than a bucket's tail (resume's
+//     out-of-order Inject) take a sorted insert.
+//
+// So the queue's shape cannot change a single simulated cycle.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -53,7 +67,15 @@ type event struct {
 	afn  func(uint64)
 	arg  uint64
 	comp Component
+	next int32 // slab index of the next event in its wheel bucket (0 = none)
 }
+
+// wheelSize is the timing wheel's span in cycles, one bucket per cycle,
+// sized by the measured delay distribution in the package comment.
+const (
+	wheelSize = 256
+	wheelMask = wheelSize - 1
+)
 
 // less orders events by (when, seq). seq is unique, so this is a strict
 // total order: heap pop order is independent of heap shape.
@@ -169,7 +191,21 @@ func (d Done) Run() {
 
 // Engine is the discrete-event scheduler. The zero value is ready to use.
 type Engine struct {
-	queue []event // flat 4-ary min-heap ordered by (when, seq)
+	// The timing wheel: bucket b holds, in seq order, the events due at
+	// the one cycle t in [now, now+wheelSize) with t&wheelMask == b, as a
+	// singly linked list through slab. Slot 0 of slab is the nil
+	// sentinel; freed slots chain through next from free.
+	slab    []event
+	free    int32
+	head    [wheelSize]int32
+	tail    [wheelSize]int32
+	occ     [wheelSize / 64]uint64 // bit b set iff bucket b is non-empty
+	inWheel int
+
+	// far is a flat 4-ary min-heap ordered by (when, seq) holding every
+	// event due wheelSize or more cycles after now.
+	far []event
+
 	now   Time
 	seq   uint64
 	fired uint64
@@ -187,7 +223,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.inWheel + len(e.far) }
 
 // ScheduleSeq returns the sequence number the next scheduled event will
 // receive. Because seq is the same-cycle tiebreaker and every Schedule/At
@@ -206,8 +242,13 @@ func (e *Engine) Clock() (now Time, seq, fired uint64) {
 // RestoreClock overwrites the engine clock state with a previously
 // captured one. The snapshot-resume path calls it after ResetQueue so
 // that subsequently injected and scheduled events reproduce the saved
-// run's (when, seq) order exactly.
+// run's (when, seq) order exactly. The queue must be empty: each wheel
+// bucket holds the one cycle within wheelSize of now that maps to it, so
+// a clock jump under pending events would misfile them.
 func (e *Engine) RestoreClock(now Time, seq, fired uint64) {
+	if n := e.Pending(); n > 0 {
+		panic(fmt.Sprintf("sim: RestoreClock with %d events pending", n))
+	}
 	e.now = now
 	e.seq = seq
 	e.fired = fired
@@ -217,10 +258,15 @@ func (e *Engine) RestoreClock(now Time, seq, fired uint64) {
 // snapshot-resume path uses it: a freshly booted kernel's constructor
 // events are replaced wholesale by the saved run's re-injected ones.
 func (e *Engine) ResetQueue() {
-	for i := range e.queue {
-		e.queue[i] = event{}
-	}
-	e.queue = e.queue[:0]
+	clear(e.slab)
+	e.slab = e.slab[:0]
+	e.free = 0
+	e.head = [wheelSize]int32{}
+	e.tail = [wheelSize]int32{}
+	e.occ = [wheelSize / 64]uint64{}
+	e.inWheel = 0
+	clear(e.far)
+	e.far = e.far[:0]
 }
 
 // Inject pushes an event with an explicit (when, seq) identity without
@@ -253,9 +299,14 @@ type PendingKey struct {
 // each component claims ownership of, proving the queue was reconstructed
 // exactly.
 func (e *Engine) PendingKeys() []PendingKey {
-	out := make([]PendingKey, len(e.queue))
-	for i, ev := range e.queue {
-		out[i] = PendingKey{When: ev.when, Seq: ev.seq}
+	out := make([]PendingKey, 0, e.Pending())
+	for _, h := range e.head {
+		for i := h; i != 0; i = e.slab[i].next {
+			out = append(out, PendingKey{When: e.slab[i].when, Seq: e.slab[i].seq})
+		}
+	}
+	for _, ev := range e.far {
+		out = append(out, PendingKey{When: ev.when, Seq: ev.seq})
 	}
 	slices.SortFunc(out, func(a, b PendingKey) int {
 		if a.When != b.When {
@@ -280,11 +331,17 @@ func (e *Engine) PendingKeys() []PendingKey {
 // prove a simulation wound down completely instead of abandoning queued
 // work (e.g. the runner's per-spec engines after a measured window).
 func (e *Engine) AssertDrained() error {
-	if len(e.queue) == 0 {
+	n := e.Pending()
+	if n == 0 {
 		return nil
 	}
-	return fmt.Errorf("sim: %d events still pending, next at cycle %d (now %d)",
-		len(e.queue), e.queue[0].when, e.now)
+	var next Time
+	if e.inWheel > 0 {
+		next = e.bucketTime(e.nextBucket())
+	} else {
+		next = e.far[0].when
+	}
+	return fmt.Errorf("sim: %d events still pending, next at cycle %d (now %d)", n, next, e.now)
 }
 
 // Schedule runs fn delay cycles from now, attributing the event to comp.
@@ -325,12 +382,104 @@ func (e *Engine) AtDone(t Time, d Done) {
 	e.seq++
 }
 
-// push inserts ev, sifting up through 4-ary parents. Shifting occupied
-// slots down and writing ev once at its final position keeps the inner
-// loop to one comparison and one copy per level.
+// push files ev in the wheel when it is due within wheelSize cycles and
+// in the far heap otherwise.
 func (e *Engine) push(ev event) {
-	e.queue = append(e.queue, ev)
-	q := e.queue
+	if ev.when-e.now < wheelSize {
+		e.pushWheel(ev)
+	} else {
+		e.pushFar(ev)
+	}
+}
+
+// pushWheel appends ev to its one-cycle bucket. Schedule/At hand out
+// ascending seqs, so the append lands in seq order; a lower seq
+// (Inject, or an event migrating from the far heap) takes a sorted
+// insert instead.
+func (e *Engine) pushWheel(ev event) {
+	i := e.free
+	if i != 0 {
+		e.free = e.slab[i].next
+		e.slab[i] = ev
+	} else {
+		if len(e.slab) == 0 {
+			e.slab = append(e.slab, event{}) // the nil sentinel
+		}
+		i = int32(len(e.slab))
+		e.slab = append(e.slab, ev)
+	}
+	b := int(ev.when) & wheelMask
+	switch t := e.tail[b]; {
+	case t == 0:
+		e.head[b], e.tail[b] = i, i
+		e.occ[b>>6] |= 1 << (b & 63)
+	case e.slab[t].seq < ev.seq:
+		e.slab[t].next = i
+		e.tail[b] = i
+	default:
+		e.insertSorted(b, i)
+	}
+	e.inWheel++
+}
+
+// insertSorted links slot i into bucket b before the first event with a
+// higher seq.
+func (e *Engine) insertSorted(b int, i int32) {
+	seq := e.slab[i].seq
+	prev, cur := int32(0), e.head[b]
+	for cur != 0 && e.slab[cur].seq < seq {
+		prev, cur = cur, e.slab[cur].next
+	}
+	e.slab[i].next = cur
+	if prev == 0 {
+		e.head[b] = i
+	} else {
+		e.slab[prev].next = i
+	}
+	if cur == 0 {
+		e.tail[b] = i
+	}
+}
+
+// nextBucket returns the bucket of the earliest wheel event: the first
+// occupied bucket at or after now's, wrapping once around the wheel. The
+// wheel must not be empty.
+func (e *Engine) nextBucket() int {
+	s := int(e.now) & wheelMask
+	w := s >> 6
+	if m := e.occ[w] >> (s & 63); m != 0 {
+		return s + bits.TrailingZeros64(m)
+	}
+	for range len(e.occ) {
+		w = (w + 1) % len(e.occ)
+		if m := e.occ[w]; m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	panic("sim: empty timing wheel")
+}
+
+// bucketTime returns the one cycle bucket b holds.
+func (e *Engine) bucketTime(b int) Time {
+	return e.now + Time((b-int(e.now))&wheelMask)
+}
+
+// advance moves the clock forward to t and pulls every far event now
+// inside the wheel's window into its bucket. It runs before any event at
+// t fires, so migrated events precede every same-cycle push by seq.
+func (e *Engine) advance(t Time) {
+	e.now = t
+	for len(e.far) > 0 && e.far[0].when-t < wheelSize {
+		e.pushWheel(e.popFar())
+	}
+}
+
+// pushFar inserts ev into the far heap, sifting up through 4-ary
+// parents. Shifting occupied slots down and writing ev once at its final
+// position keeps the inner loop to one comparison and one copy per level.
+func (e *Engine) pushFar(ev event) {
+	e.far = append(e.far, ev)
+	q := e.far
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 4
@@ -343,25 +492,24 @@ func (e *Engine) push(ev event) {
 	q[i] = ev
 }
 
-// pop removes and returns the minimum event (the root at index 0, which
-// AssertDrained and RunUntil peek directly).
-func (e *Engine) pop() event {
-	q := e.queue
+// popFar removes and returns the far heap's minimum event.
+func (e *Engine) popFar() event {
+	q := e.far
 	root := q[0]
 	n := len(q) - 1
 	last := q[n]
 	q[n] = event{} // drop callback references so the GC can reclaim them
-	e.queue = q[:n]
+	e.far = q[:n]
 	if n > 0 {
 		e.siftDown(last)
 	}
 	return root
 }
 
-// siftDown re-inserts ev from the root, descending to the smallest of up
-// to four children per level.
+// siftDown re-inserts ev from the far heap's root, descending to the
+// smallest of up to four children per level.
 func (e *Engine) siftDown(ev event) {
-	q := e.queue
+	q := e.far
 	n := len(q)
 	i := 0
 	for {
@@ -388,29 +536,55 @@ func (e *Engine) siftDown(ev event) {
 	q[i] = ev
 }
 
-// Step executes the single earliest pending event and returns true, or
-// returns false if the queue is empty.
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+// stepBy executes the earliest pending event if it is due at or before
+// limit and reports whether it did. Fusing the deadline check into the
+// step lets RunUntil find the next event once per dispatch.
+func (e *Engine) stepBy(limit Time) bool {
+	if e.inWheel == 0 {
+		if len(e.far) == 0 || e.far[0].when > limit {
+			return false
+		}
+		e.advance(e.far[0].when)
+	}
+	b := e.nextBucket()
+	when := e.bucketTime(b)
+	if when > limit {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.when
+	if when != e.now {
+		e.advance(when)
+	}
+	i := e.head[b]
+	ev := &e.slab[i]
+	fn, afn, arg, comp := ev.fn, ev.afn, ev.arg, ev.comp
+	if ev.next == 0 {
+		e.head[b], e.tail[b] = 0, 0
+		e.occ[b>>6] &^= 1 << (b & 63)
+	} else {
+		e.head[b] = ev.next
+	}
+	*ev = event{next: e.free} // drop callback references so the GC can reclaim them
+	e.free = i
+	e.inWheel--
 	e.fired++
 	if e.prof != nil {
-		e.prof.record(ev.comp)
+		e.prof.record(comp)
 	}
-	if ev.fn != nil {
-		ev.fn()
-	} else if ev.afn != nil {
-		ev.afn(ev.arg)
+	if fn != nil {
+		fn()
+	} else if afn != nil {
+		afn(arg)
 	}
 	return true
 }
 
+// Step executes the single earliest pending event and returns true, or
+// returns false if the queue is empty.
+func (e *Engine) Step() bool { return e.stepBy(math.MaxInt64) }
+
 // Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	for e.Step() {
+	for e.stepBy(math.MaxInt64) {
 	}
 }
 
@@ -419,11 +593,10 @@ func (e *Engine) Run() {
 // last fired event was earlier), so subsequent Schedule calls are
 // relative to the deadline.
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 && e.queue[0].when <= deadline {
-		e.Step()
+	for e.stepBy(deadline) {
 	}
 	if e.now < deadline {
-		e.now = deadline
+		e.advance(deadline)
 	}
 }
 

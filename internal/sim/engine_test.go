@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -237,12 +238,13 @@ func TestRandFloat64Range(t *testing.T) {
 	}
 }
 
-// TestHeapMatchesReferenceSort drives the flat 4-ary heap with an
+// TestHeapMatchesReferenceSort drives the event queue with an
 // adversarial mix of interleaved At/Schedule calls — including events
-// scheduled from inside running events — and checks the full dispatch
-// order against a stable sort by (when, insertion order). This is the
-// exact contract the simulator's determinism rests on: seq numbers are
-// unique, so one correct order exists and the heap must produce it.
+// scheduled from inside running events, with uint16 delays on both sides
+// of the wheel's 256-cycle horizon — and checks the full dispatch order
+// against a stable sort by (when, insertion order). This is the exact
+// contract the simulator's determinism rests on: seq numbers are unique,
+// so one correct order exists and the queue must produce it.
 func TestHeapMatchesReferenceSort(t *testing.T) {
 	f := func(delays []uint16, nested []uint8) bool {
 		e := NewEngine()
@@ -334,6 +336,126 @@ func TestTickerSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ticker allocates %.1f objects per 5 ticks, want 0", allocs)
+	}
+	if ticks <= before {
+		t.Fatal("ticker stopped firing")
+	}
+}
+
+// sortKeys sorts (when, seq) identities into dispatch order.
+func sortKeys(keys []PendingKey) {
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].When != keys[j].When {
+			return keys[i].When < keys[j].When
+		}
+		return keys[i].Seq < keys[j].Seq
+	})
+}
+
+// TestInjectMatchesReferenceSort replays the snapshot-resume sequence —
+// ResetQueue, RestoreClock, then Inject with seqs in scrambled order —
+// into one-cycle buckets and into the far heap, with colliding
+// timestamps on both sides, then schedules fresh events at the same
+// times. Dispatch must follow (when, seq) exactly, so injected events
+// precede every fresh same-cycle event and each other by seq.
+func TestInjectMatchesReferenceSort(t *testing.T) {
+	f := func(raw []uint16, start uint32) bool {
+		if len(raw) > 128 {
+			raw = raw[:128]
+		}
+		e := NewEngine()
+		e.Schedule(CompOther, 3, func() {}) // a boot-time event resume discards
+		e.ResetQueue()
+		now := Time(start)
+		e.RestoreClock(now, 128, 0) // every injected seq is below 128
+		var want, got []PendingKey
+		fire := func(when Time, seq uint64) func() {
+			want = append(want, PendingKey{when, seq})
+			return func() { got = append(got, PendingKey{e.Now(), seq}) }
+		}
+		whenOf := func(r uint16) Time {
+			switch r % 4 {
+			case 0: // the first few buckets
+				return now + Time(r>>2)%3
+			case 1: // just past the wheel, colliding
+				return now + wheelSize + Time(r>>2)%3
+			case 2:
+				return now + Time(r>>2)%wheelSize
+			default:
+				return now + Time(r)
+			}
+		}
+		for i, r := range raw {
+			when, seq := whenOf(r), uint64(i^0x55) // unique, not monotone
+			e.Inject(CompOther, when, seq, fire(when, seq))
+		}
+		if keys := e.PendingKeys(); len(keys) != len(raw) {
+			return false
+		}
+		for i, r := range raw {
+			if i%2 == 0 {
+				when := whenOf(r)
+				e.At(CompOther, when, fire(when, 128+uint64(i/2)))
+			}
+		}
+		pending := e.PendingKeys()
+		e.Run()
+		sortKeys(want)
+		return slices.Equal(got, want) && slices.Equal(pending, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunUntilJumpMatchesReferenceSort interleaves scheduling with
+// RunUntil deadlines that jump the clock up to 512 cycles, so far-heap
+// events are pulled into the wheel by the jump itself rather than by a
+// dispatch. Every event must still fire in (when, seq) order.
+func TestRunUntilJumpMatchesReferenceSort(t *testing.T) {
+	f := func(ops []struct{ Delay, Jump uint16 }) bool {
+		e := NewEngine()
+		var want, got []PendingKey
+		for _, op := range ops {
+			when, seq := e.Now()+Time(op.Delay%1024), e.ScheduleSeq()
+			want = append(want, PendingKey{when, seq})
+			e.At(CompOther, when, func() { got = append(got, PendingKey{e.Now(), seq}) })
+			e.RunUntil(e.Now() + Time(op.Jump%512))
+		}
+		e.Run()
+		sortKeys(want)
+		return slices.Equal(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRestoreClockPanicsWithPending(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(CompOther, 10, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for RestoreClock with an event pending")
+		}
+	}()
+	e.RestoreClock(5, 0, 0)
+}
+
+// TestFarTickerSteadyStateAllocs pins the far heap's recurring path: a
+// ticker whose period exceeds the wheel goes through the heap and then
+// migrates into the wheel every period, and must allocate nothing.
+func TestFarTickerSteadyStateAllocs(t *testing.T) {
+	e := NewEngine()
+	ticks := 0
+	e.NewTicker(CompOther, 1000, func() { ticks++ })
+	e.RunUntil(10_000) // warm: first ticks grow the queue
+	before := ticks
+	allocs := testing.AllocsPerRun(100, func() {
+		e.RunUntil(e.Now() + 5000)
+	})
+	if allocs != 0 {
+		t.Fatalf("far ticker allocates %.1f objects per 5 ticks, want 0", allocs)
 	}
 	if ticks <= before {
 		t.Fatal("ticker stopped firing")

@@ -12,9 +12,10 @@ import (
 //
 // Each counter lives in its own heap slot, so a Counter handle obtained
 // with Handle stays valid as the set grows. Hot paths should hold a
-// handle instead of calling Add/Inc with a composed name: the handle
-// variants are a single pointer dereference with no map lookup and no
-// string concatenation.
+// handle (Handle, or Lazy where registration order must follow first
+// use) instead of calling Add/Inc with a name: the handle variants are a
+// single pointer dereference with no map lookup and no string
+// concatenation.
 type Counters struct {
 	values map[string]*uint64
 	order  []string
@@ -49,6 +50,30 @@ func (h Counter) Get() uint64 {
 	return *h.v
 }
 
+// LazyCounter is a handle that registers its counter on the first Inc or
+// Add instead of at construction. Registration order is part of the
+// counter set's output (String, SaveSnap, every stats dump) and a
+// never-touched counter stays absent, so a LazyCounter behaves exactly
+// like the string-keyed Inc at the same call site, minus the map lookup
+// after the first use. Keep it in the owning struct and call it through
+// a pointer: the resolved slot is cached in the handle.
+type LazyCounter struct {
+	set  *Counters
+	name string
+	v    *uint64
+}
+
+// Inc increments the counter by one, registering it on first use.
+func (h *LazyCounter) Inc() { h.Add(1) }
+
+// Add increments the counter by delta, registering it on first use.
+func (h *LazyCounter) Add(delta uint64) {
+	if h.v == nil {
+		h.v = h.set.slot(h.name)
+	}
+	*h.v += delta
+}
+
 // NewCounters returns an empty counter set.
 func NewCounters() *Counters {
 	return &Counters{values: make(map[string]*uint64)}
@@ -72,6 +97,13 @@ func (c *Counters) Handle(name string) Counter {
 		return Counter{}
 	}
 	return Counter{v: c.slot(name)}
+}
+
+// Lazy returns a handle to name that registers it on its first Inc or
+// Add, keeping the set's registration order identical to string-keyed
+// Inc calls at the same site.
+func (c *Counters) Lazy(name string) LazyCounter {
+	return LazyCounter{set: c, name: name}
 }
 
 // Add increments the named counter by delta, creating it on first use.

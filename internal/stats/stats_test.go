@@ -88,3 +88,34 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("NumRows = %d", tb.NumRows())
 	}
 }
+
+// TestLazyCounterMatchesStringInc drives two counter sets through the
+// same sequence of increments, one by name and one through Lazy handles
+// made up front, and checks they end with the same registration order
+// and values. A handle that is never incremented must leave its name
+// absent, exactly like a string-keyed Inc that never runs.
+func TestLazyCounterMatchesStringInc(t *testing.T) {
+	byName, byHandle := NewCounters(), NewCounters()
+	names := []string{"core.stores", "core.loads", "core.never", "core.page_walks"}
+	handles := make([]LazyCounter, len(names))
+	for i, n := range names {
+		handles[i] = byHandle.Lazy(n)
+	}
+	byName.Inc("pre.registered")
+	byHandle.Inc("pre.registered")
+	for _, i := range []int{3, 0, 0, 1, 3, 0} {
+		byName.Inc(names[i])
+		handles[i].Inc()
+	}
+	byName.Add(names[1], 5)
+	handles[1].Add(5)
+	if got, want := byHandle.Names(), byName.Names(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("names = %v, want %v", got, want)
+	}
+	if got, want := byHandle.String(), byName.String(); got != want {
+		t.Fatalf("counters:\n%s\nwant:\n%s", got, want)
+	}
+	if byHandle.Get("core.never") != 0 || len(byHandle.Names()) != 4 {
+		t.Fatalf("untouched handle registered its name: %v", byHandle.Names())
+	}
+}
