@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"prosper/internal/kernel"
@@ -80,30 +81,42 @@ func workloadByName(name string, arg int) workload.Program {
 	}
 }
 
-func main() {
-	wl := flag.String("workload", "gapbs_pr", "workload name")
-	wlArg := flag.Int("arg", 4096, "workload parameter (elements/depth/iterations)")
-	stack := flag.String("stack", "prosper", "stack mechanism: none|prosper|prosper-adaptive|dirtybit|writeprotect|romulus|ssp")
-	heap := flag.String("heap", "none", "heap mechanism (same choices)")
-	cons := flag.Int("consolidation", 10, "SSP consolidation interval (µs)")
-	intervalUS := flag.Int("interval", 200, "checkpoint interval (simulated µs; 0 disables)")
-	durationUS := flag.Int("duration", 2000, "run duration (simulated µs)")
-	threads := flag.Int("threads", 1, "threads (one workload instance each)")
-	cores := flag.Int("cores", 1, "simulated cores")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	parallel := flag.Bool("parallel-ckpt", false, "checkpoint thread stacks concurrently")
-	dumpStats := flag.Bool("stats", false, "dump all simulator counters at the end")
-	flag.Parse()
+// usesTracker reports whether the named mechanism programs the per-core
+// Prosper tracker; the stack and the heap cannot both do so.
+func usesTracker(name string) bool { return name == "prosper" || name == "prosper-adaptive" }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("prosper-run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	wl := fs.String("workload", "gapbs_pr", "workload name")
+	wlArg := fs.Int("arg", 4096, "workload parameter (elements/depth/iterations)")
+	stack := fs.String("stack", "prosper", "stack mechanism: none|prosper|prosper-adaptive|dirtybit|writeprotect|romulus|ssp")
+	heap := fs.String("heap", "none", "heap mechanism (same choices; not Prosper when the stack uses Prosper)")
+	cons := fs.Int("consolidation", 10, "SSP consolidation interval (µs)")
+	intervalUS := fs.Int("interval", 200, "checkpoint interval (simulated µs; 0 disables)")
+	durationUS := fs.Int("duration", 2000, "run duration (simulated µs)")
+	threads := fs.Int("threads", 1, "threads (one workload instance each)")
+	cores := fs.Int("cores", 1, "simulated cores")
+	seed := fs.Uint64("seed", 1, "workload seed")
+	parallel := fs.Bool("parallel-ckpt", false, "checkpoint thread stacks concurrently")
+	dumpStats := fs.Bool("stats", false, "dump all simulator counters at the end")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	stackF, ok := mechFactory(*stack, *cons)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown stack mechanism %q\n", *stack)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown stack mechanism %q\n", *stack)
+		return 2
 	}
 	heapF, ok := mechFactory(*heap, *cons)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown heap mechanism %q\n", *heap)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown heap mechanism %q\n", *heap)
+		return 2
+	}
+	if usesTracker(*stack) && usesTracker(*heap) {
+		fmt.Fprintf(stderr, "stack %q and heap %q cannot share the Prosper tracker\n", *stack, *heap)
+		return 2
 	}
 
 	k := kernel.New(kernel.Config{
@@ -115,8 +128,8 @@ func main() {
 	for i := range progs {
 		progs[i] = workloadByName(*wl, *wlArg)
 		if progs[i] == nil {
-			fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown workload %q\n", *wl)
+			return 2
 		}
 	}
 	p := k.Spawn(kernel.ProcessConfig{
@@ -131,28 +144,33 @@ func main() {
 	k.RunFor(sim.Time(*durationUS) * sim.Microsecond)
 	p.Shutdown()
 
-	fmt.Printf("workload           %s x%d (stack=%s heap=%s)\n", *wl, *threads, *stack, *heap)
-	fmt.Printf("simulated          %d µs (%d cycles, %d events)\n",
+	fmt.Fprintf(stdout, "workload           %s x%d (stack=%s heap=%s)\n", *wl, *threads, *stack, *heap)
+	fmt.Fprintf(stdout, "simulated          %d µs (%d cycles, %d events)\n",
 		*durationUS, k.Eng.Now(), k.Eng.Fired())
 	var ops, cycles uint64
 	for _, t := range p.Threads {
 		ops += t.UserOps
 		cycles += t.UserCycles
 	}
-	fmt.Printf("user ops           %d (IPC %.4f)\n", ops, float64(ops)/float64(cycles+1))
-	fmt.Printf("checkpoints        %d\n", p.CheckpointCount)
-	fmt.Printf("persisted bytes    %d (stack %d)\n", p.CheckpointBytes, p.StackCkptBytes)
+	fmt.Fprintf(stdout, "user ops           %d (IPC %.4f)\n", ops, float64(ops)/float64(cycles+1))
+	fmt.Fprintf(stdout, "checkpoints        %d\n", p.CheckpointCount)
+	fmt.Fprintf(stdout, "persisted bytes    %d (stack %d)\n", p.CheckpointBytes, p.StackCkptBytes)
 	if p.CheckpointCount > 0 {
-		fmt.Printf("mean ckpt cycles   %d\n", uint64(p.CheckpointTime)/p.CheckpointCount)
+		fmt.Fprintf(stdout, "mean ckpt cycles   %d\n", uint64(p.CheckpointTime)/p.CheckpointCount)
 	}
 	if rep := kernel.Fsck(k.Mach.Storage); !rep.OK() {
-		fmt.Println("FSCK PROBLEMS:", rep.Problems)
-		os.Exit(1)
+		fmt.Fprintln(stdout, "FSCK PROBLEMS:", rep.Problems)
+		return 1
 	}
-	fmt.Println("fsck               clean")
+	fmt.Fprintln(stdout, "fsck               clean")
 
 	if *dumpStats {
-		fmt.Println()
-		k.DumpStats(os.Stdout)
+		fmt.Fprintln(stdout)
+		k.DumpStats(stdout)
 	}
+	return 0
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -209,15 +209,15 @@ func TestStatsKeysPass(t *testing.T) {
 
 func TestStatsKeysSinglePackageNoDuplicate(t *testing.T) {
 	// fixa alone: "tlb_hits" has one owner, so only the three shape
-	// violations and the bad registry prefix remain.
+	// violations remain.
 	rep := runFixture(t, []Pass{NewStatsKeys()}, "testdata/src/statskeys/fixa")
 	for _, f := range rep.Findings {
 		if strings.Contains(f.Message, "registered by") {
 			t.Errorf("single-package registration reported as duplicate: %s", f.Message)
 		}
 	}
-	if len(rep.Findings) != 4 {
-		t.Errorf("got %d findings, want 4: %+v", len(rep.Findings), rep.Findings)
+	if len(rep.Findings) != 3 {
+		t.Errorf("got %d findings, want 3: %+v", len(rep.Findings), rep.Findings)
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 //
 //  1. Constant keys must be lowercase dotted identifiers
 //     (segment[.segment...], segments matching [a-z][a-z0-9_]*), the
-//     convention DumpStats and the telemetry registry sort and render.
+//     convention DumpStats sorts and renders.
 //  2. An *unprefixed* key (no dot) must not be registered from more
 //     than one package. Unprefixed keys from different owners collide
-//     when adopted under an empty registry prefix — exactly how the
+//     when dumped without a section prefix — exactly how the
 //     per-core TLB counters ("tlb_hits") once aliased each other until
 //     they were renamed to "coreN.tlb.hits".
 //
@@ -53,13 +53,12 @@ type metricAPI struct {
 	typeName  string
 	register  map[string]bool
 	read      map[string]bool
-	prefix    bool // first arg is a group prefix; empty string allowed
 }
 
 var metricAPIs = []metricAPI{
 	{
 		pkgSuffix: "internal/stats", typeName: "Counters",
-		register: map[string]bool{"Handle": true, "Lazy": true, "Add": true, "Inc": true, "Set": true},
+		register: map[string]bool{"Handle": true, "Lazy": true, "Add": true, "Inc": true},
 		read:     map[string]bool{"Get": true},
 	},
 	{
@@ -67,17 +66,6 @@ var metricAPIs = []metricAPI{
 		register: map[string]bool{"New": true},
 		read:     map[string]bool{"Get": true},
 	},
-	{
-		pkgSuffix: "internal/telemetry", typeName: "Registry",
-		register: map[string]bool{},
-		read:     map[string]bool{},
-		prefix:   true, // Register / RegisterHistograms / RegisterFunc
-	},
-}
-
-// registryPrefixMethods take a prefix as their first argument.
-var registryPrefixMethods = map[string]bool{
-	"Register": true, "RegisterHistograms": true, "RegisterFunc": true,
 }
 
 // Run implements Pass.
@@ -102,18 +90,6 @@ func (s *StatsKeys) Run(pkg *Package, r *Reporter) {
 					continue
 				}
 				method := sel.Sel.Name
-				if api.prefix {
-					if !registryPrefixMethods[method] {
-						return true
-					}
-					if prefix, isConst := constString(info, call.Args[0]); isConst {
-						if prefix != "" && !keyRe.MatchString(prefix) {
-							r.Report("statskeys", call.Args[0].Pos(), fmt.Sprintf(
-								"registry prefix %q is not a lowercase dotted identifier", prefix))
-						}
-					}
-					return true
-				}
 				isReg := api.register[method]
 				if !isReg && !api.read[method] {
 					return true

@@ -44,14 +44,14 @@ func Fsck(st *mem.Storage) FsckReport {
 	s := &superblock{storage: st}
 	for i := 0; i < int(count); i++ {
 		rec := s.recAddr(i)
-		var nameBuf [48]byte
+		var nameBuf [procNameLen]byte
 		st.Read(rec, nameBuf[:])
 		name := cstr(nameBuf[:])
 		if name == "" {
 			rep.problemf("proc record %d: empty name", i)
 			continue
 		}
-		hdr := st.ReadU64(rec + 48)
+		hdr := st.ReadU64(rec + procNameLen)
 		if hdr < superBase+mem.PageSize || hdr >= cursor {
 			rep.problemf("proc %q: header %#x outside allocated NVM", name, hdr)
 			continue

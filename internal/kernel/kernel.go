@@ -83,9 +83,6 @@ type Kernel struct {
 	hookSync bool
 
 	Counters *stats.Counters
-	// Metrics is the hierarchical registry adopting every component's
-	// counters under the stable dotted names DumpStats prints.
-	Metrics *telemetry.Registry
 	// Trace is the kernel's tracer (nil when telemetry is disabled).
 	//prosperlint:ignore snapshot SaveSnap rejects traced kernels; host-side tracer state never crosses a snapshot
 	Trace *telemetry.Tracer
@@ -125,44 +122,8 @@ func New(cfg Config) *Kernel {
 		cs := cs
 		cs.timer = m.Eng.NewTicker(sim.CompKernel, cfg.Quantum, func() { k.timerTick(cs) })
 	}
-	k.buildMetrics()
 	k.startTelemetry()
 	return k
-}
-
-// buildMetrics registers every component's counters in the registry, in
-// the section order DumpStats has always printed.
-func (k *Kernel) buildMetrics() {
-	m := k.Mach
-	r := telemetry.NewRegistry()
-	r.Register("kernel", k.Counters)
-	for i, cs := range k.cores {
-		r.Register(fmt.Sprintf("core%d", i), cs.core.Counters)
-		// TLB counter keys are fully qualified ("core0.tlb.hits"), so the
-		// group carries no prefix of its own.
-		r.Register("", cs.core.TLB.Counters)
-		r.RegisterHistograms(fmt.Sprintf("core%d.tlb", i), cs.core.TLB.Histograms)
-	}
-	for i, c := range m.Hier.L1D {
-		r.Register(fmt.Sprintf("l1d%d", i), c.Counters)
-		r.RegisterHistograms(fmt.Sprintf("l1d%d", i), c.Histograms)
-	}
-	for i, c := range m.Hier.L2 {
-		r.Register(fmt.Sprintf("l2_%d", i), c.Counters)
-		r.RegisterHistograms(fmt.Sprintf("l2_%d", i), c.Histograms)
-	}
-	r.Register("l3", m.Hier.L3.Counters)
-	r.RegisterHistograms("l3", m.Hier.L3.Histograms)
-	r.Register("dram", m.Ctl.DRAM.Counters)
-	r.RegisterHistograms("dram", m.Ctl.DRAM.Histograms)
-	r.Register("nvm", m.Ctl.NVM.Counters)
-	r.RegisterHistograms("nvm", m.Ctl.NVM.Histograms)
-	r.Register("machine", m.Counters)
-	for i, tr := range k.Trackers {
-		r.Register(fmt.Sprintf("tracker%d", i), tr.Counters)
-		r.RegisterHistograms(fmt.Sprintf("tracker%d", i), tr.Histograms)
-	}
-	k.Metrics = r
 }
 
 // startTelemetry binds the tracer to the engine, gives the trackers
@@ -394,8 +355,12 @@ func loadOrInitSuperblock(st *mem.Storage, persist func(addr, size uint64)) *sup
 
 func (s *superblock) procCount() int { return int(s.storage.ReadU64(superBase + 8)) }
 
-// procRecord is the fixed-size per-process directory entry.
-const procRecSize = 128
+// procRecord is the fixed-size per-process directory entry: the name,
+// NUL-padded to procNameLen bytes, then the header address.
+const (
+	procRecSize = 128
+	procNameLen = 48
+)
 
 func (s *superblock) recAddr(i int) uint64 {
 	return superBase + 64 + uint64(i)*procRecSize
@@ -421,10 +386,10 @@ func (s *superblock) addProc(name string, headerAddr uint64) int {
 		panic("kernel: superblock full")
 	}
 	rec := s.recAddr(n)
-	var nameBuf [48]byte
+	var nameBuf [procNameLen]byte
 	copy(nameBuf[:], name)
 	s.storage.Write(rec, nameBuf[:])
-	s.storage.WriteU64(rec+48, headerAddr)
+	s.storage.WriteU64(rec+procNameLen, headerAddr)
 	s.fence(rec, 56)
 	s.storage.WriteU64(superBase+8, uint64(n+1))
 	s.fence(superBase+8, 8)
@@ -432,12 +397,12 @@ func (s *superblock) addProc(name string, headerAddr uint64) int {
 }
 
 func (s *superblock) findProc(name string) (headerAddr uint64, ok bool) {
-	var nameBuf [48]byte
+	var nameBuf [procNameLen]byte
 	for i := 0; i < s.procCount(); i++ {
 		rec := s.recAddr(i)
 		s.storage.Read(rec, nameBuf[:])
 		if cstr(nameBuf[:]) == name {
-			return s.storage.ReadU64(rec + 48), true
+			return s.storage.ReadU64(rec + procNameLen), true
 		}
 	}
 	return 0, false

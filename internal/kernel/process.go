@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"prosper/internal/machine"
 	"prosper/internal/mem"
@@ -206,15 +205,29 @@ type Process struct {
 }
 
 // Spawn creates a process with one thread per program and makes its
-// threads runnable.
+// threads runnable. An empty name defaults to "proc". Spawn panics on a
+// process it could not track or recover: a name already in the
+// superblock or longer than its record, or Prosper trackers on both the
+// stack and the heap.
 func (k *Kernel) Spawn(cfg ProcessConfig, progs ...workload.Program) *Process {
 	cfg = cfg.withDefaults()
 	if len(progs) == 0 {
 		panic("kernel: Spawn needs at least one program")
 	}
+	name := cfg.Name
+	if name == "" {
+		name = "proc"
+	}
+	if len(name) > procNameLen {
+		panic(fmt.Sprintf("kernel: process name %q is longer than %d bytes", name, procNameLen))
+	}
+	if _, dup := k.super.findProc(name); dup {
+		panic(fmt.Sprintf("kernel: a process named %q already exists", name))
+	}
+	checkTrackerUse(cfg)
 	p := &Process{
 		PID:       k.nextPID,
-		Name:      cfg.Name,
+		Name:      name,
 		Cfg:       cfg,
 		AS:        vm.NewAddressSpace(k.Mach.DRAMFrames, k.Mach.NVMFrames),
 		kern:      k,
@@ -223,9 +236,6 @@ func (k *Kernel) Spawn(cfg ProcessConfig, progs ...workload.Program) *Process {
 		Counters:  stats.NewCounters(),
 	}
 	k.nextPID++
-	if p.Name == "" {
-		p.Name = "proc"
-	}
 
 	// Heap area + mechanism.
 	heapInNVM := false
@@ -264,7 +274,6 @@ func (k *Kernel) Spawn(cfg ProcessConfig, progs ...workload.Program) *Process {
 	k.super.addProc(p.Name, p.headerAddr)
 	k.procs = append(k.procs, p)
 	p.traceTrack = k.Trace.Track("ckpt:" + p.Name)
-	k.registerProcMetrics(p)
 
 	for _, t := range p.Threads {
 		t.Prog.Start(t.Ctx)
@@ -274,6 +283,29 @@ func (k *Kernel) Spawn(cfg ProcessConfig, progs ...workload.Program) *Process {
 		p.ckptTicker = k.Eng.NewTicker(sim.CompKernel, cfg.CheckpointInterval, func() { k.checkpointProcess(p, nil) })
 	}
 	return p
+}
+
+// checkTrackerUse panics when both the stack and the heap use a
+// tracker-based mechanism (Prosper or its adaptive variant). The two
+// would share each core's one tracker MSR range, where the last
+// OnScheduleIn wins and the other segment goes untracked.
+func checkTrackerUse(cfg ProcessConfig) {
+	if usesTracker(cfg.StackMech) && usesTracker(cfg.HeapMech) {
+		panic("kernel: stack and heap cannot both use a Prosper tracker")
+	}
+}
+
+// usesTracker reports whether the factory builds a mechanism that
+// programs the per-core Prosper tracker.
+func usesTracker(f persist.Factory) bool {
+	if f == nil {
+		return false
+	}
+	switch f().(type) {
+	case *persist.Prosper, *persist.AdaptiveProsper:
+		return true
+	}
+	return false
 }
 
 // newThread lays out one thread's stack, NVM areas, and mechanism.
@@ -321,43 +353,6 @@ func (p *Process) newThread(i int, prog workload.Program) *Thread {
 		s.SetSnapshotID(p.PID, i+1) // stacks are snapshot segments 1..n
 	}
 	return t
-}
-
-// registerProcMetrics adopts the process's counters and scalar
-// checkpoint/thread statistics into the kernel's metrics registry under
-// "proc.<name>", in the order DumpStats prints them: sorted counter
-// names, then the checkpoint scalars, then per-thread user accounting,
-// then the pause distribution and its per-cause stall attribution.
-func (k *Kernel) registerProcMetrics(p *Process) {
-	k.Metrics.RegisterFunc("proc."+p.Name, func(emit func(name string, v uint64)) {
-		names := p.Counters.Names()
-		sort.Strings(names)
-		for _, n := range names {
-			emit(n, p.Counters.Get(n))
-		}
-		emit("checkpoints", p.CheckpointCount)
-		emit("checkpoint_bytes", p.CheckpointBytes)
-		emit("checkpoint_cycles", uint64(p.CheckpointTime))
-		for _, t := range p.Threads {
-			emit(fmt.Sprintf("thread%d.user_ops", t.TID), t.UserOps)
-			emit(fmt.Sprintf("thread%d.user_cycles", t.TID), t.UserCycles)
-		}
-		emit("pause.count", p.PauseHist.Count())
-		emit("pause.cycles", p.PauseHist.Sum())
-		emit("pause.max", p.PauseHist.Max())
-		emit("pause.p50", p.PauseHist.Quantile(0.50))
-		emit("pause.p95", p.PauseHist.Quantile(0.95))
-		emit("pause.p99", p.PauseHist.Quantile(0.99))
-		var causes [persist.NumCauses]uint64
-		for _, ep := range p.EpochPauses {
-			for c, v := range ep.Causes {
-				causes[c] += v
-			}
-		}
-		for c, v := range causes {
-			emit("pause."+persist.Cause(c).String(), v)
-		}
-	})
 }
 
 // routeStore dispatches a store to the mechanism owning its segment,

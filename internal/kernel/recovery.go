@@ -18,11 +18,19 @@ import (
 // DRAM contents (and repair torn applies), restores the register state
 // and, for checkpointable programs, the execution position of the last
 // committed checkpoint. done fires when the process is runnable again.
+// Like Spawn, it panics when the stack and the heap both use a Prosper
+// tracker.
 func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program, done func(*Process)) error {
 	cfg = cfg.withDefaults()
+	checkTrackerUse(cfg)
 	headerAddr, ok := k.super.findProc(cfg.Name)
 	if !ok {
 		return fmt.Errorf("kernel: no checkpoint area for process %q", cfg.Name)
+	}
+	for _, q := range k.procs {
+		if q.Name == cfg.Name {
+			return fmt.Errorf("kernel: process %q is already running", cfg.Name)
+		}
 	}
 	st := k.Mach.Storage
 	hdr := make([]byte, mem.PageSize)
@@ -164,7 +172,6 @@ func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program, don
 	}
 	k.procs = append(k.procs, p)
 	p.traceTrack = k.Trace.Track("ckpt:" + p.Name)
-	k.registerProcMetrics(p)
 
 	// Run every mechanism's recovery path, then make threads runnable.
 	pending := len(p.Threads) + 1

@@ -3,6 +3,7 @@ package kernel
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -60,6 +61,49 @@ func TestDumpStatsParseable(t *testing.T) {
 	}
 	if lines < 25 {
 		t.Fatalf("dump suspiciously small: %d lines", lines)
+	}
+}
+
+// TestDumpStatsJSONUniqueKeys: every key of a multi-process, multi-core
+// dump is distinct, so the JSON object loses nothing on decode.
+func TestDumpStatsJSONUniqueKeys(t *testing.T) {
+	k := testKernel(2)
+	for _, name := range []string{"svc", "svc2"} {
+		k.Spawn(ProcessConfig{
+			Name:               name,
+			StackMech:          persist.NewProsper(persist.ProsperConfig{}),
+			CheckpointInterval: 200 * sim.Microsecond,
+		}, workload.NewCounter(100000), workload.NewCounter(100000))
+	}
+	k.RunFor(500 * sim.Microsecond)
+
+	var js bytes.Buffer
+	if err := k.DumpStatsJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(&js)
+	if _, err := dec.Token(); err != nil { // opening brace
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := tok.(string)
+		if seen[key] {
+			t.Fatalf("key %q appears twice", key)
+		}
+		seen[key] = true
+		if _, err := dec.Token(); err != nil { // value
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []string{"core1.core.stores", "proc.svc.checkpoints", "proc.svc2.thread1.user_ops"} {
+		if !seen[want] {
+			t.Fatalf("dump has no %q", want)
+		}
 	}
 }
 

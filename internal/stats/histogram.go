@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 // Histogram accumulates non-negative integer samples (cycle latencies,
 // byte counts, occupancies) into power-of-two buckets. Bucket i holds
@@ -74,14 +70,6 @@ func (h *Histogram) Max() uint64 {
 	return h.max
 }
 
-// Mean returns the arithmetic mean, or zero when empty.
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // BucketUpper returns the inclusive upper edge of bucket i: 0 for
 // bucket 0, 2^i - 1 otherwise.
 func BucketUpper(i int) uint64 {
@@ -132,46 +120,9 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return h.max
 }
 
-// Reset clears all samples.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	*h = Histogram{}
-}
-
-// Snapshot returns a copy of the histogram (nil-safe; an empty copy for
-// a nil receiver).
-func (h *Histogram) Snapshot() Histogram {
-	if h == nil {
-		return Histogram{}
-	}
-	return *h
-}
-
-// String renders the non-empty buckets one per line, for debugging.
-func (h *Histogram) String() string {
-	if h == nil || h.count == 0 {
-		return "(empty)\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "count=%d sum=%d min=%d max=%d\n", h.count, h.sum, h.min, h.max)
-	for i, n := range h.buckets {
-		if n == 0 {
-			continue
-		}
-		lo := uint64(0)
-		if i > 0 {
-			lo = BucketUpper(i-1) + 1
-		}
-		fmt.Fprintf(&b, "  [%d..%d] %d\n", lo, BucketUpper(i), n)
-	}
-	return b.String()
-}
-
 // Histograms is a named, ordered set of histograms, the distribution
-// counterpart of Counters: components own one set, and the metrics
-// registry serializes it deterministically in registration order.
+// counterpart of Counters: components own one set, and kernel.DumpStats
+// prints it in sorted name order.
 type Histograms struct {
 	byName map[string]*Histogram
 	order  []string
@@ -212,14 +163,4 @@ func (hs *Histograms) Names() []string {
 	out := make([]string, len(hs.order))
 	copy(out, hs.order)
 	return out
-}
-
-// Reset clears every histogram but keeps registrations.
-func (hs *Histograms) Reset() {
-	if hs == nil {
-		return
-	}
-	for _, h := range hs.byName {
-		h.Reset()
-	}
 }

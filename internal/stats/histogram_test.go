@@ -55,9 +55,6 @@ func TestHistogramZeroSamples(t *testing.T) {
 		if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 {
 			t.Errorf("empty histogram scalars non-zero")
 		}
-		if h.Mean() != 0 {
-			t.Errorf("empty Mean = %v, want 0", h.Mean())
-		}
 		for _, q := range []float64{0, 0.5, 0.95, 1} {
 			if got := h.Quantile(q); got != 0 {
 				t.Errorf("empty Quantile(%v) = %d, want 0", q, got)
@@ -67,7 +64,6 @@ func TestHistogramZeroSamples(t *testing.T) {
 	// Observing on nil is a no-op, not a crash.
 	var nilH *Histogram
 	nilH.Observe(42)
-	nilH.Reset()
 }
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -102,29 +98,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(7)
-	h.Observe(9)
-	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatalf("Reset left state behind: %v", h)
-	}
-}
-
-func TestHistogramString(t *testing.T) {
-	h := NewHistogram()
-	if h.String() != "(empty)\n" {
-		t.Fatalf("empty String = %q", h.String())
-	}
-	h.Observe(0)
-	h.Observe(5)
-	s := h.String()
-	if s == "" || s == "(empty)\n" {
-		t.Fatalf("String after samples = %q", s)
-	}
-}
-
 func TestHistogramsSet(t *testing.T) {
 	hs := NewHistograms()
 	a := hs.New("b_second") // registration order, not lexical order
@@ -141,16 +114,11 @@ func TestHistogramsSet(t *testing.T) {
 	if hs.Get("b_second").Count() != 1 || hs.Get("missing") != nil {
 		t.Fatalf("Get misbehaved")
 	}
-	hs.Reset()
-	if a.Count() != 0 || b.Count() != 0 {
-		t.Fatalf("Reset did not clear members")
-	}
 	// Nil set: every method is a safe no-op.
 	var nilHS *Histograms
 	if nilHS.New("x") != nil || nilHS.Get("x") != nil || nilHS.Names() != nil {
 		t.Fatalf("nil Histograms must act empty")
 	}
-	nilHS.Reset()
 }
 
 func TestCounterHandles(t *testing.T) {
@@ -176,10 +144,6 @@ func TestCounterHandles(t *testing.T) {
 	c.Add("hits", 10)
 	if h.Get() != 16 {
 		t.Fatalf("mixed access: handle Get = %d, want 16", h.Get())
-	}
-	c.Reset()
-	if h.Get() != 0 {
-		t.Fatalf("Reset must zero handle slots")
 	}
 	// Zero handle and nil set are safe no-ops.
 	var zero Counter

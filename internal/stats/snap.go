@@ -8,8 +8,7 @@ import (
 
 // SaveSnap encodes the counter set — names and values in registration
 // order — for a simulator snapshot. Registration order is part of the
-// encoding because rendered output (DumpStats, metric registries) follows
-// it, so a resumed run must reproduce it exactly.
+// encoding so that a resumed run saves the same bytes again.
 func (c *Counters) SaveSnap(w *snapbuf.Writer) {
 	w.U64(uint64(len(c.order)))
 	for _, name := range c.order {

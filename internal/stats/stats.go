@@ -2,11 +2,6 @@
 // used by every simulated component and by the experiment harnesses.
 package stats
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Counters is a named set of monotonically increasing counters. The zero
 // value is not ready; use NewCounters.
 //
@@ -51,12 +46,13 @@ func (h Counter) Get() uint64 {
 }
 
 // LazyCounter is a handle that registers its counter on the first Inc or
-// Add instead of at construction. Registration order is part of the
-// counter set's output (String, SaveSnap, every stats dump) and a
-// never-touched counter stays absent, so a LazyCounter behaves exactly
-// like the string-keyed Inc at the same call site, minus the map lookup
-// after the first use. Keep it in the owning struct and call it through
-// a pointer: the resolved slot is cached in the handle.
+// Add instead of at construction. A never-touched counter stays absent
+// from every stats dump, and registration order is part of the SaveSnap
+// bytes (dumps sort names, so it reaches nothing else); a LazyCounter
+// keeps both exactly as the string-keyed Inc at the same call site
+// would, minus the map lookup after the first use. Keep it in the
+// owning struct and call it through a pointer: the resolved slot is
+// cached in the handle.
 type LazyCounter struct {
 	set  *Counters
 	name string
@@ -120,21 +116,11 @@ func (c *Counters) Get(name string) uint64 {
 	return 0
 }
 
-// Set overwrites the named counter.
-func (c *Counters) Set(name string, v uint64) { *c.slot(name) = v }
-
 // Names returns counter names in first-use order.
 func (c *Counters) Names() []string {
 	out := make([]string, len(c.order))
 	copy(out, c.order)
 	return out
-}
-
-// Reset zeroes all counters but keeps their registration order.
-func (c *Counters) Reset() {
-	for _, p := range c.values {
-		*p = 0
-	}
 }
 
 // Snapshot returns a copy of the current values.
@@ -144,13 +130,4 @@ func (c *Counters) Snapshot() map[string]uint64 {
 		out[k] = *p
 	}
 	return out
-}
-
-// String renders the counters one per line in registration order.
-func (c *Counters) String() string {
-	var b strings.Builder
-	for _, name := range c.order {
-		fmt.Fprintf(&b, "%-40s %d\n", name, *c.values[name])
-	}
-	return b.String()
 }

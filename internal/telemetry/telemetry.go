@@ -1,8 +1,7 @@
-// Package telemetry is the sim-time observability layer of the
-// simulator: a deterministic tracer that records spans, instant events,
-// and counter samples keyed by engine cycles (never wall clock), plus a
-// hierarchical metrics registry (registry.go) that adopts the
-// per-component stats.Counters under stable dotted names.
+// Package telemetry is the sim-time tracer of the simulator: it records
+// spans, instant events, and counter samples keyed by engine cycles
+// (never wall clock). Metric names and values are not its business:
+// kernel.DumpStats walks the components' stats.Counters directly.
 //
 // Traces serialize to the Chrome trace-event JSON format, which
 // ui.perfetto.dev loads directly. Timestamps are emitted in raw engine

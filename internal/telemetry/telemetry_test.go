@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"prosper/internal/sim"
-	"prosper/internal/stats"
 )
 
 // TestNilTracerSafe pins the disabled fast path: every operation on a
@@ -104,69 +103,6 @@ func TestTracerLaneOrder(t *testing.T) {
 	}
 }
 
-// snapshot collects every metric's name and value in Each order.
-func snapshot(r *Registry) (names []string, values []uint64) {
-	r.Each(func(n string, v uint64) {
-		names = append(names, n)
-		values = append(values, v)
-	})
-	return names, values
-}
-
-func TestRegistryOrderingAndSnapshot(t *testing.T) {
-	c1 := stats.NewCounters()
-	c1.Add("zeta", 3)
-	c1.Add("alpha", 1)
-	c2 := stats.NewCounters()
-	c2.Add("beta", 2)
-
-	r := NewRegistry()
-	r.Register("dev", c1)
-	r.Register("skip", nil) // ignored
-	r.RegisterFunc("proc", func(emit func(string, uint64)) {
-		emit("checkpoints", 9)
-		emit("thread0.user_ops", 42)
-	})
-	r.Register("cache", c2)
-
-	names, values := snapshot(r)
-	wantNames := []string{"dev.alpha", "dev.zeta", "proc.checkpoints", "proc.thread0.user_ops", "cache.beta"}
-	wantValues := []uint64{1, 3, 9, 42, 2}
-	if len(names) != len(wantNames) {
-		t.Fatalf("snapshot has %d entries, want %d: %v", len(names), len(wantNames), names)
-	}
-	for i := range wantNames {
-		if names[i] != wantNames[i] || values[i] != wantValues[i] {
-			t.Fatalf("entry %d = %s=%d, want %s=%d", i, names[i], values[i], wantNames[i], wantValues[i])
-		}
-	}
-
-	var text bytes.Buffer
-	r.WriteText(&text)
-	want := "dev.alpha 1\ndev.zeta 3\nproc.checkpoints 9\nproc.thread0.user_ops 42\ncache.beta 2\n"
-	if text.String() != want {
-		t.Fatalf("text dump:\n%s\nwant:\n%s", text.String(), want)
-	}
-
-	var js bytes.Buffer
-	if err := r.WriteJSON(&js, func(emit func(string, uint64)) { emit("sim.cycles", 77) }); err != nil {
-		t.Fatal(err)
-	}
-	var parsed map[string]uint64
-	if err := json.Unmarshal(js.Bytes(), &parsed); err != nil {
-		t.Fatalf("registry JSON invalid: %v\n%s", err, js.String())
-	}
-	if parsed["dev.zeta"] != 3 || parsed["sim.cycles"] != 77 {
-		t.Fatalf("registry JSON lost values: %v", parsed)
-	}
-	// Key order in the raw bytes must match Each order (insertion order).
-	raw := js.String()
-	if strings.Index(raw, `"dev.alpha"`) > strings.Index(raw, `"dev.zeta"`) ||
-		strings.Index(raw, `"cache.beta"`) > strings.Index(raw, `"sim.cycles"`) {
-		t.Fatalf("registry JSON key order not preserved:\n%s", raw)
-	}
-}
-
 // TestCounterProbeSampling checks Sample polls every probe exactly once
 // at the current sim time.
 func TestCounterProbeSampling(t *testing.T) {
@@ -198,68 +134,6 @@ func TestCounterProbeSampling(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("trace missing %s:\n%s", want, buf.String())
 		}
-	}
-}
-
-// TestRegistryHistograms pins the deterministic expansion of histogram
-// groups: sorted histogram names, each expanded to the fixed scalar
-// suffix order count/sum/min/max/p50/p95/p99, interleaved with other
-// groups in registration order, in both WriteText and WriteJSON.
-func TestRegistryHistograms(t *testing.T) {
-	hs := stats.NewHistograms()
-	lat := hs.New("z_latency")
-	hs.New("a_wait") // registered later than z_latency, sorts first
-	for i := 0; i < 10; i++ {
-		lat.Observe(10)
-	}
-	lat.Observe(100)
-
-	c := stats.NewCounters()
-	c.Add("ops", 7)
-
-	r := NewRegistry()
-	r.Register("dev", c)
-	r.RegisterHistograms("dev", hs)
-	r.RegisterHistograms("skip", nil) // ignored
-
-	var text bytes.Buffer
-	r.WriteText(&text)
-	want := "dev.ops 7\n" +
-		"dev.a_wait.count 0\ndev.a_wait.sum 0\ndev.a_wait.min 0\ndev.a_wait.max 0\n" +
-		"dev.a_wait.p50 0\ndev.a_wait.p95 0\ndev.a_wait.p99 0\n" +
-		"dev.z_latency.count 11\ndev.z_latency.sum 200\ndev.z_latency.min 10\ndev.z_latency.max 100\n" +
-		"dev.z_latency.p50 15\ndev.z_latency.p95 100\ndev.z_latency.p99 100\n"
-	if text.String() != want {
-		t.Fatalf("histogram text dump:\n%s\nwant:\n%s", text.String(), want)
-	}
-
-	var js bytes.Buffer
-	if err := r.WriteJSON(&js, nil); err != nil {
-		t.Fatal(err)
-	}
-	var parsed map[string]uint64
-	if err := json.Unmarshal(js.Bytes(), &parsed); err != nil {
-		t.Fatalf("histogram JSON invalid: %v\n%s", err, js.String())
-	}
-	if parsed["dev.z_latency.p50"] != 15 || parsed["dev.a_wait.count"] != 0 {
-		t.Fatalf("histogram JSON values wrong: %v", parsed)
-	}
-	raw := js.String()
-	if strings.Index(raw, `"dev.a_wait.count"`) > strings.Index(raw, `"dev.z_latency.count"`) {
-		t.Fatalf("histogram JSON key order not sorted by name:\n%s", raw)
-	}
-}
-
-// TestRegistryEmptyPrefix: a group registered under "" keeps its own
-// fully-qualified names with no leading dot.
-func TestRegistryEmptyPrefix(t *testing.T) {
-	c := stats.NewCounters()
-	c.Add("core0.tlb.hits", 3)
-	r := NewRegistry()
-	r.Register("", c)
-	names, values := snapshot(r)
-	if len(names) != 1 || names[0] != "core0.tlb.hits" || values[0] != 3 {
-		t.Fatalf("empty prefix snapshot = %v %v", names, values)
 	}
 }
 

@@ -36,7 +36,7 @@ type TLB struct {
 
 // NewTLB returns a TLB with the given number of entries. Counter keys
 // are namespaced under the owner's name ("<name>.hits"), so per-core
-// TLBs merged into one registry stay distinct.
+// TLBs stay distinct in the stats dump, which prints them unprefixed.
 func NewTLB(name string, size int) *TLB {
 	t := &TLB{
 		entries:    make([]TLBEntry, size),
