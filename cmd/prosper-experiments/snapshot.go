@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"prosper/internal/persist"
 	"prosper/internal/runner"
@@ -18,31 +19,21 @@ import (
 // interval. -snapshot-out and -resume-from must be given the same flags
 // — the snapshot's embedded fingerprint refuses anything else.
 func snapshotSpec(mech string, seed uint64, interval sim.Time, checkpoints int) (runner.Spec, error) {
-	sp := runner.Spec{
+	stack, ok := persist.ByName(mech)
+	if !ok {
+		return runner.Spec{}, fmt.Errorf("unknown snapshot mechanism %q (want one of %s)", mech, strings.Join(persist.Names(), ", "))
+	}
+	return runner.Spec{
 		Name: "cli-snap-" + mech,
 		Prog: func() workload.Program {
 			return workload.NewRandom(workload.MicroParams{ArrayBytes: 16 << 10, WritesPerRun: 128})
 		},
+		StackMech:   stack,
 		Checkpoint:  true,
 		Interval:    interval,
 		Checkpoints: checkpoints,
 		Seed:        seed,
-	}
-	switch mech {
-	case "prosper":
-		sp.StackMech = persist.NewProsper(persist.ProsperConfig{})
-	case "dirtybit":
-		sp.StackMech = persist.NewDirtybit(persist.DirtybitConfig{})
-	case "ssp":
-		sp.StackMech = persist.NewSSP(persist.SSPConfig{})
-	case "romulus":
-		sp.StackMech = persist.NewRomulus()
-	case "writeprotect":
-		sp.StackMech = persist.NewWriteProtect(persist.DirtybitConfig{})
-	default:
-		return runner.Spec{}, fmt.Errorf("unknown snapshot mechanism %q (want prosper, dirtybit, ssp, romulus, or writeprotect)", mech)
-	}
-	return sp, nil
+	}, nil
 }
 
 // snapshotExit maps snapshot-path errors to exit codes: the typed

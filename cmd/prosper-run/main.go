@@ -22,26 +22,17 @@ import (
 	"prosper/internal/workload"
 )
 
-func mechFactory(name string, consolidationUS int) (persist.Factory, bool) {
-	cons := sim.Time(consolidationUS) * sim.Microsecond
+// factory resolves a -stack/-heap name through persist.ByName, except
+// that "none" is nil (the kernel's default: a None heap mechanism would
+// add checkpoint steps) and SSP takes the -consolidation interval.
+func factory(name string, consolidationUS int) (persist.Factory, bool) {
 	switch name {
 	case "", "none":
 		return nil, true
-	case "prosper":
-		return persist.NewProsper(persist.ProsperConfig{}), true
-	case "prosper-adaptive":
-		return persist.NewAdaptiveProsper(persist.AdaptiveConfig{}), true
-	case "dirtybit":
-		return persist.NewDirtybit(persist.DirtybitConfig{}), true
-	case "writeprotect":
-		return persist.NewWriteProtect(persist.DirtybitConfig{}), true
-	case "romulus":
-		return persist.NewRomulus(), true
 	case "ssp":
-		return persist.NewSSP(persist.SSPConfig{ConsolidationInterval: cons}), true
-	default:
-		return nil, false
+		return persist.NewSSP(persist.SSPConfig{ConsolidationInterval: sim.Time(consolidationUS) * sim.Microsecond}), true
 	}
+	return persist.ByName(name)
 }
 
 func workloadByName(name string, arg int) workload.Program {
@@ -104,12 +95,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	stackF, ok := mechFactory(*stack, *cons)
+	stackF, ok := factory(*stack, *cons)
 	if !ok {
 		fmt.Fprintf(stderr, "unknown stack mechanism %q\n", *stack)
 		return 2
 	}
-	heapF, ok := mechFactory(*heap, *cons)
+	heapF, ok := factory(*heap, *cons)
 	if !ok {
 		fmt.Fprintf(stderr, "unknown heap mechanism %q\n", *heap)
 		return 2
@@ -156,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "checkpoints        %d\n", p.CheckpointCount)
 	fmt.Fprintf(stdout, "persisted bytes    %d (stack %d)\n", p.CheckpointBytes, p.StackCkptBytes)
 	if p.CheckpointCount > 0 {
-		fmt.Fprintf(stdout, "mean ckpt cycles   %d\n", uint64(p.CheckpointTime)/p.CheckpointCount)
+		fmt.Fprintf(stdout, "mean ckpt cycles   %d\n", p.Counters.Get("proc.ckpt_cycles")/p.CheckpointCount)
 	}
 	if rep := kernel.Fsck(k.Mach.Storage); !rep.OK() {
 		fmt.Fprintln(stdout, "FSCK PROBLEMS:", rep.Problems)

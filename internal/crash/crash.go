@@ -70,25 +70,16 @@ func Mechanisms() []string {
 	return []string{"prosper", "dirtybit", "ssp", "romulus", "none"}
 }
 
-// factoryFor resolves a mechanism name to its persist factory; nil means
-// the kernel's no-persistence baseline.
-func factoryFor(name string) (persist.Factory, error) {
-	switch name {
-	case "prosper":
-		return persist.NewProsper(persist.ProsperConfig{}), nil
-	case "dirtybit":
-		return persist.NewDirtybit(persist.DirtybitConfig{}), nil
-	case "ssp":
-		return persist.NewSSP(persist.SSPConfig{}), nil
-	case "romulus":
-		return persist.NewRomulus(), nil
-	case "none":
-		return nil, nil
-	case "brokenfence":
+// mechanism resolves a sweep's mechanism name: persist.ByName's table
+// plus the planted "brokenfence" bug.
+func mechanism(name string) (persist.Factory, error) {
+	if name == "brokenfence" {
 		return persist.NewBrokenFence(persist.DirtybitConfig{}), nil
-	default:
-		return nil, fmt.Errorf("crash: unknown mechanism %q", name)
 	}
+	if f, ok := persist.ByName(name); ok {
+		return f, nil
+	}
+	return nil, fmt.Errorf("crash: unknown mechanism %q", name)
 }
 
 // Config parameterizes one crash-point sweep of one mechanism.
@@ -279,7 +270,7 @@ func (o *stackObserver) ObserveStore(vaddr uint64, size int) {
 // spawn starts the sweep's process on k. Golden and crash runs call this
 // with identical configs, which is what makes them cycle-identical.
 func (cfg Config) spawn(k *kernel.Kernel) (*kernel.Process, *workload.CounterProgram, error) {
-	fac, err := factoryFor(cfg.Mechanism)
+	fac, err := mechanism(cfg.Mechanism)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -469,7 +460,7 @@ func (cfg Config) runPoint(g *golden, c sim.Time) (PointResult, bool) {
 	}
 
 	k2 := kernel.New(kernel.Config{Machine: machine.Config{Cores: 1, ADR: cfg.ADR, Storage: img}})
-	fac, err := factoryFor(cfg.Mechanism)
+	fac, err := mechanism(cfg.Mechanism)
 	if err != nil {
 		res.Violation = err.Error()
 		return res, forked

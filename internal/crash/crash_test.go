@@ -71,7 +71,7 @@ func TestCrashBeforeFirstCommit(t *testing.T) {
 	if rep := kernel.Fsck(img); !rep.OK() {
 		t.Fatalf("fsck before first commit: %v", rep.Problems)
 	}
-	fac, err := factoryFor(cfg.Mechanism)
+	fac, err := mechanism(cfg.Mechanism)
 	if err != nil {
 		t.Fatal(err)
 	}

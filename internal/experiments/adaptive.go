@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"prosper/internal/persist"
+	"prosper/internal/runner"
 	"prosper/internal/stats"
 	"prosper/internal/workload"
 )
@@ -28,10 +29,7 @@ type AdaptiveRow struct {
 // at fine granularity with tiny checkpoints.
 func Adaptive(s Scale) ([]AdaptiveRow, *stats.Table) {
 	s = s.withDefaults()
-	benches := []struct {
-		name string
-		prog func() workload.Program
-	}{
+	benches := []bench{
 		{"stream", func() workload.Program {
 			return workload.NewStream(workload.MicroParams{ArrayBytes: 128 << 10})
 		}},
@@ -39,27 +37,24 @@ func Adaptive(s Scale) ([]AdaptiveRow, *stats.Table) {
 			return workload.NewSparse(workload.MicroParams{ArrayBytes: 64 << 10})
 		}},
 	}
-	modes := []struct {
-		name    string
-		factory persist.Factory
-	}{
+	modes := []mech{
 		{"fixed-8B", persist.NewProsper(persist.ProsperConfig{})},
 		{"adaptive", persist.NewAdaptiveProsper(persist.AdaptiveConfig{})},
 	}
 
-	var rcs []runConfig
+	var specs []runner.Spec
 	for _, b := range benches {
 		for _, m := range modes {
-			rcs = append(rcs, runConfig{
-				name: b.name, label: b.name + "/" + m.name, prog: b.prog,
-				stackMech: m.factory, ckpt: true,
+			specs = append(specs, runner.Spec{
+				Name: b.name, Label: b.name + "/" + m.name, Prog: b.prog,
+				StackMech: m.factory, Checkpoint: true,
 				// More checkpoints than usual so the tuner converges
 				// within the measured window.
-				checkpoints: s.Checkpoints * 6,
+				Checkpoints: s.Checkpoints * 6,
 			})
 		}
 	}
-	res := s.runPlan("adaptive", rcs)
+	res := s.runPlan("adaptive", specs)
 
 	tb := stats.NewTable("Extension: dynamic tracking granularity (fixed 8B vs adaptive)",
 		"benchmark", "mode", "mean_ckpt_bytes", "mean_ckpt_cycles", "meta_words")

@@ -19,10 +19,7 @@ package experiments
 
 import (
 	"prosper/internal/journey"
-	"prosper/internal/kernel"
-	"prosper/internal/machine"
 	"prosper/internal/persist"
-	"prosper/internal/prosper"
 	"prosper/internal/runner"
 	"prosper/internal/sim"
 	"prosper/internal/stats"
@@ -129,76 +126,49 @@ func (s Scale) consolidation(paperInterval sim.Time) sim.Time {
 	return scaled
 }
 
-// RunStats is the outcome of one measured workload run (owned by
-// internal/runner; aliased here so figure code and its callers keep the
-// historical name).
-type RunStats = runner.RunStats
-
-// runConfig describes one run of the standard single-process workload:
-// today's spec-builder shorthand, converted to a runner.Spec by
-// Scale.spec. The optional fields override the Scale for a single run.
-type runConfig struct {
-	name      string
-	label     string // display label for progress reports (default: name)
-	prog      func() workload.Program
-	stackMech persist.Factory
-	heapMech  persist.Factory
-	ckpt      bool
-	cores     int
-	threads   int
-	// tracker configures the per-core Prosper trackers (Fig 13 HWM/LWM
-	// sweeps and the allocation-policy ablation).
-	tracker prosper.Config
-	// interval/checkpoints override the Scale's values when nonzero
-	// (Fig 11's interval sweep, the adaptive-granularity convergence).
-	interval    sim.Time
-	checkpoints int
+// bench is a named workload; prog builds one program per thread.
+type bench struct {
+	name string
+	prog func() workload.Program
 }
 
-// spec converts a runConfig into a runner.Spec under this scale.
-func (s Scale) spec(rc runConfig) runner.Spec {
-	label := rc.label
-	if label == "" {
-		label = rc.name
-	}
-	iv := s.Interval
-	if rc.interval != 0 {
-		iv = rc.interval
-	}
-	cks := s.Checkpoints
-	if rc.checkpoints != 0 {
-		cks = rc.checkpoints
-	}
-	return runner.Spec{
-		Name:         rc.name,
-		Label:        label,
-		Prog:         rc.prog,
-		StackMech:    rc.stackMech,
-		HeapMech:     rc.heapMech,
-		Checkpoint:   rc.ckpt,
-		Cores:        rc.cores,
-		Threads:      rc.threads,
-		Tracker:      rc.tracker,
-		Interval:     iv,
-		Checkpoints:  cks,
-		Warmup:       s.Warmup,
-		StackReserve: s.StackReserve,
-		HeapSize:     s.HeapSize,
-		Seed:         s.Seed,
-	}
+// mech is a named persistence mechanism under test.
+type mech struct {
+	name    string
+	factory persist.Factory
 }
 
-// runPlan executes the configs as one named plan on the scale's worker
-// pool and returns stats in plan order. A panicking run is re-raised
-// here, tagged with its spec label — the same crash a sequential loop
-// would have produced, minus the runs that still completed.
-func (s Scale) runPlan(figure string, rcs []runConfig) []RunStats {
-	specs := make([]runner.Spec, len(rcs))
-	for i, rc := range rcs {
-		sp := s.spec(rc)
-		if figure != "" {
-			sp.Label = figure + "/" + sp.DisplayLabel()
-		}
+// own fills the fields of sp that the scale owns: Interval and
+// Checkpoints where sp leaves them zero (Fig 11 and the adaptive study
+// set their own), and always Warmup, the segment sizes and the seed. A
+// nonempty figure name prefixes the label.
+func (s Scale) own(figure string, sp runner.Spec) runner.Spec {
+	if sp.Interval == 0 {
+		sp.Interval = s.Interval
+	}
+	if sp.Checkpoints == 0 {
+		sp.Checkpoints = s.Checkpoints
+	}
+	sp.Warmup = s.Warmup
+	sp.StackReserve = s.StackReserve
+	sp.HeapSize = s.HeapSize
+	sp.Seed = s.Seed
+	if figure != "" {
+		sp.Label = figure + "/" + sp.DisplayLabel()
+	}
+	return sp
+}
+
+// runPlan executes the specs as one named plan on the scale's worker
+// pool and returns stats in plan order. Each spec is first completed by
+// own, then given its tracer lane and journey recorder, in plan order so
+// the serialized trace and journal do not depend on the worker count. A
+// panicking run is re-raised here, tagged with its spec label — the same
+// crash a sequential loop would have produced, minus the runs that still
+// completed.
+func (s Scale) runPlan(figure string, specs []runner.Spec) []runner.RunStats {
+	for i, sp := range specs {
+		sp = s.own(figure, sp)
 		if s.Trace != nil {
 			sp.Tracer = s.Trace.NewTracer(sp.DisplayLabel())
 			sp.SampleEvery = s.SampleEvery
@@ -226,50 +196,6 @@ func (s Scale) record(r runner.Result) {
 		SimCycles: int64(r.Stats.SimEnd),
 		Wall:      r.Wall,
 	})
-}
-
-// run executes one configuration (a single-spec plan) and collects stats.
-func (s Scale) run(rc runConfig) RunStats {
-	return s.runPlan("", []runConfig{rc})[0]
-}
-
-// runIPCWindow measures user cycles spent executing a fixed window of the
-// (deterministic) op stream: ops [warmupOps, warmupOps+measureOps). Both
-// the baseline and the tracked run execute the identical sequence, so the
-// cycle delta isolates the tracking overhead exactly — the user-space IPC
-// methodology of Figure 12 without time-window sampling noise.
-func (s Scale) runIPCWindow(rc runConfig, trCfg prosper.Config, warmupOps, measureOps uint64) (ops, cycles uint64) {
-	if rc.cores <= 0 {
-		rc.cores = 1
-	}
-	k := kernel.New(kernel.Config{
-		Machine:    machine.Config{Cores: rc.cores},
-		Quantum:    s.Interval / 2,
-		TrackerCfg: trCfg,
-	})
-	pc := kernel.ProcessConfig{
-		Name:         rc.name,
-		StackMech:    rc.stackMech,
-		HeapMech:     rc.heapMech,
-		StackReserve: s.StackReserve,
-		HeapSize:     s.HeapSize,
-		PremapHeap:   true, // measure warmed-up steady state
-		Seed:         s.Seed,
-	}
-	if rc.ckpt {
-		pc.CheckpointInterval = s.Interval
-	}
-	p := k.Spawn(pc, rc.prog())
-	defer p.Shutdown()
-	th := p.Threads[0]
-
-	deadline := k.Eng.Now() + 60*sim.Millisecond // hard cap
-	k.Eng.RunWhile(func() bool { return th.UserOps < warmupOps && k.Eng.Now() < deadline })
-	startCycles := th.UserCycles
-	startOps := th.UserOps
-	target := startOps + measureOps
-	k.Eng.RunWhile(func() bool { return th.UserOps < target && k.Eng.Now() < deadline })
-	return th.UserOps - startOps, th.UserCycles - startCycles
 }
 
 // apps returns the three application models of the main evaluation.

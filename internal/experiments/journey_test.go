@@ -6,21 +6,22 @@ import (
 
 	"prosper/internal/journey"
 	"prosper/internal/persist"
+	"prosper/internal/runner"
 	"prosper/internal/workload"
 )
 
 // journeyPlan is a small four-mechanism plan used by the determinism
 // tests: every stack mechanism of the main evaluation, on the micro
 // workload, each producing sampled journeys.
-func journeyPlan() []runConfig {
+func journeyPlan() []runner.Spec {
 	prog := func() workload.Program {
 		return workload.NewRandom(workload.MicroParams{ArrayBytes: 16 << 10, WritesPerRun: 96})
 	}
-	return []runConfig{
-		{name: "prosper", prog: prog, stackMech: persist.NewProsper(persist.ProsperConfig{}), ckpt: true},
-		{name: "dirtybit", prog: prog, stackMech: persist.NewDirtybit(persist.DirtybitConfig{}), ckpt: true},
-		{name: "ssp", prog: prog, stackMech: persist.NewSSP(persist.SSPConfig{}), ckpt: true},
-		{name: "romulus", prog: prog, stackMech: persist.NewRomulus(), ckpt: true},
+	return []runner.Spec{
+		{Name: "prosper", Prog: prog, StackMech: persist.NewProsper(persist.ProsperConfig{}), Checkpoint: true},
+		{Name: "dirtybit", Prog: prog, StackMech: persist.NewDirtybit(persist.DirtybitConfig{}), Checkpoint: true},
+		{Name: "ssp", Prog: prog, StackMech: persist.NewSSP(persist.SSPConfig{}), Checkpoint: true},
+		{Name: "romulus", Prog: prog, StackMech: persist.NewRomulus(), Checkpoint: true},
 	}
 }
 

@@ -13,17 +13,11 @@ import (
 
 // overheadBenches returns the Figure 12/13 workload set: the SPEC CPU
 // 2017 subset plus SSSP, PR, and the Stream micro-benchmark.
-func overheadBenches() []struct {
-	name string
-	prog func() workload.Program
-} {
+func overheadBenches() []bench {
 	mk := func(p workload.AppParams) func() workload.Program {
 		return func() workload.Program { return workload.NewApp(p) }
 	}
-	return []struct {
-		name string
-		prog func() workload.Program
-	}{
+	return []bench{
 		{"mcf", mk(workload.SpecMCF())},
 		{"omnetpp", mk(workload.SpecOmnetpp())},
 		{"perlbench", mk(workload.SpecPerlbench())},
@@ -50,10 +44,11 @@ type Fig12Row struct {
 // tracking imposes on applications, measured as user-space IPC relative
 // to a run with no dirty tracking, for granularities 8/64/128 bytes.
 //
-// The IPC-window methodology does not produce RunStats, so this figure
-// fans out per benchmark with runner.ForEach instead of a plan: each
-// iteration owns its baseline and its three tracked runs, and the rows
-// are assembled in benchmark order afterwards.
+// The op-window methodology (runner.Spec.OpWindow) does not produce
+// RunStats, so this figure fans out per benchmark with runner.ForEach
+// instead of a plan: each iteration owns its baseline and its three
+// tracked windows, and the rows are assembled in benchmark order
+// afterwards.
 func Fig12(s Scale) ([]Fig12Row, *stats.Table) {
 	s = s.withDefaults()
 	benches := overheadBenches()
@@ -64,22 +59,23 @@ func Fig12(s Scale) ([]Fig12Row, *stats.Table) {
 	slots := make([][]Fig12Row, len(benches))
 	runner.ForEach(s.Workers, len(benches), func(i int) {
 		b := benches[i]
-		baseOps, baseCycles := s.runIPCWindow(runConfig{name: b.name, prog: b.prog},
-			prosper.Config{}, warmupOps, measureOps)
+		base := s.own("fig12", runner.Spec{Name: b.name, Label: b.name + "/base", Prog: b.prog})
+		baseOps, baseCycles := base.OpWindow(warmupOps, measureOps)
 		var rows []Fig12Row
 		for _, gran := range grans {
-			ops, cycles := s.runIPCWindow(runConfig{
-				name: b.name, prog: b.prog,
-				stackMech: persist.NewProsper(persist.ProsperConfig{Granularity: gran}),
-				ckpt:      true,
-			}, prosper.Config{}, warmupOps, measureOps)
+			g := fmt.Sprintf("%dB", gran)
+			ops, cycles := s.own("fig12", runner.Spec{
+				Name: b.name, Label: b.name + "/" + g, Prog: b.prog,
+				StackMech:  persist.NewProsper(persist.ProsperConfig{Granularity: gran}),
+				Checkpoint: true,
+			}).OpWindow(warmupOps, measureOps)
 			speedup := 0.0
 			if cycles > 0 && baseOps > 0 && baseCycles > 0 {
 				baseIPC := float64(baseOps) / float64(baseCycles)
 				trackIPC := float64(ops) / float64(cycles)
 				speedup = trackIPC / baseIPC
 			}
-			rows = append(rows, Fig12Row{b.name, fmt.Sprintf("%dB", gran), speedup})
+			rows = append(rows, Fig12Row{b.name, g, speedup})
 		}
 		slots[i] = rows
 	})
@@ -94,6 +90,15 @@ func Fig12(s Scale) ([]Fig12Row, *stats.Table) {
 		}
 	}
 	return rows, tb
+}
+
+// trackerBenches returns the Figure 13 and ablation workloads: mcf (poor
+// stack locality) and SSSP (good).
+func trackerBenches() []bench {
+	return []bench{
+		{"mcf", func() workload.Program { return workload.NewApp(workload.SpecMCF()) }},
+		{"g500_sssp", func() workload.Program { return workload.NewApp(workload.G500SSSP()) }},
+	}
 }
 
 // Fig13Row is one (benchmark, parameter value) bitmap-traffic result.
@@ -114,13 +119,7 @@ type Fig13Row struct {
 // HWM (poor locality) and falls with a larger LWM.
 func Fig13(s Scale) ([]Fig13Row, *stats.Table) {
 	s = s.withDefaults()
-	benches := []struct {
-		name string
-		prog func() workload.Program
-	}{
-		{"mcf", func() workload.Program { return workload.NewApp(workload.SpecMCF()) }},
-		{"g500_sssp", func() workload.Program { return workload.NewApp(workload.G500SSSP()) }},
-	}
+	benches := trackerBenches()
 	type sweep struct {
 		param string
 		value int
@@ -134,18 +133,16 @@ func Fig13(s Scale) ([]Fig13Row, *stats.Table) {
 		sweeps = append(sweeps, sweep{"lwm", lwm, prosper.Config{HWM: 24, LWM: lwm}})
 	}
 
-	var rcs []runConfig
+	var specs []runner.Spec
 	for _, b := range benches {
 		for _, sw := range sweeps {
-			rcs = append(rcs, runConfig{
-				name: b.name, label: fmt.Sprintf("%s/%s=%d", b.name, sw.param, sw.value),
-				prog:      b.prog,
-				stackMech: persist.NewProsper(persist.ProsperConfig{}), ckpt: true,
-				tracker: sw.cfg,
+			specs = append(specs, runner.Spec{
+				Name: b.name, Label: fmt.Sprintf("%s/%s=%d", b.name, sw.param, sw.value), Prog: b.prog,
+				StackMech: persist.NewProsper(persist.ProsperConfig{}), Checkpoint: true, Tracker: sw.cfg,
 			})
 		}
 	}
-	res := s.runPlan("fig13", rcs)
+	res := s.runPlan("fig13", specs)
 
 	tb := stats.NewTable("Figure 13: bitmap loads/stores vs HWM (LWM=4) and vs LWM (HWM=24)",
 		"benchmark", "param", "value", "bitmap_loads", "bitmap_stores")
@@ -173,26 +170,20 @@ type AblationRow struct {
 // III-B) against Load-and-Update on the Figure 13 workloads.
 func Ablation(s Scale) ([]AblationRow, *stats.Table) {
 	s = s.withDefaults()
-	benches := []struct {
-		name string
-		prog func() workload.Program
-	}{
-		{"mcf", func() workload.Program { return workload.NewApp(workload.SpecMCF()) }},
-		{"g500_sssp", func() workload.Program { return workload.NewApp(workload.G500SSSP()) }},
-	}
+	benches := trackerBenches()
 	policies := []prosper.AllocPolicy{prosper.AccumulateApply, prosper.LoadUpdate}
 
-	var rcs []runConfig
+	var specs []runner.Spec
 	for _, b := range benches {
 		for _, pol := range policies {
-			rcs = append(rcs, runConfig{
-				name: b.name, label: b.name + "/" + pol.String(), prog: b.prog,
-				stackMech: persist.NewProsper(persist.ProsperConfig{}), ckpt: true,
-				tracker: prosper.Config{Policy: pol},
+			specs = append(specs, runner.Spec{
+				Name: b.name, Label: b.name + "/" + pol.String(), Prog: b.prog,
+				StackMech: persist.NewProsper(persist.ProsperConfig{}), Checkpoint: true,
+				Tracker: prosper.Config{Policy: pol},
 			})
 		}
 	}
-	res := s.runPlan("ablation", rcs)
+	res := s.runPlan("ablation", specs)
 
 	tb := stats.NewTable("Ablation: lookup-table allocation policy",
 		"benchmark", "policy", "bitmap_loads", "bitmap_stores", "ipc")
@@ -224,14 +215,14 @@ func ContextSwitch(s Scale) (CtxSwitchResult, *stats.Table) {
 	// No periodic checkpoints: the study isolates the per-switch tracker
 	// flush/quiesce/save plus MSR reload on quantum preemptions between
 	// the two threads.
-	r := s.run(runConfig{
-		name: "ctxswitch",
-		prog: func() workload.Program {
+	r := s.runPlan("", []runner.Spec{{
+		Name: "ctxswitch",
+		Prog: func() workload.Program {
 			return workload.NewRandom(workload.MicroParams{ArrayBytes: 32 << 10, WritesPerRun: 256})
 		},
-		stackMech: persist.NewProsper(persist.ProsperConfig{}),
-		threads:   2,
-	})
+		StackMech: persist.NewProsper(persist.ProsperConfig{}),
+		Threads:   2,
+	}})[0]
 	var res CtxSwitchResult
 	res.Switches = r.CtxSwitches
 	if r.CtxSwitches > 0 {
@@ -248,12 +239,12 @@ func ContextSwitch(s Scale) (CtxSwitchResult, *stats.Table) {
 // Energy reproduces the Section V energy/area estimate for a measured run.
 func Energy(s Scale) (energy.Report, *stats.Table) {
 	s = s.withDefaults()
-	r := s.run(runConfig{
-		name:      "gapbs_pr",
-		prog:      func() workload.Program { return workload.NewApp(workload.GapbsPR()) },
-		stackMech: persist.NewProsper(persist.ProsperConfig{}),
-		ckpt:      true,
-	})
+	r := s.runPlan("", []runner.Spec{{
+		Name:       "gapbs_pr",
+		Prog:       func() workload.Program { return workload.NewApp(workload.GapbsPR()) },
+		StackMech:  persist.NewProsper(persist.ProsperConfig{}),
+		Checkpoint: true,
+	}})[0]
 	rep := energy.Compute(energy.Activity{
 		SOIs:         r.TrackerSOIs,
 		TableUpdates: r.TrackerUpdates,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"prosper/internal/persist"
+	"prosper/internal/runner"
 	"prosper/internal/stats"
 	"prosper/internal/workload"
 )
@@ -37,14 +38,14 @@ func PauseBreakdown(s Scale) ([]PauseRow, *stats.Table) {
 	params := workload.GapbsPR()
 	prog := func() workload.Program { return workload.NewApp(params) }
 
-	var rcs []runConfig
+	var specs []runner.Spec
 	for _, m := range mechs {
-		rcs = append(rcs, runConfig{
-			name: params.Name, label: params.Name + "/" + m.name, prog: prog,
-			stackMech: m.factory, ckpt: true,
+		specs = append(specs, runner.Spec{
+			Name: params.Name, Label: params.Name + "/" + m.name, Prog: prog,
+			StackMech: m.factory, Checkpoint: true,
 		})
 	}
-	res := s.runPlan("pause", rcs)
+	res := s.runPlan("pause", specs)
 
 	headers := []string{"benchmark", "mechanism", "pauses", "pause_cycles", "p50", "p95", "max"}
 	headers = append(headers, persist.CauseNames()...)

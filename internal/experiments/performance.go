@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"prosper/internal/persist"
+	"prosper/internal/runner"
 	"prosper/internal/sim"
 	"prosper/internal/stats"
 	"prosper/internal/workload"
@@ -12,14 +13,8 @@ import (
 // stackMechanisms returns the Figure 8 stack-persistence contenders in
 // display order. SSP variants are named by the paper's consolidation
 // intervals, scaled to the run's interval.
-func (s Scale) stackMechanisms() []struct {
-	name    string
-	factory persist.Factory
-} {
-	return []struct {
-		name    string
-		factory persist.Factory
-	}{
+func (s Scale) stackMechanisms() []mech {
+	return []mech{
 		{"romulus", persist.NewRomulus()},
 		{"ssp-10us", persist.NewSSP(persist.SSPConfig{ConsolidationInterval: s.consolidation(10 * sim.Microsecond)})},
 		{"ssp-100us", persist.NewSSP(persist.SSPConfig{ConsolidationInterval: s.consolidation(100 * sim.Microsecond)})},
@@ -54,19 +49,19 @@ func Fig8(s Scale) ([]Fig8Row, *stats.Table) {
 
 	// Plan: per benchmark, one no-persistence baseline then every
 	// mechanism. Stride indexing recovers the pairs after execution.
-	var rcs []runConfig
+	var specs []runner.Spec
 	for _, params := range benches {
 		params := params
 		prog := func() workload.Program { return workload.NewApp(params) }
-		rcs = append(rcs, runConfig{name: params.Name, label: params.Name + "/base", prog: prog})
+		specs = append(specs, runner.Spec{Name: params.Name, Label: params.Name + "/base", Prog: prog})
 		for _, m := range mechs {
-			rcs = append(rcs, runConfig{
-				name: params.Name, label: params.Name + "/" + m.name, prog: prog,
-				stackMech: m.factory, ckpt: true,
+			specs = append(specs, runner.Spec{
+				Name: params.Name, Label: params.Name + "/" + m.name, Prog: prog,
+				StackMech: m.factory, Checkpoint: true,
 			})
 		}
 	}
-	res := s.runPlan("fig8", rcs)
+	res := s.runPlan("fig8", specs)
 
 	tb := stats.NewTable("Figure 8: stack persistence, execution time normalized to no-persistence",
 		"benchmark", "mechanism", "normalized_time")
@@ -115,11 +110,11 @@ func Fig9(s Scale) ([]Fig9Row, *stats.Table) {
 	comboNames := []string{"ssp", "ssp+dirtybit", "ssp+prosper"}
 	benches := apps()
 
-	var rcs []runConfig
+	var specs []runner.Spec
 	for _, params := range benches {
 		params := params
 		prog := func() workload.Program { return workload.NewApp(params) }
-		rcs = append(rcs, runConfig{name: params.Name, label: params.Name + "/base", prog: prog})
+		specs = append(specs, runner.Spec{Name: params.Name, Label: params.Name + "/base", Prog: prog})
 		for _, iv := range intervals {
 			heap := persist.NewSSP(persist.SSPConfig{ConsolidationInterval: s.consolidation(iv.paper)})
 			stacks := []persist.Factory{
@@ -128,15 +123,15 @@ func Fig9(s Scale) ([]Fig9Row, *stats.Table) {
 				persist.NewProsper(persist.ProsperConfig{}),
 			}
 			for ci, stack := range stacks {
-				rcs = append(rcs, runConfig{
-					name:  params.Name,
-					label: fmt.Sprintf("%s/%s@%s", params.Name, comboNames[ci], iv.name),
-					prog:  prog, stackMech: stack, heapMech: heap, ckpt: true,
+				specs = append(specs, runner.Spec{
+					Name:  params.Name,
+					Label: fmt.Sprintf("%s/%s@%s", params.Name, comboNames[ci], iv.name),
+					Prog:  prog, StackMech: stack, HeapMech: heap, Checkpoint: true,
 				})
 			}
 		}
 	}
-	res := s.runPlan("fig9", rcs)
+	res := s.runPlan("fig9", specs)
 
 	tb := stats.NewTable("Figure 9: memory-state persistence (heap+stack), normalized to no-persistence",
 		"benchmark", "combination", "ssp_interval", "normalized_time")
@@ -170,15 +165,9 @@ type Fig10Row struct {
 }
 
 // microBenches returns the Table III micro-benchmarks.
-func microBenches() []struct {
-	name string
-	prog func() workload.Program
-} {
+func microBenches() []bench {
 	mp := workload.MicroParams{ArrayBytes: 64 << 10, WritesPerRun: 512}
-	return []struct {
-		name string
-		prog func() workload.Program
-	}{
+	return []bench{
 		{"random", func() workload.Program { return workload.NewRandom(mp) }},
 		{"stream", func() workload.Program { return workload.NewStream(mp) }},
 		{"sparse", func() workload.Program { return workload.NewSparse(mp) }},
@@ -204,20 +193,20 @@ func Fig10(s Scale) ([]Fig10Row, *stats.Table) {
 	s = s.withDefaults()
 	benches := microBenches()
 
-	var rcs []runConfig
+	var specs []runner.Spec
 	for _, mb := range benches {
-		rcs = append(rcs, runConfig{
-			name: mb.name, label: mb.name + "/page", prog: mb.prog,
-			stackMech: persist.NewDirtybit(persist.DirtybitConfig{}), ckpt: true,
+		specs = append(specs, runner.Spec{
+			Name: mb.name, Label: mb.name + "/page", Prog: mb.prog,
+			StackMech: persist.NewDirtybit(persist.DirtybitConfig{}), Checkpoint: true,
 		})
 		for _, gran := range fig10Grans {
-			rcs = append(rcs, runConfig{
-				name: mb.name, label: fmt.Sprintf("%s/%dB", mb.name, gran), prog: mb.prog,
-				stackMech: persist.NewProsper(persist.ProsperConfig{Granularity: gran}), ckpt: true,
+			specs = append(specs, runner.Spec{
+				Name: mb.name, Label: fmt.Sprintf("%s/%dB", mb.name, gran), Prog: mb.prog,
+				StackMech: persist.NewProsper(persist.ProsperConfig{Granularity: gran}), Checkpoint: true,
 			})
 		}
 	}
-	res := s.runPlan("fig10", rcs)
+	res := s.runPlan("fig10", specs)
 
 	tb := stats.NewTable("Figure 10: checkpoint size and time vs tracking granularity (micro-benchmarks)",
 		"benchmark", "granularity", "mean_ckpt_bytes", "time_vs_dirtybit")
@@ -259,10 +248,7 @@ type Fig11Row struct {
 // per-byte cost).
 func Fig11(s Scale) ([]Fig11Row, *stats.Table) {
 	s = s.withDefaults()
-	benches := []struct {
-		name string
-		prog func() workload.Program
-	}{
+	benches := []bench{
 		{"quicksort", func() workload.Program { return workload.NewQuicksort(1024) }},
 		{"rec-4", func() workload.Program { return workload.NewRecursive(4) }},
 		{"rec-8", func() workload.Program { return workload.NewRecursive(8) }},
@@ -278,18 +264,18 @@ func Fig11(s Scale) ([]Fig11Row, *stats.Table) {
 		{"10ms", 1},
 	}
 
-	var rcs []runConfig
+	var specs []runner.Spec
 	for _, b := range benches {
 		for _, iv := range intervals {
-			rcs = append(rcs, runConfig{
-				name: b.name, label: b.name + "@" + iv.name, prog: b.prog,
-				stackMech: persist.NewProsper(persist.ProsperConfig{}), ckpt: true,
-				interval:    s.Interval / iv.frac,
-				checkpoints: s.Checkpoints * int(iv.frac),
+			specs = append(specs, runner.Spec{
+				Name: b.name, Label: b.name + "@" + iv.name, Prog: b.prog,
+				StackMech: persist.NewProsper(persist.ProsperConfig{}), Checkpoint: true,
+				Interval:    s.Interval / iv.frac,
+				Checkpoints: s.Checkpoints * int(iv.frac),
 			})
 		}
 	}
-	res := s.runPlan("fig11", rcs)
+	res := s.runPlan("fig11", specs)
 
 	tb := stats.NewTable("Figure 11: checkpoint size vs checkpoint interval (function-call benchmarks)",
 		"benchmark", "interval", "mean_ckpt_bytes", "ns_per_byte")

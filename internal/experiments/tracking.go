@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"prosper/internal/persist"
+	"prosper/internal/runner"
 	"prosper/internal/stats"
 	"prosper/internal/workload"
 )
@@ -24,35 +25,29 @@ type TrackingCostRow struct {
 // gap proportional to its fault count.
 func TrackingCost(s Scale) ([]TrackingCostRow, *stats.Table) {
 	s = s.withDefaults()
-	benches := []struct {
-		name string
-		prog func() workload.Program
-	}{
+	benches := []bench{
 		{"sparse", func() workload.Program {
 			return workload.NewSparse(workload.MicroParams{ArrayBytes: 64 << 10})
 		}},
 		{"gapbs_pr", func() workload.Program { return workload.NewApp(workload.GapbsPR()) }},
 	}
-	techniques := []struct {
-		name    string
-		factory persist.Factory
-	}{
+	techniques := []mech{
 		{"writeprotect", persist.NewWriteProtect(persist.DirtybitConfig{})},
 		{"dirtybit", persist.NewDirtybit(persist.DirtybitConfig{})},
 		{"prosper", persist.NewProsper(persist.ProsperConfig{})},
 	}
 
-	var rcs []runConfig
+	var specs []runner.Spec
 	for _, b := range benches {
-		rcs = append(rcs, runConfig{name: b.name, label: b.name + "/base", prog: b.prog})
+		specs = append(specs, runner.Spec{Name: b.name, Label: b.name + "/base", Prog: b.prog})
 		for _, tech := range techniques {
-			rcs = append(rcs, runConfig{
-				name: b.name, label: b.name + "/" + tech.name, prog: b.prog,
-				stackMech: tech.factory, ckpt: true,
+			specs = append(specs, runner.Spec{
+				Name: b.name, Label: b.name + "/" + tech.name, Prog: b.prog,
+				StackMech: tech.factory, Checkpoint: true,
 			})
 		}
 	}
-	res := s.runPlan("tracking", rcs)
+	res := s.runPlan("tracking", specs)
 
 	tb := stats.NewTable("Section II-B: dirty-tracking technique cost (normalized execution time)",
 		"benchmark", "technique", "normalized_time", "write_faults")

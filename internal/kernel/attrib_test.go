@@ -55,10 +55,6 @@ func TestPauseAttributionInvariant(t *testing.T) {
 				if len(p.EpochPauses) == 0 {
 					t.Fatal("no checkpoint epochs recorded")
 				}
-				if got := p.PauseHist.Count(); got != uint64(len(p.EpochPauses)) {
-					t.Fatalf("pause histogram has %d samples, %d epochs recorded",
-						got, len(p.EpochPauses))
-				}
 				for _, ep := range p.EpochPauses {
 					var sum uint64
 					for _, v := range ep.Causes {

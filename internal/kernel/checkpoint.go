@@ -73,7 +73,6 @@ func (k *Kernel) checkpointPaused(p *Process, start int64, epoch telemetry.Span,
 			p.EpochPauses = append(p.EpochPauses, EpochPause{
 				Seq: p.ckptSeq, Pause: elapsed, Causes: causes,
 			})
-			p.PauseHist.Observe(uint64(elapsed))
 			if k.Trace.Enabled() {
 				for c, v := range causes {
 					k.Trace.Counter(p.traceTrack, "pause."+persist.Cause(c).String(),
@@ -82,7 +81,6 @@ func (k *Kernel) checkpointPaused(p *Process, start int64, epoch telemetry.Span,
 			}
 			p.CheckpointCount++
 			p.CheckpointBytes += ckptBytes
-			p.CheckpointTime += elapsed
 			p.Counters.Add("proc.ckpt_bytes", ckptBytes)
 			p.Counters.Add("proc.ckpt_cycles", uint64(elapsed))
 			p.checkpointing = false
@@ -150,7 +148,6 @@ func (k *Kernel) checkpointPaused(p *Process, start int64, epoch telemetry.Span,
 		t.mech.Checkpoint(func(r persist.Result) {
 			ckptBytes += r.BytesCopied
 			stackBytes += r.BytesCopied
-			p.StackCkptTime += k.Eng.Now() - ss
 			p.Counters.Add("proc.stack_ckpt_bytes", r.BytesCopied)
 			p.Counters.Add("proc.stack_ckpt_cycles", uint64(k.Eng.Now()-ss))
 			p.Counters.Add("proc.stack_ckpt_meta", r.MetaScanned)

@@ -186,20 +186,18 @@ type Process struct {
 	// the hook runs). Like OnCommit it must not mutate simulation state.
 	CommitHook func(p *Process)
 
-	// Checkpoints completed and cumulative checkpoint statistics.
+	// Checkpoints completed and cumulative checkpoint statistics; their
+	// cycle total is counter proc.ckpt_cycles.
 	CheckpointCount uint64
 	CheckpointBytes uint64
-	CheckpointTime  sim.Time
 	StackCkptBytes  uint64
-	StackCkptTime   sim.Time
 
 	// attrib is the stall-attribution register charged by the kernel's
 	// checkpoint engine and the persistence mechanisms between epoch
 	// quiesce and commit; EpochPauses records one entry per completed
-	// checkpoint and PauseHist the pause distribution.
+	// checkpoint.
 	attrib      *persist.Attrib
 	EpochPauses []EpochPause
-	PauseHist   *stats.Histogram
 
 	Counters *stats.Counters
 }
@@ -226,14 +224,13 @@ func (k *Kernel) Spawn(cfg ProcessConfig, progs ...workload.Program) *Process {
 	}
 	checkTrackerUse(cfg)
 	p := &Process{
-		PID:       k.nextPID,
-		Name:      name,
-		Cfg:       cfg,
-		AS:        vm.NewAddressSpace(k.Mach.DRAMFrames, k.Mach.NVMFrames),
-		kern:      k,
-		attrib:    persist.NewAttrib(k.Eng),
-		PauseHist: stats.NewHistogram(),
-		Counters:  stats.NewCounters(),
+		PID:      k.nextPID,
+		Name:     name,
+		Cfg:      cfg,
+		AS:       vm.NewAddressSpace(k.Mach.DRAMFrames, k.Mach.NVMFrames),
+		kern:     k,
+		attrib:   persist.NewAttrib(k.Eng),
+		Counters: stats.NewCounters(),
 	}
 	k.nextPID++
 

@@ -80,9 +80,7 @@ func (k *Kernel) saveProc(w *snapbuf.Writer, claims *sim.EventClaims, p *Process
 	w.U64(p.ckptSeq)
 	w.U64(p.CheckpointCount)
 	w.U64(p.CheckpointBytes)
-	w.I64(int64(p.CheckpointTime))
 	w.U64(p.StackCkptBytes)
-	w.I64(int64(p.StackCkptTime))
 	w.U64(uint64(len(p.EpochPauses)))
 	for _, ep := range p.EpochPauses {
 		w.U64(ep.Seq)
@@ -91,7 +89,6 @@ func (k *Kernel) saveProc(w *snapbuf.Writer, claims *sim.EventClaims, p *Process
 			w.U64(v)
 		}
 	}
-	p.PauseHist.SaveSnap(w)
 	p.Counters.SaveSnap(w)
 	saveTicker(w, claims, k.Eng, p.ckptTicker)
 	p.AS.SaveSnap(w)
@@ -228,9 +225,7 @@ func (k *Kernel) loadProc(r *snapbuf.Reader, p *Process) error {
 	p.ckptSeq = r.U64()
 	p.CheckpointCount = r.U64()
 	p.CheckpointBytes = r.U64()
-	p.CheckpointTime = sim.Time(r.I64())
 	p.StackCkptBytes = r.U64()
-	p.StackCkptTime = sim.Time(r.I64())
 	ne := r.Count(16 + 8*int(persist.NumCauses))
 	p.EpochPauses = p.EpochPauses[:0]
 	for i := 0; i < ne; i++ {
@@ -244,9 +239,6 @@ func (k *Kernel) loadProc(r *snapbuf.Reader, p *Process) error {
 	}
 	if r.Err() != nil {
 		return r.Err()
-	}
-	if err := p.PauseHist.LoadSnap(r); err != nil {
-		return err
 	}
 	if err := p.Counters.LoadSnap(r); err != nil {
 		return err

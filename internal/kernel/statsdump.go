@@ -98,23 +98,25 @@ func (k *Kernel) eachMetric(emit func(name string, v uint64)) {
 		section(pre, p.Counters, nil)
 		emit(pre+"checkpoints", p.CheckpointCount)
 		emit(pre+"checkpoint_bytes", p.CheckpointBytes)
-		emit(pre+"checkpoint_cycles", uint64(p.CheckpointTime))
+		emit(pre+"checkpoint_cycles", p.Counters.Get("proc.ckpt_cycles"))
 		for _, t := range p.Threads {
 			emit(fmt.Sprintf("%sthread%d.user_ops", pre, t.TID), t.UserOps)
 			emit(fmt.Sprintf("%sthread%d.user_cycles", pre, t.TID), t.UserCycles)
 		}
-		emit(pre+"pause.count", p.PauseHist.Count())
-		emit(pre+"pause.cycles", p.PauseHist.Sum())
-		emit(pre+"pause.max", p.PauseHist.Max())
-		emit(pre+"pause.p50", p.PauseHist.Quantile(0.50))
-		emit(pre+"pause.p95", p.PauseHist.Quantile(0.95))
-		emit(pre+"pause.p99", p.PauseHist.Quantile(0.99))
+		pauses := stats.NewHistogram()
 		var causes [persist.NumCauses]uint64
 		for _, ep := range p.EpochPauses {
+			pauses.Observe(uint64(ep.Pause))
 			for c, v := range ep.Causes {
 				causes[c] += v
 			}
 		}
+		emit(pre+"pause.count", pauses.Count())
+		emit(pre+"pause.cycles", pauses.Sum())
+		emit(pre+"pause.max", pauses.Max())
+		emit(pre+"pause.p50", pauses.Quantile(0.50))
+		emit(pre+"pause.p95", pauses.Quantile(0.95))
+		emit(pre+"pause.p99", pauses.Quantile(0.99))
 		for c, v := range causes {
 			emit(pre+"pause."+persist.Cause(c).String(), v)
 		}

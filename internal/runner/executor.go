@@ -36,42 +36,17 @@ type Executor struct {
 	OnDone func(Result)
 }
 
-func (e *Executor) workers() int {
-	if e == nil || e.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return e.Workers
-}
-
 // Execute runs every spec of the plan and returns all results in plan
 // order. A spec that panics is recovered and reported in its Result's
 // Err (tagged with the spec's label); the remaining specs still run.
 func (e *Executor) Execute(p Plan) []Result {
-	n := len(p.Specs)
-	results := make([]Result, n)
-	w := e.workers()
-	if w > n {
-		w = n
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = e.runOne(p, i)
-				if e.OnDone != nil {
-					e.OnDone(results[i])
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	results := make([]Result, len(p.Specs))
+	pool(e.Workers, len(p.Specs), func(i int) {
+		results[i] = e.runOne(p, i)
+		if e.OnDone != nil {
+			e.OnDone(results[i])
+		}
+	})
 	return results
 }
 
@@ -112,27 +87,39 @@ func (e *Executor) runOne(p Plan, i int) (res Result) {
 // (by index) is re-raised on the caller's goroutine after every other
 // iteration has finished — matching what a plain sequential loop would
 // have done. It is the escape hatch for measurement loops that do not
-// produce RunStats (trace captures, IPC-window runs) but still fan out
+// produce RunStats (trace captures, Spec.OpWindow runs) but still fan out
 // over independent deterministic simulations.
 func ForEach(workers, n int, fn func(i int)) {
+	panics := make([]any, n)
+	pool(workers, n, func(i int) {
+		defer func() { panics[i] = recover() }()
+		fn(i)
+	})
+	for i, p := range panics {
+		if p != nil {
+			panic(fmt.Sprintf("runner: ForEach iteration %d panicked: %v", i, p))
+		}
+	}
+}
+
+// pool calls fn(0), ..., fn(n-1) on at most workers goroutines (<= 0
+// means GOMAXPROCS) and returns when every call has returned. fn must
+// not panic: both callers recover per index.
+func pool(workers, n int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
-	panics := make([]any, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				func() {
-					defer func() { panics[i] = recover() }()
-					fn(i)
-				}()
+				fn(i)
 			}
 		}()
 	}
@@ -141,9 +128,4 @@ func ForEach(workers, n int, fn func(i int)) {
 	}
 	close(idx)
 	wg.Wait()
-	for i, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("runner: ForEach iteration %d panicked: %v", i, p))
-		}
-	}
 }

@@ -146,6 +146,24 @@ func TestForEachRunsAllAndRepanics(t *testing.T) {
 	})
 }
 
+// TestOpWindowPanicsWhenShort: a window the program cannot reach must
+// fail loudly, naming the spec, instead of measuring a shorter op range
+// than its comparison run.
+func TestOpWindowPanicsWhenShort(t *testing.T) {
+	sp := Spec{Name: "counter", Label: "fig12/counter/base", Prog: func() workload.Program {
+		return workload.NewCounter(200)
+	}}
+	if ops, cycles := sp.OpWindow(100, 200); ops < 200 || cycles == 0 {
+		t.Fatalf("reachable window measured %d ops in %d cycles", ops, cycles)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "fig12/counter/base") {
+			t.Fatalf("unreachable window: recovered %v, want a panic naming the spec", r)
+		}
+	}()
+	sp.OpWindow(100, 1_000_000)
+}
+
 // TestEngineDrains pins the contract the executor relies on: a spec's
 // private engine processes every event scheduled inside its window, and
 // sim.Engine.AssertDrained distinguishes a wound-down machine from one

@@ -81,8 +81,8 @@ func decodeUser(data []byte, wantFP string) (baselines, error) {
 	b.tr.writebacks = r.U64()
 	b.wfBase = r.U64()
 	b.start = sim.Time(r.I64())
-	if r.Err() != nil {
-		return baselines{}, fmt.Errorf("%w: user payload: %w", snapshot.ErrCorrupt, r.Err())
+	if err := snapshot.Consumed(r, r.Err()); err != nil {
+		return baselines{}, fmt.Errorf("%w: user payload: %w", snapshot.ErrCorrupt, err)
 	}
 	if fp != wantFP {
 		return baselines{}, fmt.Errorf("%w:\n  snapshot: %s\n  resume:   %s", ErrSpecMismatch, fp, wantFP)

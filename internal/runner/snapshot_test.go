@@ -2,8 +2,10 @@ package runner
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"prosper/internal/journey"
@@ -18,33 +20,28 @@ import (
 // but checkpointing often enough that a mid-window snapshot interrupts
 // real in-flight apply traffic.
 func snapSpec(mech string, seed uint64) Spec {
+	stack, ok := persist.ByName(mech)
+	if !ok {
+		panic("unknown mechanism " + mech)
+	}
 	sp := Spec{
 		Name: "snap-" + mech,
 		Prog: func() workload.Program {
 			return workload.NewRandom(workload.MicroParams{ArrayBytes: 16 << 10, WritesPerRun: 128})
 		},
+		StackMech:   stack,
 		Checkpoint:  true,
 		Interval:    50 * sim.Microsecond,
 		Checkpoints: 4,
 		Seed:        seed,
 	}
-	switch mech {
-	case "prosper":
-		sp.StackMech = persist.NewProsper(persist.ProsperConfig{})
-	case "dirtybit":
-		sp.StackMech = persist.NewDirtybit(persist.DirtybitConfig{})
-	case "ssp":
-		sp.StackMech = persist.NewSSP(persist.SSPConfig{})
-	case "romulus":
+	if mech == "romulus" {
 		// Romulus replays its log uncoalesced, so one checkpoint epoch
 		// takes ~5 ms of sim time regardless of the trigger interval;
 		// the window must span several epochs for a mid-window commit
 		// to exist at all.
-		sp.StackMech = persist.NewRomulus()
 		sp.Interval = 150 * sim.Microsecond
 		sp.Checkpoints = 150
-	default:
-		panic("unknown mechanism " + mech)
 	}
 	return sp
 }
@@ -240,4 +237,43 @@ func TestSnapshotRejectsUnsupportedSpecs(t *testing.T) {
 	if _, err := other.ResumeRun(bytes.NewReader(snap.Bytes())); !errors.Is(err, ErrSpecMismatch) {
 		t.Fatalf("wrong-spec resume: got %v, want ErrSpecMismatch", err)
 	}
+}
+
+// TestResumeRejectsPaddedSections: every section holds exactly what its
+// decoder reads. Four extra bytes at the end of any one section, with
+// the section's length and CRC fixed up so the framing is valid, must be
+// refused as corrupt rather than silently ignored.
+func TestResumeRejectsPaddedSections(t *testing.T) {
+	sp := snapSpec("prosper", 1)
+	var snap bytes.Buffer
+	if _, err := sp.RunSnapshot(&snap, 2); err != nil {
+		t.Fatal(err)
+	}
+	for sec := 0; sec < 4; sec++ {
+		padded := padSection(snap.Bytes(), sec, 4)
+		if _, err := sp.ResumeRun(bytes.NewReader(padded)); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("section %d padded: got %v, want ErrCorrupt", sec+1, err)
+		}
+	}
+}
+
+// padSection returns a copy of a snapshot with n zero bytes appended to
+// the payload of its idx-th section (0-based), the section header's
+// length and CRC rewritten to match.
+func padSection(data []byte, idx, n int) []byte {
+	out := append([]byte(nil), data[:12]...) // magic + version
+	off := 12
+	for i := 0; i < 4; i++ {
+		size := int(binary.LittleEndian.Uint64(data[off+4:]))
+		payload := append([]byte(nil), data[off+16:off+16+size]...)
+		if i == idx {
+			payload = append(payload, make([]byte, n)...)
+		}
+		hdr := append([]byte(nil), data[off:off+16]...)
+		binary.LittleEndian.PutUint64(hdr[4:], uint64(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(payload))
+		out = append(append(out, hdr...), payload...)
+		off += 16 + size
+	}
+	return out
 }

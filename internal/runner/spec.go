@@ -13,6 +13,8 @@
 package runner
 
 import (
+	"fmt"
+
 	"prosper/internal/hostprof"
 	"prosper/internal/journey"
 	"prosper/internal/kernel"
@@ -371,6 +373,41 @@ func (sp Spec) Run() RunStats {
 	)
 	journey.ExportTrace(sp.Journey, sp.Tracer)
 	return res
+}
+
+// opWindowCap bounds OpWindow's simulated time, warmup included.
+const opWindowCap = 60 * sim.Millisecond
+
+// OpWindow measures the user cycles the spec's first thread spends on a
+// fixed window of its deterministic op stream: ops [warmupOps,
+// warmupOps+measureOps). Specs that differ only in their mechanisms
+// execute the identical op sequence, so the cycle delta isolates the
+// mechanisms' cost exactly: Figure 12's user-IPC method without
+// time-window sampling noise. The spec's Warmup and Checkpoints are
+// unused, and the run attaches no tracer, profiler or journey recorder.
+// OpWindow panics, naming the spec, if the thread does not reach either
+// end of the window within opWindowCap: a short window would compare
+// different op ranges.
+func (sp Spec) OpWindow(warmupOps, measureOps uint64) (ops, cycles uint64) {
+	sp = sp.withDefaults()
+	sp.Tracer, sp.Journey, sp.Profile = nil, nil, false
+	k, _ := sp.boot()
+	p := sp.spawn(k)
+	defer p.Shutdown()
+	th := p.Threads[0]
+
+	deadline := k.Eng.Now() + opWindowCap
+	runTo := func(target uint64) {
+		k.Eng.RunWhile(func() bool { return th.UserOps < target && k.Eng.Now() < deadline })
+		if th.UserOps < target {
+			panic(fmt.Sprintf("runner: %s: op window reached %d of %d ops by cycle %d",
+				sp.DisplayLabel(), th.UserOps, target, k.Eng.Now()))
+		}
+	}
+	runTo(warmupOps)
+	startOps, startCycles := th.UserOps, th.UserCycles
+	runTo(startOps + measureOps)
+	return th.UserOps - startOps, th.UserCycles - startCycles
 }
 
 type trackerSnap struct{ loads, stores, sois, writebacks uint64 }

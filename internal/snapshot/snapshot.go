@@ -9,7 +9,7 @@
 // Format (all little-endian):
 //
 //	magic   u64  "PROSNAP1"
-//	version u32  format version (currently 1)
+//	version u32  format version (currently 2)
 //	4 sections, in order USER, ENGINE, MACHINE, KERNEL, each:
 //	  id  u32
 //	  len u64   payload length
@@ -41,7 +41,7 @@ const Magic = uint64(0x3150414e534f5250)
 // other version: the encoding has no compatibility shims — a snapshot is
 // a same-binary, same-configuration artifact, and silent cross-version
 // decoding would corrupt state instead of failing loudly.
-const Version = uint32(1)
+const Version = uint32(2)
 
 // Section ids, in their required file order.
 const (
@@ -173,8 +173,8 @@ func Resume(r io.Reader, k *kernel.Kernel) (res *Resumed, err error) {
 	now := er.I64()
 	seq := er.U64()
 	fired := er.U64()
-	if er.Err() != nil {
-		return nil, fmt.Errorf("%w: engine section: %w", ErrCorrupt, er.Err())
+	if err := Consumed(er, er.Err()); err != nil {
+		return nil, fmt.Errorf("%w: engine section: %w", ErrCorrupt, err)
 	}
 	k.Eng.ResetQueue()
 	k.Eng.RestoreClock(now, seq, fired)
@@ -185,13 +185,25 @@ func Resume(r io.Reader, k *kernel.Kernel) (res *Resumed, err error) {
 	// copy/fan engine slots as it materializes them.
 	reg := make(map[uint64]sim.Done)
 	k.RegisterResumeTokens(reg)
-	if err := k.Mach.LoadSnap(snapbuf.NewReader(sections[secMachine]), reg); err != nil {
+	mr := snapbuf.NewReader(sections[secMachine])
+	if err := Consumed(mr, k.Mach.LoadSnap(mr, reg)); err != nil {
 		return nil, fmt.Errorf("%w: machine section: %w", ErrCorrupt, err)
 	}
-	if err := k.LoadSnap(snapbuf.NewReader(sections[secKernel]), reg); err != nil {
+	kr := snapbuf.NewReader(sections[secKernel])
+	if err := Consumed(kr, k.LoadSnap(kr, reg)); err != nil {
 		return nil, fmt.Errorf("%w: kernel section: %w", ErrCorrupt, err)
 	}
 	return &Resumed{User: sections[secUser], k: k}, nil
+}
+
+// Consumed returns a section decoder's error or, if the decoder
+// succeeded, an error for any bytes of the section it left unread: a
+// section holds exactly what its decoder reads.
+func Consumed(r *snapbuf.Reader, err error) error {
+	if err == nil && r.Remaining() != 0 {
+		err = fmt.Errorf("%d unread bytes", r.Remaining())
+	}
+	return err
 }
 
 // parse validates framing and returns the four section payloads by id.
