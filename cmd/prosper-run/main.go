@@ -105,6 +105,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown heap mechanism %q\n", *heap)
 		return 2
 	}
+	if *threads < 1 {
+		fmt.Fprintf(stderr, "-threads must be at least 1, got %d\n", *threads)
+		return 2
+	}
+	if *cores < 1 {
+		fmt.Fprintf(stderr, "-cores must be at least 1, got %d\n", *cores)
+		return 2
+	}
 	if usesTracker(*stack) && usesTracker(*heap) {
 		fmt.Fprintf(stderr, "stack %q and heap %q cannot share the Prosper tracker\n", *stack, *heap)
 		return 2

@@ -39,7 +39,9 @@ func TestRunStatsDump(t *testing.T) {
 }
 
 // TestRunRejectsBadArgs: bad arguments exit 2 with a message and no
-// run; Prosper on both segments is refused before Spawn would panic.
+// run; Prosper on both segments and thread or core counts below one are
+// refused before Spawn would panic or the machine default would
+// silently replace them.
 func TestRunRejectsBadArgs(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -51,6 +53,10 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		{[]string{"-stack", "prosper", "-heap", "prosper"}, "cannot share the Prosper tracker"},
 		{[]string{"-stack", "prosper", "-heap", "prosper-adaptive"}, "cannot share the Prosper tracker"},
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
+		{[]string{"-threads", "0"}, "-threads must be at least 1, got 0"},
+		{[]string{"-threads", "-1"}, "-threads must be at least 1, got -1"},
+		{[]string{"-cores", "0"}, "-cores must be at least 1, got 0"},
+		{[]string{"-cores", "-2"}, "-cores must be at least 1, got -2"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

@@ -4,12 +4,14 @@
 // The harness is differential: a golden run of the same deterministic
 // spec records, at every checkpoint commit, the committed execution
 // position and the full functional stack image, plus the cycle of every
-// stack store. A crash run then replays the identical simulation, cuts
-// power at an arbitrary engine cycle via Injector (the surviving NVM
-// image comes from the machine's persistence domain — only writes whose
-// timed device access completed, plus admitted writes under ADR, are in
-// it), boots a fresh kernel on that image, and checks the recovered
-// process against the golden history:
+// stack store. A second run of the identical simulation then cuts power
+// at every sampled engine cycle in ascending order via Injector: each
+// cut takes the surviving NVM image from the machine's persistence
+// domain (only writes whose timed device access completed, plus
+// admitted writes under ADR, are in it) without disturbing the run,
+// which goes on to the next cycle. Each image is then booted on a fresh
+// kernel, and the recovered process is checked against the golden
+// history:
 //
 //   - fsck of the surviving image must be clean at every crash point;
 //   - the epoch S the thread recovers to must be P or P+1, where P is
@@ -44,15 +46,15 @@ import (
 	"prosper/internal/persist"
 	"prosper/internal/runner"
 	"prosper/internal/sim"
-	"prosper/internal/snapshot"
 	"prosper/internal/workload"
 )
 
 // Injector schedules a power failure at an arbitrary engine cycle: it
-// runs the kernel's simulation up to (and including) cycle At, halts the
-// machine there, and returns the NVM image that survives the failure.
-// The crashed kernel must not be run further; boot the image with a
-// fresh kernel.New(Config{Machine: machine.Config{Storage: img}}).
+// runs the kernel's simulation up to (and including) cycle At and
+// returns the NVM image that survives a failure there. Taking the image
+// leaves the running machine untouched, so the same kernel can run on
+// to a later cut. Boot the image with a fresh
+// kernel.New(Config{Machine: machine.Config{Storage: img}}).
 type Injector struct {
 	At sim.Time
 }
@@ -109,14 +111,14 @@ type Config struct {
 	// ADR selects the flush-on-fail persistence domain; default is the
 	// harsher no-ADR domain.
 	ADR bool
-	// Workers bounds the parallel crash-point runs (<= 0: GOMAXPROCS).
+	// Workers bounds the parallel recovery checks, and the Legacy
+	// replays (<= 0: GOMAXPROCS).
 	Workers int
 	// Legacy forces every crash point to replay the whole run from cycle
-	// zero. By default the sweep forks each point from the golden run's
-	// machine snapshot at the last commit before the crash cycle, which
-	// skips the shared prefix; the two modes produce identical verdicts
-	// (the resume gate guarantees byte-identical replay) and the
-	// equivalence test pins it.
+	// zero on its own kernel. By default one run cuts power at every
+	// point in turn; the two modes produce identical verdicts (taking a
+	// crash image does not disturb the run) and the equivalence test
+	// pins it.
 	Legacy bool
 }
 
@@ -164,10 +166,8 @@ type Result struct {
 	ADR       bool
 	Commits   int // golden commits recorded
 	Points    []PointResult
-	// Forked counts the crash points that forked from a golden commit
-	// snapshot instead of replaying from cycle zero. Zero in Legacy
-	// mode, when a mechanism's commit state cannot be snapshotted, and
-	// for points that land before the first commit.
+	// Forked counts the crash points imaged from the shared run instead
+	// of replayed from cycle zero: all of them, or zero in Legacy mode.
 	Forked int
 }
 
@@ -213,16 +213,6 @@ type golden struct {
 	stacks      [][]byte   // golden [lo,hi) stack bytes per commit
 	sps         []uint64   // golden stack pointer per commit
 	stores      []storeRec
-	// machSnaps[k-1] is the full machine snapshot taken inside commit k's
-	// commit hook; crash points fork from the last one before their crash
-	// cycle. Empty when snapErr is set.
-	machSnaps [][]byte
-	// snapErr records why commit snapshots are unavailable, in which case
-	// every crash point replays from cycle zero. No in-tree mechanism
-	// trips it — all eight are snapshot-clean at commit — but the sweep
-	// must stay correct for one that is not, and the fallback test
-	// poisons this field to prove it.
-	snapErr error
 }
 
 // commitsBy returns P: how many commits were durable by cycle c.
@@ -316,31 +306,16 @@ func (cfg Config) capture() (*golden, error) {
 	for _, c := range k.Mach.Cores {
 		c.Observer = obs
 	}
-	p.OnCommit = func(seq uint64) {
-		if int(seq) != len(g.commitCycle)+1 {
-			panic(fmt.Sprintf("crash: non-sequential commit %d after %d", seq, len(g.commitCycle)))
+	p.CommitHook = func(*kernel.Process) {
+		// Threads are still quiesced here: architectural and program
+		// state are exactly the committed epoch's.
+		if int(p.CheckpointCount) != len(g.commitCycle)+1 {
+			panic(fmt.Sprintf("crash: non-sequential commit %d after %d", p.CheckpointCount, len(g.commitCycle)))
 		}
 		g.commitCycle = append(g.commitCycle, k.Eng.Now())
 		g.snaps = append(g.snaps, append([]byte(nil), prog.Snapshot()...))
 		g.stacks = append(g.stacks, readStack(k.Mach.Storage, p, th.StackSeg))
 		g.sps = append(g.sps, th.SP())
-	}
-	p.CommitHook = func(*kernel.Process) {
-		// Capture the machine snapshot crash points will fork from. The
-		// first save failure disables forking for the whole sweep: a
-		// mechanism that is not snapshot-clean at one commit is not
-		// snapshot-clean at any, and a partial snapshot ladder would make
-		// point results depend on which rung they happen to land on.
-		if cfg.Legacy || g.snapErr != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := snapshot.Save(&buf, k, nil); err != nil {
-			g.snapErr = err
-			g.machSnaps = nil
-			return
-		}
-		g.machSnaps = append(g.machSnaps, buf.Bytes())
 	}
 	// Romulus replays its whole store log entry by entry, so a commit can
 	// straddle several intervals (the ticker skips while a checkpoint is
@@ -409,61 +384,47 @@ func (cfg Config) stackCheck() stackCheck {
 	}
 }
 
-// bootToCrash reproduces the run's state just before the crash cycle:
-// a fresh kernel, either forked from the latest golden commit snapshot
-// at or before c (the default — the shared prefix is skipped) or, in
-// Legacy mode and for un-snapshottable mechanisms, replayed from cycle
-// zero. forked reports which path was taken.
-func (cfg Config) bootToCrash(g *golden, c sim.Time) (k *kernel.Kernel, forked bool, err error) {
-	k = kernel.New(kernel.Config{Machine: cfg.machineConfig()})
-	if _, _, err := cfg.spawn(k); err != nil {
-		return nil, false, err
-	}
-	idx := -1
-	if !cfg.Legacy && g.snapErr == nil {
-		for i := range g.machSnaps {
-			if g.commitCycle[i] <= c {
-				idx = i
-			} else {
-				break
-			}
+// images returns the surviving NVM image at each of the ascending crash
+// cycles pts. By default one run of the spec cuts power at every cycle
+// in turn; in Legacy mode each image comes from its own run replayed
+// from cycle zero.
+func (cfg Config) images(pts []sim.Time) []*mem.Storage {
+	imgs := make([]*mem.Storage, len(pts))
+	run := func() *kernel.Kernel {
+		k := kernel.New(kernel.Config{Machine: cfg.machineConfig()})
+		if _, _, err := cfg.spawn(k); err != nil {
+			panic(err) // capture already resolved this mechanism
 		}
+		return k
 	}
-	if idx < 0 {
-		return k, false, nil
+	if cfg.Legacy {
+		runner.ForEach(cfg.Workers, len(pts), func(i int) {
+			imgs[i] = Injector{At: pts[i]}.Inject(run())
+		})
+		return imgs
 	}
-	resumed, err := snapshot.Resume(bytes.NewReader(g.machSnaps[idx]), k)
-	if err != nil {
-		return nil, false, fmt.Errorf("fork from commit %d snapshot: %w", idx+1, err)
+	k := run()
+	for i, c := range pts {
+		imgs[i] = Injector{At: c}.Inject(k)
 	}
-	if err := resumed.Finish(); err != nil {
-		return nil, false, fmt.Errorf("fork from commit %d snapshot: %w", idx+1, err)
-	}
-	return k, true, nil
+	return imgs
 }
 
-// runPoint replays or forks the spec, cuts power at cycle c, reboots on
-// the surviving image, and checks every recovery invariant.
-func (cfg Config) runPoint(g *golden, c sim.Time) (PointResult, bool) {
+// check boots the image that survived a power cut at cycle c and checks
+// every recovery invariant against the golden history.
+func (cfg Config) check(g *golden, c sim.Time, img *mem.Storage) PointResult {
 	res := PointResult{Cycle: c, Commit: g.commitsBy(c)}
-
-	k, forked, err := cfg.bootToCrash(g, c)
-	if err != nil {
-		res.Violation = err.Error()
-		return res, forked
-	}
-	img := Injector{At: c}.Inject(k)
 
 	if rep := kernel.Fsck(img); !rep.OK() {
 		res.Violation = fmt.Sprintf("fsck of surviving image: %v", rep.Problems)
-		return res, forked
+		return res
 	}
 
 	k2 := kernel.New(kernel.Config{Machine: machine.Config{Cores: 1, ADR: cfg.ADR, Storage: img}})
 	fac, err := mechanism(cfg.Mechanism)
 	if err != nil {
 		res.Violation = err.Error()
-		return res, forked
+		return res
 	}
 	prog := workload.NewCounter(cfg.Iterations)
 	recovered := false
@@ -484,12 +445,12 @@ func (cfg Config) runPoint(g *golden, c sim.Time) (PointResult, bool) {
 		if res.Commit >= 1 {
 			res.Violation = "recovery failed after a durable commit: " + err.Error()
 		}
-		return res, forked
+		return res
 	}
 	k2.Eng.RunWhile(func() bool { return !recovered })
 	if !recovered {
 		res.Violation = "recovery never completed (engine drained)"
-		return res, forked
+		return res
 	}
 	defer rp.Shutdown()
 	th := rp.Threads[0]
@@ -498,15 +459,15 @@ func (cfg Config) runPoint(g *golden, c sim.Time) (PointResult, bool) {
 	p := res.Commit
 	if s != p && s != p+1 {
 		res.Violation = fmt.Sprintf("recovered epoch %d, want %d or %d", s, p, p+1)
-		return res, forked
+		return res
 	}
 	if s < 1 || int(s) > len(g.snaps) {
 		res.Violation = fmt.Sprintf("recovered epoch %d outside golden history (%d commits)", s, len(g.snaps))
-		return res, forked
+		return res
 	}
 	if got, want := prog.Snapshot(), g.snaps[s-1]; !bytes.Equal(got, want) {
 		res.Violation = fmt.Sprintf("execution position %x differs from committed epoch %d position %x", got, s, want)
-		return res, forked
+		return res
 	}
 
 	rec := readStack(k2.Mach.Storage, rp, th.StackSeg)
@@ -516,7 +477,7 @@ func (cfg Config) runPoint(g *golden, c sim.Time) (PointResult, bool) {
 		for i, b := range rec {
 			if b != 0 {
 				res.Violation = fmt.Sprintf("unpersisted stack holds nonzero byte at %#x", g.lo+uint64(i))
-				return res, forked
+				return res
 			}
 		}
 	case checkFullImage:
@@ -524,7 +485,7 @@ func (cfg Config) runPoint(g *golden, c sim.Time) (PointResult, bool) {
 			if rec[i] != want[i] {
 				res.Violation = fmt.Sprintf("stack byte %#x = %#02x differs from epoch %d image byte %#02x",
 					g.lo+uint64(i), rec[i], s, want[i])
-				return res, forked
+				return res
 			}
 		}
 	case checkLines:
@@ -535,16 +496,16 @@ func (cfg Config) runPoint(g *golden, c sim.Time) (PointResult, bool) {
 			}
 			if !bytes.Equal(rec[off:off+mem.LineSize], want[off:off+mem.LineSize]) {
 				res.Violation = fmt.Sprintf("unmodified stack line %#x differs from epoch %d image", g.lo+off, s)
-				return res, forked
+				return res
 			}
 		}
 	}
-	return res, forked
+	return res
 }
 
 // Sweep runs the full crash-point sweep for cfg.Mechanism: one golden
-// run, then Points independent crash+recovery runs in parallel on
-// runner's worker pool.
+// run, one run imaged at every crash point, then Points independent
+// recovery checks in parallel on runner's worker pool.
 func Sweep(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	g, err := cfg.capture()
@@ -560,14 +521,13 @@ func Sweep(cfg Config) (Result, error) {
 		Commits:   len(g.commitCycle),
 		Points:    make([]PointResult, len(pts)),
 	}
-	forked := make([]bool, len(pts))
-	runner.ForEach(cfg.Workers, len(pts), func(i int) {
-		res.Points[i], forked[i] = cfg.runPoint(g, pts[i])
-	})
-	for _, f := range forked {
-		if f {
-			res.Forked++
-		}
+	if !cfg.Legacy {
+		res.Forked = len(pts)
 	}
+	imgs := cfg.images(pts)
+	runner.ForEach(cfg.Workers, len(pts), func(i int) {
+		res.Points[i] = cfg.check(g, pts[i], imgs[i])
+		imgs[i] = nil // checked: let the collector have it
+	})
 	return res, nil
 }

@@ -1,13 +1,14 @@
 package crash
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"prosper/internal/kernel"
 	"prosper/internal/machine"
-	"prosper/internal/mem"
 	"prosper/internal/sim"
+	"prosper/internal/snapbuf"
 	"prosper/internal/workload"
 )
 
@@ -19,25 +20,37 @@ func sweepPoints(t *testing.T, full int) int {
 	return full
 }
 
+// caseName names a per-mechanism subtest; ADR cases carry an "-adr"
+// suffix.
+func caseName(mech string, adr bool) string {
+	if adr {
+		return mech + "-adr"
+	}
+	return mech
+}
+
 // TestSweepFindsNoViolations is the headline recovery property: across
 // many crash points, spanning several checkpoint epochs and clustered
 // around the commit windows, every mechanism recovers to a committed
-// epoch with the exact committed execution position and stack contents.
+// epoch with the exact committed execution position and stack contents,
+// under both persistence domains.
 func TestSweepFindsNoViolations(t *testing.T) {
 	for _, mech := range Mechanisms() {
-		mech := mech
-		t.Run(mech, func(t *testing.T) {
-			cfg := Config{Mechanism: mech, Points: sweepPoints(t, 16), Seed: 1}
-			t.Logf("sweep %s: %d points, seed %d", mech, cfg.Points, cfg.Seed)
-			res, err := Sweep(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Log(res.Summary())
-			for _, v := range res.Violations() {
-				t.Errorf("cycle %d (P=%d S=%d): %s", v.Cycle, v.Commit, v.Epoch, v.Violation)
-			}
-		})
+		for _, adr := range []bool{false, true} {
+			mech, adr := mech, adr
+			t.Run(caseName(mech, adr), func(t *testing.T) {
+				cfg := Config{Mechanism: mech, Points: sweepPoints(t, 16), Seed: 1, ADR: adr}
+				t.Logf("sweep %s (ADR %v): %d points, seed %d", mech, adr, cfg.Points, cfg.Seed)
+				res, err := Sweep(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Log(res.Summary())
+				for _, v := range res.Violations() {
+					t.Errorf("cycle %d (P=%d S=%d): %s", v.Cycle, v.Commit, v.Epoch, v.Violation)
+				}
+			})
+		}
 	}
 }
 
@@ -90,45 +103,47 @@ func TestCrashBeforeFirstCommit(t *testing.T) {
 	}
 }
 
-// TestInjectorDeterministicAndPure: two injections of the same spec at
-// the same cycle yield byte-identical NVM images, and taking an image
-// does not perturb the donor simulation (a never-imaged run reaches the
-// same state).
+// TestInjectorDeterministicAndPure pins the assumption the shared-run
+// sweep rests on: taking crash images does not perturb the run they are
+// taken from. A run imaged at many cycles, including the same cycle
+// twice, must end with the same stats dump and the same crash image as
+// a run imaged only at the end, under both persistence domains (the ADR
+// image also reads the domain's in-flight lines). Equal final images
+// also show that two injections at the same cycle agree byte for byte.
 func TestInjectorDeterministicAndPure(t *testing.T) {
-	cfg := Config{Mechanism: "dirtybit"}.withDefaults()
-	const at = 180_000 // inside the second interval, past the first commit
-	run := func(image bool) (*mem.Storage, *kernel.Kernel) {
-		k := kernel.New(kernel.Config{Machine: cfg.machineConfig()})
-		if _, _, err := cfg.spawn(k); err != nil {
-			t.Fatal(err)
-		}
-		var img *mem.Storage
-		if image {
-			img = Injector{At: at}.Inject(k)
-		} else {
-			k.Eng.RunUntil(at)
-		}
-		return img, k
-	}
-	img1, k1 := run(true)
-	img2, _ := run(true)
-	// The kernel's NVM allocations for this config all sit in the first
-	// MiB above NVMBase; byte-compare that window.
-	buf1 := make([]byte, 1<<20)
-	buf2 := make([]byte, 1<<20)
-	img1.Read(mem.NVMBase, buf1)
-	img2.Read(mem.NVMBase, buf2)
-	for i := range buf1 {
-		if buf1[i] != buf2[i] {
-			t.Fatalf("crash images diverge at NVM offset %#x", i)
-		}
-	}
-	// Purity: continue the imaged run and compare against a run that was
-	// never imaged.
-	_, k3 := run(false)
-	k1.Eng.RunUntil(at + 100*sim.Microsecond)
-	k3.Eng.RunUntil(at + 100*sim.Microsecond)
-	if k1.Eng.Fired() != k3.Eng.Fired() {
-		t.Fatalf("CrashImage perturbed the donor run: %d events vs %d", k1.Eng.Fired(), k3.Eng.Fired())
+	const end = 600_000 // four 50 µs intervals: several commits
+	for _, adr := range []bool{false, true} {
+		adr := adr
+		t.Run(caseName("dirtybit", adr), func(t *testing.T) {
+			cfg := Config{Mechanism: "dirtybit", ADR: adr}.withDefaults()
+			run := func(cuts []sim.Time) (stats, img []byte) {
+				k := kernel.New(kernel.Config{Machine: cfg.machineConfig()})
+				if _, _, err := cfg.spawn(k); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range cuts {
+					Injector{At: c}.Inject(k)
+				}
+				w := snapbuf.NewWriter()
+				Injector{At: end}.Inject(k).SaveSnap(w)
+				var buf bytes.Buffer
+				k.DumpStats(&buf)
+				return buf.Bytes(), w.Bytes()
+			}
+			var cuts []sim.Time
+			for c := sim.Time(1000); c < end; c += 2_999 {
+				cuts = append(cuts, c)
+			}
+			cuts = append(cuts, end) // the final cut lands on an imaged cycle
+			imagedStats, imagedImg := run(cuts)
+			plainStats, plainImg := run(nil)
+			if !bytes.Equal(imagedStats, plainStats) {
+				t.Errorf("imaging %d times changed the stats dump:\n%s\nvs never imaged:\n%s",
+					len(cuts), imagedStats, plainStats)
+			}
+			if !bytes.Equal(imagedImg, plainImg) {
+				t.Errorf("final crash images differ (%d vs %d encoded bytes)", len(imagedImg), len(plainImg))
+			}
+		})
 	}
 }

@@ -84,11 +84,6 @@ func (k *Kernel) checkpointPaused(p *Process, start int64, epoch telemetry.Span,
 			p.Counters.Add("proc.ckpt_bytes", ckptBytes)
 			p.Counters.Add("proc.ckpt_cycles", uint64(elapsed))
 			p.checkpointing = false
-			if p.OnCommit != nil {
-				// Threads are still quiesced here: architectural and
-				// program state are exactly the committed epoch's.
-				p.OnCommit(p.ckptSeq)
-			}
 			if p.CommitHook != nil {
 				// Snapshot point: the machine is at its quietest (threads
 				// parked, mechanisms committed), and everything that IS in

@@ -174,16 +174,12 @@ type Process struct {
 	checkpointing bool
 	traceTrack    telemetry.Track // checkpoint-epoch lane (zero when disabled)
 
-	// OnCommit, when set, fires inside every checkpoint's commit callback
-	// with the just-committed sequence number, while all threads are
-	// still quiesced — the crash-sweep harness snapshots golden state
-	// here. It must not block or mutate the process.
-	OnCommit func(seq uint64)
-
-	// CommitHook, when set, fires right after OnCommit and before the
-	// threads resume — the one point in a run where a simulator snapshot
+	// CommitHook, when set, fires inside every checkpoint's commit
+	// callback, after the commit is durable and before the threads
+	// resume: architectural and program state are exactly the committed
+	// epoch's. It is the one point in a run where a simulator snapshot
 	// can be taken (snapshot.Save reads the kernel's SnapshotPoint while
-	// the hook runs). Like OnCommit it must not mutate simulation state.
+	// the hook runs). It must not block or mutate simulation state.
 	CommitHook func(p *Process)
 
 	// Checkpoints completed and cumulative checkpoint statistics; their
