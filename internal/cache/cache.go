@@ -58,12 +58,16 @@ func L3Config(cores int) Config {
 	return Config{Name: "l3", Size: cores * (2 << 20), Ways: 16, Latency: 20, MSHRs: 32}
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
-}
+// Flag bits in the low, always-zero bits of a line address.
+const (
+	tagValid uint64 = 1 << 0
+	tagDirty uint64 = 1 << 1
+	tagFlags        = tagValid | tagDirty
+)
+
+// waiterSlots is how many waiters each MSHR holds before its list grows
+// onto the heap.
+const waiterSlots = 4
 
 type mshr struct {
 	waiters []waiter
@@ -94,12 +98,20 @@ type Cache struct {
 	// through the interface.
 	nextCache *Cache
 
-	sets     [][]line
+	// The tag array, flat: way w of set s is line s*ways+w of tags and
+	// lrus. A tag word is the line address with tagValid and tagDirty
+	// in its low bits; an invalid line keeps its stale address.
+	tags     []uint64
+	lrus     []uint64
 	setMask  uint64
 	lruClock uint64
 
-	mshrs    map[uint64]*mshr //prosperlint:ignore snapshot SaveSnap asserts no in-flight misses; a fresh boot's empty MSHR map needs no restoring
-	mshrFree []*mshr          // retired MSHRs, reused with their waiter backing
+	// mshrs holds the in-flight misses, at most cfg.MSHRs of them;
+	// mshrLines[i] is the line mshrs[i] fetches, searched linearly.
+	mshrs []*mshr //prosperlint:ignore snapshot SaveSnap asserts no in-flight misses; a fresh boot's empty MSHR list needs no restoring
+	//prosperlint:ignore snapshot parallel to mshrs, which SaveSnap asserts empty
+	mshrLines []uint64
+	mshrFree  []*mshr // idle MSHRs, reused with their waiter backing
 	//prosperlint:ignore snapshot SaveSnap asserts none are stalled; a fresh boot's empty list needs no restoring
 	blocked  []deferredAccess // accesses stalled on MSHR exhaustion
 	retryBuf []deferredAccess // spare backing swapped with blocked on retry
@@ -142,23 +154,29 @@ func New(eng *sim.Engine, cfg Config, next Port) *Cache {
 	if numSets == 0 || numSets&(numSets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	sets := make([][]line, numSets)
-	backing := make([]line, numLines)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	c := &Cache{
 		eng:        eng,
 		cfg:        cfg,
 		next:       next,
-		sets:       sets,
+		tags:       make([]uint64, numLines),
+		lrus:       make([]uint64, numLines),
 		setMask:    uint64(numSets - 1),
-		mshrs:      make(map[uint64]*mshr),
+		mshrs:      make([]*mshr, 0, cfg.MSHRs),
+		mshrLines:  make([]uint64, 0, cfg.MSHRs),
 		Counters:   stats.NewCounters(),
 		Histograms: stats.NewHistograms(),
 	}
 	if nc, ok := next.(*Cache); ok {
 		c.nextCache = nc
+	}
+	// The MSHRs and the first waiterSlots waiters of each live in two
+	// contiguous arrays rather than one heap object per record.
+	pool := make([]mshr, cfg.MSHRs)
+	waiters := make([]waiter, cfg.MSHRs*waiterSlots)
+	c.mshrFree = make([]*mshr, cfg.MSHRs)
+	for i := range pool {
+		pool[i].waiters = waiters[i*waiterSlots : i*waiterSlots : (i+1)*waiterSlots]
+		c.mshrFree[cfg.MSHRs-1-i] = &pool[i]
 	}
 	c.fetchFn = c.fetch
 	c.fillFn = c.fill
@@ -184,18 +202,31 @@ func (c *Cache) AttachJourneys(r *journey.Recorder, stage journey.Stage) {
 	c.stage = stage
 }
 
-func (c *Cache) setFor(lineAddr uint64) []line {
-	return c.sets[(lineAddr>>mem.LineShift)&c.setMask]
+// setFor returns the first line index of lineAddr's set.
+func (c *Cache) setFor(lineAddr uint64) int {
+	return int((lineAddr>>mem.LineShift)&c.setMask) * c.cfg.Ways
 }
 
-func (c *Cache) lookup(lineAddr uint64) *line {
-	set := c.setFor(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return &set[i]
+// lookup returns the line index holding lineAddr, or -1.
+func (c *Cache) lookup(lineAddr uint64) int {
+	base := c.setFor(lineAddr)
+	want := lineAddr | tagValid
+	for i, tag := range c.tags[base : base+c.cfg.Ways] {
+		if tag&^tagDirty == want {
+			return base + i
 		}
 	}
-	return nil
+	return -1
+}
+
+// inFlight returns the index of lineAddr's MSHR in mshrs, or -1.
+func (c *Cache) inFlight(lineAddr uint64) int {
+	for i, l := range c.mshrLines {
+		if l == lineAddr {
+			return i
+		}
+	}
+	return -1
 }
 
 // nextAccess forwards one access to the level below, devirtualized when
@@ -223,12 +254,12 @@ func (c *Cache) Access(write bool, addr uint64, done sim.Done) {
 // MSHR-stall retries so that one logical access is accounted exactly once
 // as a hit or a miss.
 func (c *Cache) access(write bool, lineAddr uint64, done sim.Done) {
-	if ln := c.lookup(lineAddr); ln != nil {
+	if i := c.lookup(lineAddr); i >= 0 {
 		c.cHits.Inc()
 		c.lruClock++
-		ln.lru = c.lruClock
+		c.lrus[i] = c.lruClock
 		if write {
-			ln.dirty = true
+			c.tags[i] |= tagDirty
 		}
 		if jid := done.Journey(); jid != 0 {
 			now := c.eng.Now()
@@ -243,8 +274,9 @@ func (c *Cache) access(write bool, lineAddr uint64, done sim.Done) {
 }
 
 func (c *Cache) miss(write bool, lineAddr uint64, done sim.Done) {
-	if m, ok := c.mshrs[lineAddr]; ok {
+	if i := c.inFlight(lineAddr); i >= 0 {
 		// Coalesce with the in-flight fetch of the same line.
+		m := c.mshrs[i]
 		c.cMisses.Inc()
 		c.cCoalesced.Inc()
 		m.waiters = append(m.waiters, waiter{write: write, done: done, arrived: c.eng.Now()})
@@ -267,7 +299,8 @@ func (c *Cache) miss(write bool, lineAddr uint64, done sim.Done) {
 	m.waiters = append(m.waiters, waiter{write: write, done: done, arrived: c.eng.Now()})
 	m.issued = c.eng.Now()
 	m.jid = done.Journey()
-	c.mshrs[lineAddr] = m
+	c.mshrs = append(c.mshrs, m)
+	c.mshrLines = append(c.mshrLines, lineAddr)
 	c.hMSHROcc.Observe(uint64(len(c.mshrs)))
 	// Fetch the line from the level below after paying the lookup latency.
 	c.eng.ScheduleDone(c.cfg.Latency, sim.Bind(sim.CompCache, c.fetchFn, lineAddr))
@@ -279,31 +312,36 @@ func (c *Cache) miss(write bool, lineAddr uint64, done sim.Done) {
 func (c *Cache) fetch(lineAddr uint64) {
 	tok := sim.Bind(sim.CompCache, c.fillFn, lineAddr)
 	if c.journeys != nil {
-		if m, ok := c.mshrs[lineAddr]; ok && m.jid != 0 {
-			tok = tok.WithJourney(m.jid)
+		if i := c.inFlight(lineAddr); i >= 0 && c.mshrs[i].jid != 0 {
+			tok = tok.WithJourney(c.mshrs[i].jid)
 		}
 	}
 	c.nextAccess(false, lineAddr, tok)
 }
 
 func (c *Cache) fill(lineAddr uint64) {
-	m := c.mshrs[lineAddr]
-	delete(c.mshrs, lineAddr)
+	i := c.inFlight(lineAddr)
+	m := c.mshrs[i]
+	last := len(c.mshrs) - 1
+	c.mshrs[i], c.mshrLines[i] = c.mshrs[last], c.mshrLines[last]
+	c.mshrs[last] = nil
+	c.mshrs, c.mshrLines = c.mshrs[:last], c.mshrLines[:last]
 	c.hMissLatency.Observe(uint64(c.eng.Now() - m.issued))
 
 	victim := c.victimFor(lineAddr)
-	if victim.valid && victim.dirty {
+	if tag := c.tags[victim]; tag&tagFlags == tagFlags {
 		c.cWritebacks.Inc()
 		// Posted writeback: lower level absorbs it asynchronously.
-		c.nextAccess(true, victim.tag, sim.Done{})
+		c.nextAccess(true, tag&^tagFlags, sim.Done{})
 	}
 	c.lruClock++
-	*victim = line{tag: lineAddr, valid: true, lru: c.lruClock}
+	c.tags[victim] = lineAddr | tagValid
+	c.lrus[victim] = c.lruClock
 	now := c.eng.Now()
 	for i := range m.waiters {
 		w := m.waiters[i]
 		if w.write {
-			victim.dirty = true
+			c.tags[victim] |= tagDirty
 		}
 		if jid := w.done.Journey(); jid != 0 {
 			// The level's whole share of the miss, waiter arrival to
@@ -323,6 +361,9 @@ func (c *Cache) fill(lineAddr uint64) {
 	c.retryBlocked()
 }
 
+// allocMSHR takes an idle MSHR. The pool can run dry for a moment:
+// fill releases a line's MSHR slot before its waiters run, and a waiter
+// may start a new miss before the old record is back on the free list.
 func (c *Cache) allocMSHR() *mshr {
 	if n := len(c.mshrFree); n > 0 {
 		m := c.mshrFree[n-1]
@@ -340,15 +381,17 @@ func (c *Cache) freeMSHR(m *mshr) {
 	c.mshrFree = append(c.mshrFree, m)
 }
 
-func (c *Cache) victimFor(lineAddr uint64) *line {
-	set := c.setFor(lineAddr)
-	victim := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
+// victimFor returns the line index a fill of lineAddr replaces: the
+// set's first invalid line, else its least recently used.
+func (c *Cache) victimFor(lineAddr uint64) int {
+	base := c.setFor(lineAddr)
+	victim := base
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if c.tags[i]&tagValid == 0 {
+			return i
 		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
+		if c.lrus[i] < c.lrus[victim] {
+			victim = i
 		}
 	}
 	return victim
@@ -385,21 +428,17 @@ func (c *Cache) MSHRsInUse() int { return len(c.mshrs) }
 func (c *Cache) BlockedAccesses() int { return len(c.blocked) }
 
 // Contains reports whether the line holding addr is resident (test hook).
-func (c *Cache) Contains(addr uint64) bool { return c.lookup(mem.LineOf(addr)) != nil }
+func (c *Cache) Contains(addr uint64) bool { return c.lookup(mem.LineOf(addr)) >= 0 }
 
 // Flush writes back every dirty line and invalidates the cache, e.g. to
 // model cache loss at power failure or explicit clwb sweeps.
 func (c *Cache) Flush() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			ln := &c.sets[si][wi]
-			if ln.valid && ln.dirty {
-				c.cWritebacks.Inc()
-				c.nextAccess(true, ln.tag, sim.Done{})
-			}
-			ln.valid = false
-			ln.dirty = false
+	for i, tag := range c.tags {
+		if tag&tagFlags == tagFlags {
+			c.cWritebacks.Inc()
+			c.nextAccess(true, tag&^tagFlags, sim.Done{})
 		}
+		c.tags[i] = tag &^ tagFlags
 	}
 }
 

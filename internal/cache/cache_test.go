@@ -198,17 +198,19 @@ func TestCacheTagInvariantProperty(t *testing.T) {
 			c.Access(w, uint64(a)*8, sim.Done{})
 		}
 		eng.Run()
-		for si, set := range c.sets {
+		ways := c.cfg.Ways
+		for base := 0; base < len(c.tags); base += ways {
 			seen := map[uint64]bool{}
-			for _, ln := range set {
-				if !ln.valid {
+			for _, tag := range c.tags[base : base+ways] {
+				if tag&tagValid == 0 {
 					continue
 				}
-				if seen[ln.tag] {
+				line := tag &^ tagFlags
+				if seen[line] {
 					return false // duplicate tag in one set
 				}
-				seen[ln.tag] = true
-				if int((ln.tag>>mem.LineShift)&c.setMask) != si {
+				seen[line] = true
+				if c.setFor(line) != base {
 					return false // line in the wrong set
 				}
 			}

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 
+	"prosper/internal/mem"
 	"prosper/internal/snapbuf"
 )
 
@@ -16,17 +17,14 @@ func (c *Cache) SaveSnap(w *snapbuf.Writer) error {
 			c.cfg.Name, len(c.mshrs), len(c.blocked))
 	}
 	w.String(c.cfg.Name)
-	w.U64(uint64(len(c.sets)))
+	w.U64(c.setMask + 1)
 	w.U64(uint64(c.cfg.Ways))
 	w.U64(c.lruClock)
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			ln := &c.sets[si][wi]
-			w.U64(ln.tag)
-			w.Bool(ln.valid)
-			w.Bool(ln.dirty)
-			w.U64(ln.lru)
-		}
+	for i, tag := range c.tags {
+		w.U64(tag &^ tagFlags)
+		w.Bool(tag&tagValid != 0)
+		w.Bool(tag&tagDirty != 0)
+		w.U64(c.lrus[i])
 	}
 	c.Counters.SaveSnap(w)
 	c.Histograms.SaveSnap(w)
@@ -41,19 +39,24 @@ func (c *Cache) LoadSnap(r *snapbuf.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if name != c.cfg.Name || sets != uint64(len(c.sets)) || ways != uint64(c.cfg.Ways) {
+	if name != c.cfg.Name || sets != c.setMask+1 || ways != uint64(c.cfg.Ways) {
 		return fmt.Errorf("cache: geometry mismatch: snapshot %s %dx%d, machine %s %dx%d",
-			name, sets, ways, c.cfg.Name, len(c.sets), c.cfg.Ways)
+			name, sets, ways, c.cfg.Name, c.setMask+1, c.cfg.Ways)
 	}
 	c.lruClock = r.U64()
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			ln := &c.sets[si][wi]
-			ln.tag = r.U64()
-			ln.valid = r.Bool()
-			ln.dirty = r.Bool()
-			ln.lru = r.U64()
+	for i := range c.tags {
+		tag := r.U64()
+		if tag&(mem.LineSize-1) != 0 {
+			return fmt.Errorf("cache: %s line %d holds unaligned tag %#x", c.cfg.Name, i, tag)
 		}
+		if r.Bool() {
+			tag |= tagValid
+		}
+		if r.Bool() {
+			tag |= tagDirty
+		}
+		c.tags[i] = tag
+		c.lrus[i] = r.U64()
 	}
 	if err := c.Counters.LoadSnap(r); err != nil {
 		return err

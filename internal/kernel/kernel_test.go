@@ -32,6 +32,32 @@ func TestSpawnAndRunToCompletion(t *testing.T) {
 	}
 }
 
+// TestZeroLengthAccessesRetire checks that a 0-byte load and a 0-byte
+// store complete like any other access: the thread keeps running, the
+// ops after them retire, and the trailing store reaches memory.
+func TestZeroLengthAccessesRetire(t *testing.T) {
+	k := testKernel(1)
+	p := k.Spawn(ProcessConfig{Name: "zero"}, workload.NewProgram("zero", func(g *workload.G) {
+		g.Load(g.Ctx.HeapLo, 0)
+		g.Store(g.Ctx.HeapLo, 0)
+		g.Load(g.Ctx.HeapLo, 8)
+		g.Store(g.Ctx.HeapLo, 8)
+	}))
+	if !k.RunUntilDone(sim.Second) {
+		t.Fatal("thread stalled behind a zero-length access")
+	}
+	if ops := p.Threads[0].UserOps; ops != 4 {
+		t.Fatalf("user ops = %d, want 4 retired accesses", ops)
+	}
+	paddr, _, ok := p.AS.PT.Translate(heapBase)
+	if !ok {
+		t.Fatal("heap page never mapped")
+	}
+	if k.Mach.Storage.ReadU64(paddr) == 0 {
+		t.Fatal("the store after the zero-length accesses never reached memory")
+	}
+}
+
 func TestStackAndHeapActuallyWritten(t *testing.T) {
 	k := testKernel(1)
 	p := k.Spawn(ProcessConfig{Name: "counter"}, workload.NewCounter(100))

@@ -109,12 +109,11 @@ type Thread struct {
 	// per-op step/finish cycle allocates nothing: cs is the core the
 	// thread currently occupies (set by scheduleNext), opStart the issue
 	// cycle of the op in flight, storeBuf the reused store payload.
-	cs          *coreState
-	opStart     sim.Time
-	stepFn      func()
-	loadDoneFn  func([]byte)
-	storeDoneFn func()
-	storeBuf    []byte
+	cs       *coreState
+	opStart  sim.Time
+	stepFn   func()
+	opDoneFn func()
+	storeBuf []byte
 }
 
 // State returns a printable thread state (tests and tools).

@@ -36,12 +36,12 @@ func (k *Kernel) step(t *Thread, cs *coreState) {
 		if op.SP != 0 {
 			t.sp = op.SP
 		}
-		cs.core.Read(op.Addr, int(op.Size), t.loadDoneFn)
+		cs.core.Read(op.Addr, int(op.Size), t.opDoneFn)
 	case workload.Store:
 		if op.SP != 0 {
 			t.sp = op.SP
 		}
-		cs.core.Write(op.Addr, t.storeData(op), t.storeDoneFn)
+		cs.core.Write(op.Addr, t.storeData(op), t.opDoneFn)
 	default:
 		panic("kernel: unknown op kind")
 	}
@@ -52,13 +52,12 @@ func (k *Kernel) step(t *Thread, cs *coreState) {
 // Thread constructor (spawn and recovery) must call it.
 func (t *Thread) bindOps(k *Kernel) {
 	t.stepFn = func() { k.step(t, t.cs) }
-	t.loadDoneFn = func([]byte) { t.finishOp() }
-	t.storeDoneFn = t.finishOp
+	t.opDoneFn = t.finishOp
 }
 
 // finishOp retires the load/store in flight and schedules the next step.
-// It runs through the thread's once-bound loadDoneFn/storeDoneFn, so the
-// per-op completion cycle allocates nothing.
+// It runs through the thread's once-bound opDoneFn, so the per-op
+// completion cycle allocates nothing.
 func (t *Thread) finishOp() {
 	k := t.Proc.kern
 	t.UserOps++

@@ -14,12 +14,12 @@ import (
 // allocEnv builds a machine, pre-faults the page under test so the TLB
 // and page tables are warm, and returns a reusable read-completion
 // callback (bound once, like the kernel's per-thread callbacks).
-func allocEnv(t *testing.T) (m *Machine, core *Core, readDone func([]byte)) {
+func allocEnv(t *testing.T) (m *Machine, core *Core, readDone func()) {
 	t.Helper()
 	m, core, _ = testEnv(t)
 	core.Write(addrUnderTest, []byte{1}, nil)
 	m.Eng.Run()
-	return m, core, func([]byte) {}
+	return m, core, func() {}
 }
 
 const addrUnderTest = uint64(0x10000)
@@ -66,5 +66,43 @@ func TestAllocsFullMissDeviceRoundTrip(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("full miss -> device round trip allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+func TestAllocsTLBMissPageWalk(t *testing.T) {
+	m, core, readDone := allocEnv(t)
+	core.Read(addrUnderTest, 8, readDone)
+	m.Eng.Run()
+	allocs := testing.AllocsPerRun(200, func() {
+		core.TLB.Invalidate(addrUnderTest)
+		core.Read(addrUnderTest, 8, readDone) // TLB miss: four-level walk through L2
+		m.Eng.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("TLB miss -> page walk allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// BenchmarkPageWalk measures a load that misses the TLB on a mapped
+// page: the four dependent page-table reads through L2, the TLB fill and
+// the L1-hit data access.
+func BenchmarkPageWalk(b *testing.B) {
+	m, core, _ := testEnv(nil)
+	core.Write(addrUnderTest, []byte{1}, nil)
+	m.Eng.Run()
+	readDone := func() {}
+	core.TLB.Invalidate(addrUnderTest) // one walk warms the pools
+	core.Read(addrUnderTest, 8, readDone)
+	m.Eng.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.TLB.Invalidate(addrUnderTest)
+		core.Read(addrUnderTest, 8, readDone)
+		m.Eng.Run()
+	}
+	b.StopTimer()
+	if walks := core.Counters.Get("core.page_walks"); walks < uint64(b.N) {
+		b.Fatalf("page walks = %d, want at least %d", walks, b.N)
 	}
 }

@@ -76,10 +76,11 @@ type Core struct {
 	walkFree []*walkOp
 
 	Counters *stats.Counters
-	// Per-op counters, registered on first use so Counters keeps the
+	// Counter handles, registered on first use so Counters keeps the
 	// order the string-keyed Inc calls gave it.
-	loads, stores, pageWalks  stats.LazyCounter
-	sbStalls, storeHookStalls stats.LazyCounter
+	loads, stores, pageWalks               stats.LazyCounter
+	sbStalls, storeHookStalls              stats.LazyCounter
+	dirtySetWalks, pageFaults, ctxSwitches stats.LazyCounter
 }
 
 func newCore(m *Machine, id int) *Core {
@@ -100,16 +101,17 @@ func newCore(m *Machine, id int) *Core {
 	c.pageWalks = c.Counters.Lazy("core.page_walks")
 	c.sbStalls = c.Counters.Lazy("core.store_buffer_stalls")
 	c.storeHookStalls = c.Counters.Lazy("core.store_hook_stalls")
+	c.dirtySetWalks = c.Counters.Lazy("core.dirty_set_walks")
+	c.pageFaults = c.Counters.Lazy("core.page_faults")
+	c.ctxSwitches = c.Counters.Lazy("core.context_switches")
 	return c
 }
 
-// memOp is one in-flight Read or Write: the shared buffer, the caller's
+// memOp is one in-flight Read or Write: the store payload, the caller's
 // completion, and the count of line segments still outstanding.
 type memOp struct {
-	buf       []byte // read destination, reused across ops (see Read)
 	data      []byte // store payload (caller-owned, released on free)
-	readDone  func([]byte)
-	writeDone func()
+	done      func()
 	remaining int
 }
 
@@ -168,8 +170,7 @@ func (c *Core) allocOp() *memOp {
 
 func (c *Core) freeOp(op *memOp) {
 	op.data = nil
-	op.readDone = nil
-	op.writeDone = nil
+	op.done = nil
 	c.opFree = append(c.opFree, op)
 }
 
@@ -226,7 +227,7 @@ func (c *Core) StoreBufferInUse() int { return c.mach.Cfg.StoreBuffer - c.storeC
 func (c *Core) SwitchContext(as *vm.AddressSpace) {
 	c.AS = as
 	c.TLB.Flush()
-	c.Counters.Inc("core.context_switches")
+	c.ctxSwitches.Inc()
 }
 
 // translate resolves vaddr and calls k with the physical address. It
@@ -308,7 +309,7 @@ func (w *walkOp) finish() {
 		}
 		pte.Flags |= vm.FlagDirty | vm.FlagAccess
 		e.Dirty = true
-		c.Counters.Inc("core.dirty_set_walks")
+		c.dirtySetWalks.Inc()
 		k(e.Frame | (vaddr & (mem.PageSize - 1)))
 		return
 	}
@@ -331,7 +332,7 @@ func (w *walkOp) finish() {
 // workloads are not supposed to segfault. Faults are rare, so the retry
 // closure is the one place the translation path still allocates.
 func (c *Core) fault(vaddr uint64, write bool, jid uint32, k func(uint64)) {
-	c.Counters.Inc("core.page_faults")
+	c.pageFaults.Inc()
 	if c.OnFault == nil {
 		panic("machine: page fault with no handler")
 	}
@@ -348,23 +349,19 @@ func (c *Core) fault(vaddr uint64, write bool, jid uint32, k func(uint64)) {
 	})
 }
 
-// Read performs a timed load of size bytes at vaddr; done receives the
-// data once the slowest line completes. Loads block the core (the kernel
-// run loop waits for done before issuing the next op), so the buffer
-// handed to done is only valid until the core issues its next load — it
-// is reused, not reallocated.
-func (c *Core) Read(vaddr uint64, size int, done func([]byte)) {
+// Read performs a timed load of size bytes at vaddr; done fires once the
+// slowest line completes. Loads are timing-only: no bytes move, because
+// nothing in the simulated programs consumes loaded values. The data
+// stays readable in Storage at the translated address. An empty load
+// completes at +0 cycles.
+func (c *Core) Read(vaddr uint64, size int, done func()) {
 	c.loads.Inc()
 	if size <= 0 {
+		c.completeEmpty(done)
 		return
 	}
 	op := c.allocOp()
-	op.readDone = done
-	if cap(op.buf) < size {
-		op.buf = make([]byte, size)
-	} else {
-		op.buf = op.buf[:size]
-	}
+	op.done = done
 	op.remaining = mem.LinesSpanned(vaddr, size)
 	jid := c.journeys.Start(c.eng.Now(), false, vaddr, size, op.remaining)
 	c.issueSegs(op, vaddr, size, false, jid)
@@ -381,14 +378,23 @@ func (c *Core) Write(vaddr uint64, data []byte, done func()) {
 		c.Observer.ObserveStore(vaddr, len(data))
 	}
 	if len(data) == 0 {
+		c.completeEmpty(done)
 		return
 	}
 	op := c.allocOp()
 	op.data = data
-	op.writeDone = done
+	op.done = done
 	op.remaining = mem.LinesSpanned(vaddr, len(data))
 	jid := c.journeys.Start(c.eng.Now(), true, vaddr, len(data), op.remaining)
 	c.issueSegs(op, vaddr, len(data), true, jid)
+}
+
+// completeEmpty retires a zero-length access through the engine at +0
+// cycles, so its caller resumes exactly as after any other access.
+func (c *Core) completeEmpty(done func()) {
+	if done != nil {
+		c.eng.Schedule(sim.CompWorkload, 0, done)
+	}
 }
 
 // issueSegs cuts [vaddr, vaddr+size) at cache-line boundaries and starts
@@ -412,13 +418,12 @@ func (c *Core) issueSegs(op *memOp, vaddr uint64, size int, write bool, jid uint
 	}
 }
 
-// translated resumes a segment once its physical address is known: the
-// functional data movement happens immediately, then the timed cache
-// access (reads) or the store pipeline (writes) takes over.
+// translated resumes a segment once its physical address is known: a
+// read goes straight to its timed cache access; a write moves its bytes
+// into Storage immediately, then enters the store pipeline.
 func (s *segOp) translated(paddr uint64) {
 	c := s.core
 	if !s.write {
-		c.mach.Storage.Read(paddr, s.op.buf[s.off:s.off+s.n])
 		c.l1.Access(false, paddr, s.lineDoneTok.WithJourney(s.jid))
 		return
 	}
@@ -450,8 +455,8 @@ func (s *segOp) lineDone() {
 	c.freeSeg(s)
 	op.remaining--
 	if op.remaining == 0 {
-		if op.readDone != nil {
-			op.readDone(op.buf)
+		if op.done != nil {
+			op.done()
 		}
 		c.freeOp(op)
 	}
@@ -486,8 +491,8 @@ func (s *segOp) credited() {
 	c.freeSeg(s)
 	op.remaining--
 	if op.remaining == 0 {
-		if op.writeDone != nil {
-			op.writeDone()
+		if op.done != nil {
+			op.done()
 		}
 		c.freeOp(op)
 	}

@@ -293,8 +293,6 @@ type fanOp struct {
 	slot      int
 	remaining int
 	done      sim.Done
-	readDone  func([]byte)
-	buf       []byte
 
 	lineDoneTok sim.Done
 }
@@ -313,8 +311,6 @@ func (m *Machine) allocFan() *fanOp {
 
 func (m *Machine) freeFan(f *fanOp) {
 	f.done = sim.Done{}
-	f.readDone = nil
-	f.buf = nil
 	m.fanFree = append(m.fanFree, f)
 }
 
@@ -324,12 +320,9 @@ func (f *fanOp) lineDone() {
 		return
 	}
 	m := f.m
-	done, readDone, buf := f.done, f.readDone, f.buf
+	done := f.done
 	m.freeFan(f)
 	done.Run()
-	if readDone != nil {
-		readDone(buf)
-	}
 }
 
 // WritePhys performs a timed write of data to physical addr through the
@@ -347,7 +340,24 @@ func (m *Machine) WritePhys(addr uint64, data []byte, done func()) {
 // closure; see CopyPhysTok for when the keyed form is required.
 func (m *Machine) WritePhysTok(addr uint64, data []byte, done sim.Done) {
 	m.Storage.Write(addr, data)
-	lines := mem.LinesSpanned(addr, len(data))
+	m.fanOut(true, addr, len(data), done)
+}
+
+// ReadPhys performs a timed read of n bytes at physical addr through the
+// memory controller; done fires at device completion. Like core loads it
+// is timing-only: the bytes stay in Storage for whoever needs them.
+func (m *Machine) ReadPhys(addr uint64, n int, done func()) {
+	var tok sim.Done
+	if done != nil {
+		tok = sim.Thunk(sim.CompPersist, done)
+	}
+	m.fanOut(false, addr, n, tok)
+}
+
+// fanOut issues one controller access per line of [addr, addr+n) and
+// runs done when the last completes (at +0 cycles when n is zero).
+func (m *Machine) fanOut(write bool, addr uint64, n int, done sim.Done) {
+	lines := mem.LinesSpanned(addr, n)
 	if lines == 0 {
 		if done.Valid() {
 			m.Eng.ScheduleDone(0, done)
@@ -358,27 +368,6 @@ func (m *Machine) WritePhysTok(addr uint64, data []byte, done sim.Done) {
 	f.remaining = lines
 	f.done = done
 	for i := 0; i < lines; i++ {
-		m.Ctl.Access(true, mem.LineOf(addr)+uint64(i)*mem.LineSize, f.lineDoneTok)
-	}
-}
-
-// ReadPhys performs a timed read of n bytes at physical addr through the
-// memory controller; done receives the data at device completion.
-func (m *Machine) ReadPhys(addr uint64, n int, done func([]byte)) {
-	buf := make([]byte, n)
-	m.Storage.Read(addr, buf)
-	lines := mem.LinesSpanned(addr, n)
-	if lines == 0 {
-		if done != nil {
-			m.Eng.Schedule(sim.CompPersist, 0, func() { done(buf) })
-		}
-		return
-	}
-	f := m.allocFan()
-	f.remaining = lines
-	f.readDone = done
-	f.buf = buf
-	for i := 0; i < lines; i++ {
-		m.Ctl.Access(false, mem.LineOf(addr)+uint64(i)*mem.LineSize, f.lineDoneTok)
+		m.Ctl.Access(write, mem.LineOf(addr)+uint64(i)*mem.LineSize, f.lineDoneTok)
 	}
 }

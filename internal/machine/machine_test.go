@@ -33,11 +33,26 @@ func testEnv(t *testing.T) (*Machine, *Core, *vm.AddressSpace) {
 	return m, core, as
 }
 
+// loaded returns the n bytes a load of vaddr observes: loads are
+// timing-only, so the bytes are read from Storage through the page
+// table's translation.
+func loaded(m *Machine, as *vm.AddressSpace, vaddr uint64, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		paddr, _, ok := as.PT.Translate(vaddr + uint64(i))
+		if !ok {
+			panic("loaded: unmapped address")
+		}
+		m.Storage.Read(paddr, out[i:i+1])
+	}
+	return out
+}
+
 func TestCoreWriteReadRoundTrip(t *testing.T) {
-	m, core, _ := testEnv(t)
+	m, core, as := testEnv(t)
 	var got []byte
 	core.Write(0x10040, []byte("prosper"), func() {
-		core.Read(0x10040, 7, func(b []byte) { got = b })
+		core.Read(0x10040, 7, func() { got = loaded(m, as, 0x10040, 7) })
 	})
 	m.Eng.Run()
 	if !bytes.Equal(got, []byte("prosper")) {
@@ -72,7 +87,7 @@ func TestCoreReadBlocksForMemory(t *testing.T) {
 	m, core, _ := testEnv(t)
 	var coldT sim.Time
 	start := m.Eng.Now()
-	core.Read(0x10000, 8, func([]byte) { coldT = m.Eng.Now() - start })
+	core.Read(0x10000, 8, func() { coldT = m.Eng.Now() - start })
 	m.Eng.Run()
 	// Cold read: fault (3000) + walks + caches + DRAM; must exceed DRAM latency.
 	if coldT < 135 {
@@ -166,7 +181,7 @@ func TestStoreHookReceivesPhysical(t *testing.T) {
 }
 
 func TestCrossLineWriteSplits(t *testing.T) {
-	m, core, _ := testEnv(t)
+	m, core, as := testEnv(t)
 	addr := uint64(0x10000 + mem.LineSize - 4)
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	done := false
@@ -176,7 +191,7 @@ func TestCrossLineWriteSplits(t *testing.T) {
 		t.Fatal("cross-line write never completed")
 	}
 	var got []byte
-	core.Read(addr, 8, func(b []byte) { got = b })
+	core.Read(addr, 8, func() { got = loaded(m, as, addr, 8) })
 	m.Eng.Run()
 	if !bytes.Equal(got, data) {
 		t.Fatalf("cross-line data = %v", got)
@@ -272,13 +287,25 @@ func TestCopyPhysZeroBytes(t *testing.T) {
 
 func TestWriteReadPhys(t *testing.T) {
 	m, _, _ := testEnv(t)
-	var got []byte
+	var wroteAt, readAt sim.Time
 	m.WritePhys(mem.NVMBase+128, []byte("persist me"), func() {
-		m.ReadPhys(mem.NVMBase+128, 10, func(b []byte) { got = b })
+		wroteAt = m.Eng.Now()
+		m.ReadPhys(mem.NVMBase+128, 10, func() { readAt = m.Eng.Now() })
 	})
 	m.Eng.Run()
+	if wroteAt == 0 || readAt <= wroteAt {
+		t.Fatalf("write done at %d, read done at %d: want both timed, read after write", wroteAt, readAt)
+	}
+	got := make([]byte, 10)
+	m.Storage.Read(mem.NVMBase+128, got)
 	if string(got) != "persist me" {
 		t.Fatalf("phys round trip = %q", got)
+	}
+	called := false
+	m.ReadPhys(mem.NVMBase, 0, func() { called = true })
+	m.Eng.Run()
+	if !called {
+		t.Fatal("done not called for empty read")
 	}
 }
 
@@ -316,7 +343,7 @@ func TestCoreMemoryConsistencyProperty(t *testing.T) {
 		Val  byte
 		Load bool
 	}) bool {
-		m, core, _ := testEnv(nil)
+		m, core, as := testEnv(nil)
 		ref := make(map[uint64]byte)
 		okAll := true
 		base := uint64(0x10000)
@@ -328,9 +355,9 @@ func TestCoreMemoryConsistencyProperty(t *testing.T) {
 			op := ops[i]
 			addr := base + uint64(op.Off)%0x8000
 			if op.Load {
-				core.Read(addr, 1, func(b []byte) {
+				core.Read(addr, 1, func() {
 					want := ref[addr]
-					if b[0] != want {
+					if loaded(m, as, addr, 1)[0] != want {
 						okAll = false
 					}
 					step(i + 1)

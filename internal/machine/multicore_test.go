@@ -31,7 +31,7 @@ func TestTwoCoresShareL3(t *testing.T) {
 	m, c0, c1 := twoCoreEnv(t)
 	// Core 0 brings a line into the shared L3 via its private L1/L2.
 	done := false
-	c0.Read(0x20000, 8, func([]byte) { done = true })
+	c0.Read(0x20000, 8, func() { done = true })
 	m.Eng.RunWhile(func() bool { return !done })
 	m.Eng.RunUntil(m.Eng.Now() + 10_000)
 
@@ -41,7 +41,7 @@ func TestTwoCoresShareL3(t *testing.T) {
 	start := m.Eng.Now()
 	var elapsed sim.Time
 	done = false
-	c1.Read(0x20000, 8, func([]byte) { elapsed = m.Eng.Now() - start; done = true })
+	c1.Read(0x20000, 8, func() { elapsed = m.Eng.Now() - start; done = true })
 	m.Eng.RunWhile(func() bool { return !done })
 	if m.Hier.L3.Counters.Get("l3.hits") == l3HitsBefore {
 		t.Fatal("second core missed the shared L3")
@@ -70,7 +70,7 @@ func TestTwoCoresContendOnDRAM(t *testing.T) {
 		remaining := n
 		done := false
 		for i := 0; i < n; i++ {
-			c0.Read(uint64(0x20000+i*4096), 8, func([]byte) {
+			c0.Read(uint64(0x20000+i*4096), 8, func() {
 				remaining--
 				if remaining == 0 {
 					done = true
@@ -90,7 +90,7 @@ func TestTwoCoresContendOnDRAM(t *testing.T) {
 func TestPerCoreTLBsIndependent(t *testing.T) {
 	m, c0, c1 := twoCoreEnv(t)
 	done := false
-	c0.Read(0x30000, 8, func([]byte) { done = true })
+	c0.Read(0x30000, 8, func() { done = true })
 	m.Eng.RunWhile(func() bool { return !done })
 	if c0.TLB.Lookup(0x30000) == nil {
 		t.Fatal("core 0 TLB missing entry")

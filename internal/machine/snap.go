@@ -40,9 +40,6 @@ func (m *Machine) SaveSnap(w *snapbuf.Writer, claims *sim.EventClaims) error {
 
 	w.U64(uint64(len(m.fanAll)))
 	for _, f := range m.fanAll {
-		if f.readDone != nil {
-			return fmt.Errorf("machine: fan slot %d has a read continuation in flight at snapshot point", f.slot)
-		}
 		w.Int(f.remaining)
 		if err := sim.SaveDone(w, f.done); err != nil {
 			return fmt.Errorf("fan engine slot %d: %w", f.slot, err)
@@ -181,8 +178,6 @@ func (m *Machine) LoadSnap(r *snapbuf.Reader, reg map[uint64]sim.Done) error {
 			return fmt.Errorf("fan engine slot %d: %w", f.slot, err)
 		}
 		f.done = done
-		f.readDone = nil
-		f.buf = nil
 	}
 	nffree := r.Count(8)
 	m.fanFree = m.fanFree[:0]

@@ -575,7 +575,7 @@ func timedScan(m *machine.Machine, physBase uint64, bytes uint64, n uint64, perU
 		m.Eng.Schedule(sim.CompPersist, cpu, done)
 		return
 	}
-	m.ReadPhys(physBase, int(bytes), func([]byte) {
+	m.ReadPhys(physBase, int(bytes), func() {
 		m.Eng.Schedule(sim.CompPersist, cpu, done)
 	})
 }

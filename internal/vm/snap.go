@@ -185,6 +185,7 @@ func (t *TLB) LoadSnap(r *snapbuf.Reader) error {
 		e.valid = r.Bool()
 		e.lru = r.U64()
 	}
+	t.rebuild()
 	if err := t.Counters.LoadSnap(r); err != nil {
 		return err
 	}
