@@ -15,6 +15,9 @@
 package cache
 
 import (
+	"fmt"
+	"math/bits"
+
 	"prosper/internal/journey"
 	"prosper/internal/mem"
 	"prosper/internal/sim"
@@ -58,12 +61,54 @@ func L3Config(cores int) Config {
 	return Config{Name: "l3", Size: cores * (2 << 20), Ways: 16, Latency: 20, MSHRs: 32}
 }
 
-// Flag bits in the low, always-zero bits of a line address.
+// A tag word is a line number shifted left past two flag bits, so a
+// 16-way set's tags fill one 64-byte host line.
 const (
-	tagValid uint64 = 1 << 0
-	tagDirty uint64 = 1 << 1
+	tagValid uint32 = 1 << 0
+	tagDirty uint32 = 1 << 1
 	tagFlags        = tagValid | tagDirty
+	tagShift        = 2
+
+	// addrLimit is the first byte address a tag word cannot hold: 30 bits
+	// of line number. Physical memory ends at 5 GiB, far below it.
+	addrLimit uint64 = 1 << (32 - tagShift + mem.LineShift)
 )
+
+// tagOf returns the unflagged tag word of lineAddr, which must be below
+// addrLimit.
+func tagOf(lineAddr uint64) uint32 { return uint32(lineAddr>>mem.LineShift) << tagShift }
+
+// addrOf returns the line address a tag word holds.
+func addrOf(tag uint32) uint64 { return uint64(tag>>tagShift) << mem.LineShift }
+
+// maxWays is the largest associativity a set's packed recency order
+// holds: one 4-bit way number per nibble of a uint64.
+const maxWays = 16
+
+// nibbles has 1 in every nibble; identityOrder lists way k at recency k.
+const (
+	nibbles       uint64 = 0x1111111111111111
+	identityOrder uint64 = 0xFEDCBA9876543210
+)
+
+// setState is one set's replacement state. Nibble k of order is the way
+// at recency k, 0 being the most recently used; only the low Ways
+// nibbles are live, and they always hold each way exactly once. Bit w of
+// valid is set iff way w holds a line, mirroring its tag's tagValid.
+type setState struct {
+	order uint64
+	valid uint32
+}
+
+// touch makes way w the set's most recently used: it finds w's nibble
+// (the lowest zero nibble of order ^ w×nibbles) and shifts every more
+// recent nibble up by one.
+func (st *setState) touch(w int) {
+	x := st.order ^ uint64(w)*nibbles
+	k := uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
+	below := uint64(1)<<k - 1
+	st.order = st.order&^(below<<4|0xF) | (st.order&below)<<4 | uint64(w)
+}
 
 // waiterSlots is how many waiters each MSHR holds before its list grows
 // onto the heap.
@@ -98,11 +143,14 @@ type Cache struct {
 	// through the interface.
 	nextCache *Cache
 
-	// The tag array, flat: way w of set s is line s*ways+w of tags and
-	// lrus. A tag word is the line address with tagValid and tagDirty
-	// in its low bits; an invalid line keeps its stale address.
-	tags     []uint64
-	lrus     []uint64
+	// The tag array, flat: way w of set s is line s*ways+w of tags. A
+	// tag word is tagOf the line address with tagValid and tagDirty in
+	// its low bits; an invalid line keeps its stale address. sets holds
+	// each set's recency order and valid mask, which SaveSnap writes as
+	// per-line stamps counting up from lruClock; the clock itself only
+	// changes when LoadSnap restores one.
+	tags     []uint32
+	sets     []setState
 	setMask  uint64
 	lruClock uint64
 
@@ -147,24 +195,38 @@ type Cache struct {
 	stage    journey.Stage
 }
 
-// New builds a cache level in front of next.
+// New builds a cache level in front of next. It panics on a config it
+// cannot run: associativity outside 1..maxWays, no MSHRs (every miss
+// would wait forever), a negative latency, or a set count that is not a
+// positive power of two.
 func New(eng *sim.Engine, cfg Config, next Port) *Cache {
+	switch {
+	case cfg.Ways < 1 || cfg.Ways > maxWays:
+		panic(fmt.Sprintf("cache: %s: %d ways, want 1..%d", cfg.Name, cfg.Ways, maxWays))
+	case cfg.MSHRs < 1:
+		panic(fmt.Sprintf("cache: %s: %d MSHRs, want at least 1", cfg.Name, cfg.MSHRs))
+	case cfg.Latency < 0:
+		panic(fmt.Sprintf("cache: %s: negative latency %d", cfg.Name, cfg.Latency))
+	}
 	numLines := cfg.Size / mem.LineSize
 	numSets := numLines / cfg.Ways
-	if numSets == 0 || numSets&(numSets-1) != 0 {
-		panic("cache: set count must be a positive power of two")
+	if numSets <= 0 || numSets&(numSets-1) != 0 {
+		panic(fmt.Sprintf("cache: %s: %d sets, want a positive power of two", cfg.Name, numSets))
 	}
 	c := &Cache{
 		eng:        eng,
 		cfg:        cfg,
 		next:       next,
-		tags:       make([]uint64, numLines),
-		lrus:       make([]uint64, numLines),
+		tags:       make([]uint32, numSets*cfg.Ways),
+		sets:       make([]setState, numSets),
 		setMask:    uint64(numSets - 1),
 		mshrs:      make([]*mshr, 0, cfg.MSHRs),
 		mshrLines:  make([]uint64, 0, cfg.MSHRs),
 		Counters:   stats.NewCounters(),
 		Histograms: stats.NewHistograms(),
+	}
+	for i := range c.sets {
+		c.sets[i].order = identityOrder
 	}
 	if nc, ok := next.(*Cache); ok {
 		c.nextCache = nc
@@ -202,18 +264,18 @@ func (c *Cache) AttachJourneys(r *journey.Recorder, stage journey.Stage) {
 	c.stage = stage
 }
 
-// setFor returns the first line index of lineAddr's set.
+// setFor returns the index of lineAddr's set.
 func (c *Cache) setFor(lineAddr uint64) int {
-	return int((lineAddr>>mem.LineShift)&c.setMask) * c.cfg.Ways
+	return int((lineAddr >> mem.LineShift) & c.setMask)
 }
 
-// lookup returns the line index holding lineAddr, or -1.
-func (c *Cache) lookup(lineAddr uint64) int {
-	base := c.setFor(lineAddr)
-	want := lineAddr | tagValid
-	for i, tag := range c.tags[base : base+c.cfg.Ways] {
+// lookup returns the way of set s holding lineAddr, or -1.
+func (c *Cache) lookup(s int, lineAddr uint64) int {
+	base := s * c.cfg.Ways
+	want := tagOf(lineAddr) | tagValid
+	for w, tag := range c.tags[base : base+c.cfg.Ways] {
 		if tag&^tagDirty == want {
-			return base + i
+			return w
 		}
 	}
 	return -1
@@ -240,8 +302,12 @@ func (c *Cache) nextAccess(write bool, addr uint64, done sim.Done) {
 }
 
 // Access services one access to the line containing addr. The access is
-// aligned internally; callers may pass arbitrary byte addresses.
+// aligned internally; callers may pass arbitrary byte addresses below
+// addrLimit, and any other address panics.
 func (c *Cache) Access(write bool, addr uint64, done sim.Done) {
+	if addr >= addrLimit {
+		panic(fmt.Sprintf("cache: %s: address %#x is beyond the tag limit %#x", c.cfg.Name, addr, addrLimit))
+	}
 	if write {
 		c.cWriteAccesses.Inc()
 	} else {
@@ -254,12 +320,12 @@ func (c *Cache) Access(write bool, addr uint64, done sim.Done) {
 // MSHR-stall retries so that one logical access is accounted exactly once
 // as a hit or a miss.
 func (c *Cache) access(write bool, lineAddr uint64, done sim.Done) {
-	if i := c.lookup(lineAddr); i >= 0 {
+	s := c.setFor(lineAddr)
+	if way := c.lookup(s, lineAddr); way >= 0 {
 		c.cHits.Inc()
-		c.lruClock++
-		c.lrus[i] = c.lruClock
+		c.sets[s].touch(way)
 		if write {
-			c.tags[i] |= tagDirty
+			c.tags[s*c.cfg.Ways+way] |= tagDirty
 		}
 		if jid := done.Journey(); jid != 0 {
 			now := c.eng.Now()
@@ -328,15 +394,17 @@ func (c *Cache) fill(lineAddr uint64) {
 	c.mshrs, c.mshrLines = c.mshrs[:last], c.mshrLines[:last]
 	c.hMissLatency.Observe(uint64(c.eng.Now() - m.issued))
 
-	victim := c.victimFor(lineAddr)
+	s := c.setFor(lineAddr)
+	way := c.victimFor(s)
+	victim := s*c.cfg.Ways + way
 	if tag := c.tags[victim]; tag&tagFlags == tagFlags {
 		c.cWritebacks.Inc()
 		// Posted writeback: lower level absorbs it asynchronously.
-		c.nextAccess(true, tag&^tagFlags, sim.Done{})
+		c.nextAccess(true, addrOf(tag), sim.Done{})
 	}
-	c.lruClock++
-	c.tags[victim] = lineAddr | tagValid
-	c.lrus[victim] = c.lruClock
+	c.tags[victim] = tagOf(lineAddr) | tagValid
+	c.sets[s].valid |= 1 << way
+	c.sets[s].touch(way)
 	now := c.eng.Now()
 	for i := range m.waiters {
 		w := m.waiters[i]
@@ -381,20 +449,14 @@ func (c *Cache) freeMSHR(m *mshr) {
 	c.mshrFree = append(c.mshrFree, m)
 }
 
-// victimFor returns the line index a fill of lineAddr replaces: the
-// set's first invalid line, else its least recently used.
-func (c *Cache) victimFor(lineAddr uint64) int {
-	base := c.setFor(lineAddr)
-	victim := base
-	for i := base; i < base+c.cfg.Ways; i++ {
-		if c.tags[i]&tagValid == 0 {
-			return i
-		}
-		if c.lrus[i] < c.lrus[victim] {
-			victim = i
-		}
+// victimFor returns the way a fill into set s replaces: the set's first
+// invalid way, else its least recently used.
+func (c *Cache) victimFor(s int) int {
+	st := &c.sets[s]
+	if st.valid != 1<<c.cfg.Ways-1 {
+		return bits.TrailingZeros32(^st.valid)
 	}
-	return victim
+	return int(st.order>>(4*(c.cfg.Ways-1))) & 0xF
 }
 
 func (c *Cache) retryBlocked() {
@@ -428,7 +490,10 @@ func (c *Cache) MSHRsInUse() int { return len(c.mshrs) }
 func (c *Cache) BlockedAccesses() int { return len(c.blocked) }
 
 // Contains reports whether the line holding addr is resident (test hook).
-func (c *Cache) Contains(addr uint64) bool { return c.lookup(mem.LineOf(addr)) >= 0 }
+func (c *Cache) Contains(addr uint64) bool {
+	line := mem.LineOf(addr)
+	return line < addrLimit && c.lookup(c.setFor(line), line) >= 0
+}
 
 // Flush writes back every dirty line and invalidates the cache, e.g. to
 // model cache loss at power failure or explicit clwb sweeps.
@@ -436,9 +501,12 @@ func (c *Cache) Flush() {
 	for i, tag := range c.tags {
 		if tag&tagFlags == tagFlags {
 			c.cWritebacks.Inc()
-			c.nextAccess(true, tag&^tagFlags, sim.Done{})
+			c.nextAccess(true, addrOf(tag), sim.Done{})
 		}
 		c.tags[i] = tag &^ tagFlags
+	}
+	for i := range c.sets {
+		c.sets[i].valid = 0
 	}
 }
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 
+	"prosper/internal/mem"
 	"prosper/internal/sim"
 )
 
@@ -63,5 +64,54 @@ func TestCacheHistograms(t *testing.T) {
 	if occ.Count() != 2 || occ.Max() != 2 || occ.Min() != 1 {
 		t.Fatalf("mshr_occupancy count/min/max = %d/%d/%d, want 2/1/2",
 			occ.Count(), occ.Min(), occ.Max())
+	}
+}
+
+// missEvictCache returns a 16-way level whose every set is full of dirty
+// lines, and an access that misses: a cycle of ways+1 lines per set
+// under LRU never hits, so each access runs miss, fill, victim choice
+// and a dirty writeback.
+func missEvictCache() (*immediatePort, func()) {
+	const sets, ways = 64, 16
+	eng := sim.NewEngine()
+	below := &immediatePort{eng: eng, latency: 100}
+	c := New(eng, Config{Name: "t", Size: sets * ways * mem.LineSize, Ways: ways, Latency: 12, MSHRs: 8}, below)
+	lines := uint64(sets * (ways + 1))
+	var i uint64
+	access := func() {
+		c.Access(true, i%lines*mem.LineSize, sim.Done{})
+		eng.Run()
+		i++
+	}
+	for range lines {
+		access()
+	}
+	return below, access
+}
+
+// BenchmarkCacheMissEvict measures the eviction path: one op is a miss,
+// the fill, the victim choice and a posted writeback of a dirty line.
+func BenchmarkCacheMissEvict(b *testing.B) {
+	below, access := missEvictCache()
+	writes := below.writes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		access()
+	}
+	b.StopTimer()
+	if got := below.writes - writes; got != b.N {
+		b.Fatalf("writebacks = %d, want %d", got, b.N)
+	}
+}
+
+func TestCacheMissEvictDoesNotAllocate(t *testing.T) {
+	below, access := missEvictCache()
+	writes := below.writes
+	if allocs := testing.AllocsPerRun(200, access); allocs != 0 {
+		t.Fatalf("miss with dirty eviction allocates %.1f times per access, want 0", allocs)
+	}
+	if got := below.writes - writes; got != 201 {
+		t.Fatalf("writebacks = %d, want one per access (201)", got)
 	}
 }

@@ -188,7 +188,9 @@ func TestHierarchyNVMSlower(t *testing.T) {
 }
 
 // Property: after any access sequence every valid line appears in exactly
-// the set its address maps to, and no two ways of a set hold the same tag.
+// the set its address maps to, no two ways of a set hold the same tag,
+// each set's valid mask matches its tags, and its recency order lists
+// every way once.
 func TestCacheTagInvariantProperty(t *testing.T) {
 	f := func(addrs []uint16, writes []bool) bool {
 		eng := sim.NewEngine()
@@ -199,20 +201,30 @@ func TestCacheTagInvariantProperty(t *testing.T) {
 		}
 		eng.Run()
 		ways := c.cfg.Ways
-		for base := 0; base < len(c.tags); base += ways {
+		for s, st := range c.sets {
 			seen := map[uint64]bool{}
-			for _, tag := range c.tags[base : base+ways] {
+			for way, tag := range c.tags[s*ways : (s+1)*ways] {
+				if (tag&tagValid != 0) != (st.valid>>way&1 != 0) {
+					return false // valid mask disagrees with the tag
+				}
 				if tag&tagValid == 0 {
 					continue
 				}
-				line := tag &^ tagFlags
+				line := addrOf(tag)
 				if seen[line] {
 					return false // duplicate tag in one set
 				}
 				seen[line] = true
-				if c.setFor(line) != base {
+				if c.setFor(line) != s {
 					return false // line in the wrong set
 				}
+			}
+			var ranked uint32
+			for k := range ways {
+				ranked |= 1 << (st.order >> (4 * k) & 0xF)
+			}
+			if ranked != 1<<ways-1 {
+				return false // recency order is not a permutation of the ways
 			}
 		}
 		return true

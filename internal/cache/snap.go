@@ -8,6 +8,9 @@ import (
 )
 
 // SaveSnap encodes the level's tag arrays, LRU clock, and statistics.
+// Each line's record is (tag, valid, dirty, lru stamp); the level keeps
+// no per-line stamps, so the way at recency k of its set gets stamp
+// lruClock + ways - k, which orders exactly as the set's recency does.
 // Snapshots are taken at checkpoint-commit quiescent points where no
 // miss is in flight; a level with live MSHRs or stalled accesses rejects
 // the snapshot point rather than serializing continuations.
@@ -20,18 +23,28 @@ func (c *Cache) SaveSnap(w *snapbuf.Writer) error {
 	w.U64(c.setMask + 1)
 	w.U64(uint64(c.cfg.Ways))
 	w.U64(c.lruClock)
-	for i, tag := range c.tags {
-		w.U64(tag &^ tagFlags)
-		w.Bool(tag&tagValid != 0)
-		w.Bool(tag&tagDirty != 0)
-		w.U64(c.lrus[i])
+	ways := c.cfg.Ways
+	var stamps [maxWays]uint64
+	for s, st := range c.sets {
+		for k := range ways {
+			stamps[st.order>>(4*k)&0xF] = c.lruClock + uint64(ways-k)
+		}
+		for way, tag := range c.tags[s*ways : (s+1)*ways] {
+			w.U64(addrOf(tag))
+			w.Bool(tag&tagValid != 0)
+			w.Bool(tag&tagDirty != 0)
+			w.U64(stamps[way])
+		}
 	}
 	c.Counters.SaveSnap(w)
 	c.Histograms.SaveSnap(w)
 	return nil
 }
 
-// LoadSnap restores a level of identical geometry.
+// LoadSnap restores a level of identical geometry. Each set's recency
+// order is rebuilt from its lines' stamps, highest first; among equal
+// stamps the lower way counts as less recent, since a scan for the
+// minimum stamp would pick it first.
 func (c *Cache) LoadSnap(r *snapbuf.Reader) error {
 	name := r.String()
 	sets := r.U64()
@@ -44,19 +57,45 @@ func (c *Cache) LoadSnap(r *snapbuf.Reader) error {
 			name, sets, ways, c.cfg.Name, c.setMask+1, c.cfg.Ways)
 	}
 	c.lruClock = r.U64()
-	for i := range c.tags {
-		tag := r.U64()
-		if tag&(mem.LineSize-1) != 0 {
-			return fmt.Errorf("cache: %s line %d holds unaligned tag %#x", c.cfg.Name, i, tag)
+	n := c.cfg.Ways
+	var stamps [maxWays]uint64
+	for s := range c.sets {
+		st := setState{}
+		for way := range n {
+			i := s*n + way
+			addr := r.U64()
+			if addr&(mem.LineSize-1) != 0 {
+				return fmt.Errorf("cache: %s line %d holds unaligned tag %#x", c.cfg.Name, i, addr)
+			}
+			if addr >= addrLimit {
+				return fmt.Errorf("cache: %s line %d holds tag %#x beyond the tag limit %#x", c.cfg.Name, i, addr, addrLimit)
+			}
+			tag := tagOf(addr)
+			if r.Bool() {
+				tag |= tagValid
+				st.valid |= 1 << way
+			}
+			if r.Bool() {
+				tag |= tagDirty
+			}
+			c.tags[i] = tag
+			stamps[way] = r.U64()
 		}
-		if r.Bool() {
-			tag |= tagValid
+		// Insertion sort, most recent first: each way goes in front of
+		// every lower way whose stamp is not higher than its own.
+		var order [maxWays]uint8
+		for way := range n {
+			k := way
+			for k > 0 && stamps[order[k-1]] <= stamps[way] {
+				order[k] = order[k-1]
+				k--
+			}
+			order[k] = uint8(way)
 		}
-		if r.Bool() {
-			tag |= tagDirty
+		for k := range n {
+			st.order |= uint64(order[k]) << (4 * k)
 		}
-		c.tags[i] = tag
-		c.lrus[i] = r.U64()
+		c.sets[s] = st
 	}
 	if err := c.Counters.LoadSnap(r); err != nil {
 		return err

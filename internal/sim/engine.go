@@ -17,7 +17,11 @@
 // heap keeps only checkpoint ticks and long NVM waits. The next bucket is
 // found through an occupancy bitmap with bits.TrailingZeros64. Bucket
 // events live in one slab linked through slab indices; freed slots form
-// a free list, so steady-state scheduling allocates nothing.
+// a free list, so steady-state scheduling allocates nothing. Scheduling
+// writes an event's fields straight into its slot. Copying in a whole
+// event value instead stalled the host on store-to-load forwarding: the
+// caller spilled the value with 8-byte stores and the copy reloaded it
+// 16 bytes at a time.
 //
 // Dispatch order is the strict total order (when, seq), exactly as a
 // single heap would pop it, because:
@@ -277,7 +281,7 @@ func (e *Engine) Inject(comp Component, when Time, seq uint64, fn func()) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: inject at %d before now %d", when, e.now))
 	}
-	e.push(event{when: when, seq: seq, fn: fn, comp: comp})
+	e.push(when, seq, fn, nil, 0, comp)
 }
 
 // InjectDone is Inject for a completion token.
@@ -285,7 +289,7 @@ func (e *Engine) InjectDone(when Time, seq uint64, d Done) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: inject at %d before now %d", when, e.now))
 	}
-	e.push(event{when: when, seq: seq, fn: d.fn, afn: d.afn, arg: d.arg, comp: d.comp})
+	e.push(when, seq, d.fn, d.afn, d.arg, d.comp)
 }
 
 // PendingKey identifies one queued event by its total-order position.
@@ -359,7 +363,7 @@ func (e *Engine) At(comp Component, t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
-	e.push(event{when: t, seq: e.seq, fn: fn, comp: comp})
+	e.push(t, e.seq, fn, nil, 0, comp)
 	e.seq++
 }
 
@@ -378,42 +382,57 @@ func (e *Engine) AtDone(t Time, d Done) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
-	e.push(event{when: t, seq: e.seq, fn: d.fn, afn: d.afn, arg: d.arg, comp: d.comp})
+	e.push(t, e.seq, d.fn, d.afn, d.arg, d.comp)
 	e.seq++
 }
 
-// push files ev in the wheel when it is due within wheelSize cycles and
-// in the far heap otherwise.
-func (e *Engine) push(ev event) {
-	if ev.when-e.now < wheelSize {
-		e.pushWheel(ev)
-	} else {
-		e.pushFar(ev)
+// push files an event in the wheel when it is due within wheelSize
+// cycles and in the far heap otherwise. A wheel event's fields go
+// straight into its slab slot, never through an event value (see the
+// package comment).
+func (e *Engine) push(when Time, seq uint64, fn func(), afn func(uint64), arg uint64, comp Component) {
+	if when-e.now >= wheelSize {
+		e.pushFar(event{when: when, seq: seq, fn: fn, afn: afn, arg: arg, comp: comp})
+		return
 	}
+	i := e.slot()
+	ev := &e.slab[i]
+	ev.when, ev.seq, ev.fn, ev.afn, ev.arg, ev.comp, ev.next = when, seq, fn, afn, arg, comp, 0
+	e.link(i, when, seq)
 }
 
-// pushWheel appends ev to its one-cycle bucket. Schedule/At hand out
-// ascending seqs, so the append lands in seq order; a lower seq
-// (Inject, or an event migrating from the far heap) takes a sorted
-// insert instead.
+// pushWheel files ev, an event migrating from the far heap, in its
+// bucket.
 func (e *Engine) pushWheel(ev event) {
-	i := e.free
-	if i != 0 {
+	i := e.slot()
+	e.slab[i] = ev
+	e.link(i, ev.when, ev.seq)
+}
+
+// slot takes a free slab slot, growing the slab when none is free.
+func (e *Engine) slot() int32 {
+	if i := e.free; i != 0 {
 		e.free = e.slab[i].next
-		e.slab[i] = ev
-	} else {
-		if len(e.slab) == 0 {
-			e.slab = append(e.slab, event{}) // the nil sentinel
-		}
-		i = int32(len(e.slab))
-		e.slab = append(e.slab, ev)
+		return i
 	}
-	b := int(ev.when) & wheelMask
+	if len(e.slab) == 0 {
+		e.slab = append(e.slab, event{}) // the nil sentinel
+	}
+	e.slab = append(e.slab, event{})
+	return int32(len(e.slab) - 1)
+}
+
+// link appends slot i, due at when with sequence number seq, to its
+// one-cycle bucket. Schedule/At hand out ascending seqs, so the append
+// lands in seq order; a lower seq (Inject, or an event migrating from
+// the far heap) takes a sorted insert instead.
+func (e *Engine) link(i int32, when Time, seq uint64) {
+	b := int(when) & wheelMask
 	switch t := e.tail[b]; {
 	case t == 0:
 		e.head[b], e.tail[b] = i, i
 		e.occ[b>>6] |= 1 << (b & 63)
-	case e.slab[t].seq < ev.seq:
+	case e.slab[t].seq < seq:
 		e.slab[t].next = i
 		e.tail[b] = i
 	default:
