@@ -243,8 +243,11 @@ func (k *Kernel) scheduleNext(cs *coreState) {
 	})
 }
 
-// installContext binds the address space, fault handler, and store-hook
-// dispatcher (routing stores to the owning segment's mechanism).
+// installContext binds the address space, fault handler, store-hook
+// dispatcher (routing stores to the owning segment's mechanism) and the
+// timing-only store range: a heap no mechanism persists is volatile
+// DRAM that no checkpoint, crash image or recovery reads, so its stores
+// keep no bytes. Every other process gets an empty range.
 func (k *Kernel) installContext(cs *coreState, t *Thread) {
 	core := cs.core
 	if core.AS != t.Proc.AS {
@@ -258,6 +261,10 @@ func (k *Kernel) installContext(cs *coreState, t *Thread) {
 	}
 	core.StoreHook = func(vaddr, paddr uint64, size int) sim.Time {
 		return p.routeStore(core, vaddr, paddr, size)
+	}
+	core.TimingOnlyLo, core.TimingOnlyHi = 0, 0
+	if p.heapMech == nil {
+		core.TimingOnlyLo, core.TimingOnlyHi = heapBase, heapBase+p.Cfg.HeapSize
 	}
 }
 

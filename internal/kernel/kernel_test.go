@@ -34,24 +34,27 @@ func TestSpawnAndRunToCompletion(t *testing.T) {
 
 // TestZeroLengthAccessesRetire checks that a 0-byte load and a 0-byte
 // store complete like any other access: the thread keeps running, the
-// ops after them retire, and the trailing store reaches memory.
+// ops after them retire, and the trailing store reaches memory. That
+// store goes to the stack, because heap stores of a process without a
+// heap mechanism keep no bytes.
 func TestZeroLengthAccessesRetire(t *testing.T) {
 	k := testKernel(1)
 	p := k.Spawn(ProcessConfig{Name: "zero"}, workload.NewProgram("zero", func(g *workload.G) {
 		g.Load(g.Ctx.HeapLo, 0)
 		g.Store(g.Ctx.HeapLo, 0)
 		g.Load(g.Ctx.HeapLo, 8)
-		g.Store(g.Ctx.HeapLo, 8)
+		g.Call(16) // pushes the return address: one more store
+		g.StoreLocal(0, 8)
 	}))
 	if !k.RunUntilDone(sim.Second) {
 		t.Fatal("thread stalled behind a zero-length access")
 	}
-	if ops := p.Threads[0].UserOps; ops != 4 {
-		t.Fatalf("user ops = %d, want 4 retired accesses", ops)
+	if ops := p.Threads[0].UserOps; ops != 5 {
+		t.Fatalf("user ops = %d, want 5 retired accesses", ops)
 	}
-	paddr, _, ok := p.AS.PT.Translate(heapBase)
+	paddr, _, ok := p.AS.PT.Translate(p.Threads[0].Ctx.StackHi - 16)
 	if !ok {
-		t.Fatal("heap page never mapped")
+		t.Fatal("stack page never mapped")
 	}
 	if k.Mach.Storage.ReadU64(paddr) == 0 {
 		t.Fatal("the store after the zero-length accesses never reached memory")

@@ -49,6 +49,13 @@ type Core struct {
 	// stall the store pipeline must absorb before the store retires
 	// (e.g. SSP's shadow-line remap resolution from NVM).
 	StoreHook func(vaddr, paddr uint64, size int) sim.Time
+	// Stores whose virtual address lies in [TimingOnlyLo, TimingOnlyHi)
+	// are timing-only, like loads: they translate, fault, hook and
+	// occupy the store buffer and caches, but write no bytes to Storage
+	// because nothing ever reads them back (the kernel binds a volatile
+	// heap no mechanism persists). Empty by default: a bare core keeps
+	// every byte.
+	TimingOnlyLo, TimingOnlyHi uint64
 
 	storeCredits int      //prosperlint:ignore snapshot SaveSnap asserts the store buffer drained; a fresh boot's full credit pool needs no restoring
 	storeWaiters []func() //prosperlint:ignore snapshot SaveSnap asserts no waiters; a fresh boot's empty list needs no restoring
@@ -420,14 +427,17 @@ func (c *Core) issueSegs(op *memOp, vaddr uint64, size int, write bool, jid uint
 
 // translated resumes a segment once its physical address is known: a
 // read goes straight to its timed cache access; a write moves its bytes
-// into Storage immediately, then enters the store pipeline.
+// into Storage immediately (unless its address is timing-only), then
+// enters the store pipeline.
 func (s *segOp) translated(paddr uint64) {
 	c := s.core
 	if !s.write {
 		c.l1.Access(false, paddr, s.lineDoneTok.WithJourney(s.jid))
 		return
 	}
-	c.mach.Storage.Write(paddr, s.op.data[s.off:s.off+s.n])
+	if s.va < c.TimingOnlyLo || s.va >= c.TimingOnlyHi {
+		c.mach.Storage.Write(paddr, s.op.data[s.off:s.off+s.n])
+	}
 	var stall sim.Time
 	if c.StoreHook != nil {
 		stall = c.StoreHook(s.va, paddr, s.n)

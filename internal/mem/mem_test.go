@@ -76,6 +76,75 @@ func TestStorageCopy(t *testing.T) {
 	}
 }
 
+// TestStorageCopyMatchesMemmove copies random, often overlapping ranges
+// across page boundaries and over unmaterialized pages, and compares the
+// store with a flat reference copied through a temporary buffer: the
+// bytes, and which pages are materialized.
+func TestStorageCopyMatchesMemmove(t *testing.T) {
+	const pages = 6
+	rng := sim.NewRand(7)
+	for trial := 0; trial < 400; trial++ {
+		s := NewStorage()
+		ref := make([]byte, pages*PageSize)
+		backed := make([]bool, pages)
+		for pg := 0; pg < pages; pg++ {
+			if rng.Intn(3) == 0 {
+				continue // leave the page unmaterialized
+			}
+			for i := 0; i < PageSize; i += 8 {
+				ref[pg*PageSize+i] = byte(rng.Intn(255) + 1)
+			}
+			s.Write(uint64(pg*PageSize), ref[pg*PageSize:(pg+1)*PageSize])
+			backed[pg] = true
+		}
+		n := rng.Intn(3 * PageSize)
+		src := uint64(rng.Intn(len(ref) - n + 1))
+		dst := uint64(rng.Intn(len(ref) - n + 1))
+		switch trial % 4 { // force each overlap case
+		case 1:
+			dst = src + uint64(rng.Intn(64))
+		case 2:
+			dst = src - uint64(rng.Intn(64))
+		}
+		if dst > uint64(len(ref)-n) {
+			dst = src
+		}
+		buf := make([]byte, n)
+		copy(buf, ref[src:])
+		copy(ref[dst:], buf)
+		for a := dst; a < dst+uint64(n); a += PageSize - a%PageSize {
+			backed[a/PageSize] = true
+		}
+
+		s.Copy(dst, src, n)
+		got := make([]byte, len(ref))
+		s.Read(0, got)
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("trial %d: Copy(%#x, %#x, %d) differs from memmove", trial, dst, src, n)
+		}
+		for pg, want := range backed {
+			if s.Backed(uint64(pg*PageSize)) != want {
+				t.Fatalf("trial %d: Copy(%#x, %#x, %d): page %d backed = %v, want %v",
+					trial, dst, src, n, pg, !want, want)
+			}
+		}
+	}
+}
+
+// TestStorageCopyDoesNotAllocate pins a page-crossing copy between
+// materialized pages at zero allocations.
+func TestStorageCopyDoesNotAllocate(t *testing.T) {
+	s := NewStorage()
+	s.Write(0, make([]byte, 4*PageSize))
+	allocs := testing.AllocsPerRun(200, func() {
+		s.Copy(2*PageSize+24, 40, PageSize+100)
+		s.Copy(50, 30, PageSize) // overlapping, dst above src
+	})
+	if allocs != 0 {
+		t.Fatalf("Storage.Copy allocates %.1f times per call pair, want 0", allocs)
+	}
+}
+
 func TestStorageDropRange(t *testing.T) {
 	s := NewStorage()
 	s.WriteU64(0x2000, 1)           // DRAM

@@ -104,14 +104,39 @@ func (s *Storage) WriteU32(addr uint64, v uint32) {
 	s.Write(addr, buf[:])
 }
 
-// Copy moves n bytes from src to dst inside the store.
+// Copy moves n bytes from src to dst inside the store with memmove
+// semantics: overlapping ranges copy as if through a temporary buffer.
+// It copies page to page, in chunks that stay inside one source and one
+// destination page, and materializes every destination page, as Write
+// would.
 func (s *Storage) Copy(dst, src uint64, n int) {
-	if n <= 0 {
+	left := uint64(max(n, 0))
+	if dst > src && dst-src < left {
+		// dst overlaps the tail of src: copy from the end down, so no
+		// chunk reads bytes an earlier chunk already overwrote.
+		for left > 0 {
+			k := min(left, (src+left-1)&(PageSize-1)+1, (dst+left-1)&(PageSize-1)+1)
+			left -= k
+			s.copyChunk(dst+left, src+left, k)
+		}
 		return
 	}
-	buf := make([]byte, n)
-	s.Read(src, buf)
-	s.Write(dst, buf)
+	for left > 0 {
+		k := min(left, PageSize-src&(PageSize-1), PageSize-dst&(PageSize-1))
+		s.copyChunk(dst, src, k)
+		dst, src, left = dst+k, src+k, left-k
+	}
+}
+
+// copyChunk copies n bytes that lie inside one source page and one
+// destination page; an unmaterialized source page reads as zero.
+func (s *Storage) copyChunk(dst, src, n uint64) {
+	d := s.page(dst, true)[dst&(PageSize-1):][:n]
+	if p := s.page(src, false); p != nil {
+		copy(d, p[src&(PageSize-1):][:n])
+	} else {
+		clear(d)
+	}
 }
 
 // DropRange discards all pages fully contained in [base, base+size),
@@ -132,6 +157,9 @@ func (s *Storage) DropRange(base, size uint64) {
 // MaterializedPages returns how many pages are currently backed, a proxy
 // for simulator memory footprint.
 func (s *Storage) MaterializedPages() int { return len(s.pages) }
+
+// Backed reports whether the page holding addr is materialized.
+func (s *Storage) Backed(addr uint64) bool { return s.pages[PageOf(addr)] != nil }
 
 // CloneRange returns a new Storage holding deep copies of s's
 // materialized pages inside [base, base+size). Pages outside the range

@@ -18,3 +18,16 @@ func BenchmarkStorageWrite(b *testing.B) {
 		s.Write(uint64(i*8)%footprint, word[:])
 	}
 }
+
+// BenchmarkStorageCopy reports ns per unaligned one-page copy between
+// materialized pages, the checkpoint gather's functional copy.
+func BenchmarkStorageCopy(b *testing.B) {
+	s := NewStorage()
+	s.Write(0, make([]byte, 8*PageSize))
+	b.ReportAllocs()
+	b.SetBytes(PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Copy(4*PageSize+uint64(i%64)*8, 24, PageSize)
+	}
+}

@@ -138,29 +138,29 @@ func (t *TLB) Invalidate(vaddr uint64) {
 	}
 	for i := range t.entries {
 		if t.entries[i].valid && t.entries[i].VPN == vpn {
-			t.entries[i].valid = false
+			t.drop(i)
 		}
 	}
-	t.rebuild()
 }
 
 // InvalidateRange drops all entries whose page lies in [lo, hi).
 func (t *TLB) InvalidateRange(lo, hi uint64) {
-	dropped := false
 	for i := range t.entries {
 		e := &t.entries[i]
-		if !e.valid {
-			continue
-		}
-		va := e.VPN << pageShift
-		if va >= lo && va < hi {
-			e.valid = false
-			dropped = true
+		if va := e.VPN << pageShift; e.valid && va >= lo && va < hi {
+			t.drop(i)
 		}
 	}
-	if dropped {
-		t.rebuild()
-	}
+}
+
+// drop invalidates one valid slot in place. Every copy of a page goes
+// at once, so the index never has to point at a surviving upper copy,
+// and the LRU list stays in lru order with the slot unlinked.
+func (t *TLB) drop(slot int) {
+	t.indexDrop(slot)
+	t.unlink(slot)
+	t.setFree(slot, true)
+	t.entries[slot].valid = false
 }
 
 // Flush empties the TLB (address-space switch).
@@ -195,9 +195,10 @@ func (t *TLB) find(vpn uint64) int {
 	return int(t.index[t.probe(vpn)]) - 1
 }
 
-// indexDrop removes the LRU slot's page from the index ahead of the
-// slot's replacement. An upper copy is not indexed; a lower copy is never
-// the LRU slot while an upper one is valid (see TLB).
+// indexDrop removes a slot's page from the index ahead of the slot's
+// replacement or invalidation. An upper copy is not indexed; a lower copy
+// is never the LRU slot while an upper one is valid (see TLB), and
+// invalidations drop both copies.
 func (t *TLB) indexDrop(slot int) {
 	h := t.probe(t.entries[slot].VPN)
 	if int(t.index[h])-1 != slot {
@@ -259,7 +260,7 @@ func (t *TLB) pushMRU(s int) {
 }
 
 // rebuild recomputes the index, the free bitmap and the LRU list from
-// the slots. It allocates nothing.
+// the slots (LoadSnap, Flush). It allocates nothing.
 func (t *TLB) rebuild() {
 	clear(t.index)
 	clear(t.free)
