@@ -91,11 +91,15 @@ const (
 	identityOrder uint64 = 0xFEDCBA9876543210
 )
 
-// setState is one set's replacement state. Nibble k of order is the way
-// at recency k, 0 being the most recently used; only the low Ways
-// nibbles are live, and they always hold each way exactly once. Bit w of
-// valid is set iff way w holds a line, mirroring its tag's tagValid.
-type setState struct {
+// set is one cache set: its ways' tag words and replacement state in one
+// record, so a lookup and the touch that follows it land on adjacent
+// host lines. Way w's tag is tags[w]; only the low Ways entries are
+// live. Nibble k of order is the way at recency k, 0 being the most
+// recently used; only the low Ways nibbles are live, and they always
+// hold each way exactly once. Bit w of valid is set iff way w holds a
+// line, mirroring its tag's tagValid.
+type set struct {
+	tags  [maxWays]uint32
 	order uint64
 	valid uint32
 }
@@ -103,7 +107,7 @@ type setState struct {
 // touch makes way w the set's most recently used: it finds w's nibble
 // (the lowest zero nibble of order ^ w×nibbles) and shifts every more
 // recent nibble up by one.
-func (st *setState) touch(w int) {
+func (st *set) touch(w int) {
 	x := st.order ^ uint64(w)*nibbles
 	k := uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
 	below := uint64(1)<<k - 1
@@ -143,14 +147,12 @@ type Cache struct {
 	// through the interface.
 	nextCache *Cache
 
-	// The tag array, flat: way w of set s is line s*ways+w of tags. A
-	// tag word is tagOf the line address with tagValid and tagDirty in
-	// its low bits; an invalid line keeps its stale address. sets holds
-	// each set's recency order and valid mask, which SaveSnap writes as
+	// The sets, one record each. A tag word is tagOf the line address
+	// with tagValid and tagDirty in its low bits; an invalid line keeps
+	// its stale address. SaveSnap writes each set's recency order as
 	// per-line stamps counting up from lruClock; the clock itself only
 	// changes when LoadSnap restores one.
-	tags     []uint32
-	sets     []setState
+	sets     []set
 	setMask  uint64
 	lruClock uint64
 
@@ -217,8 +219,7 @@ func New(eng *sim.Engine, cfg Config, next Port) *Cache {
 		eng:        eng,
 		cfg:        cfg,
 		next:       next,
-		tags:       make([]uint32, numSets*cfg.Ways),
-		sets:       make([]setState, numSets),
+		sets:       make([]set, numSets),
 		setMask:    uint64(numSets - 1),
 		mshrs:      make([]*mshr, 0, cfg.MSHRs),
 		mshrLines:  make([]uint64, 0, cfg.MSHRs),
@@ -271,9 +272,8 @@ func (c *Cache) setFor(lineAddr uint64) int {
 
 // lookup returns the way of set s holding lineAddr, or -1.
 func (c *Cache) lookup(s int, lineAddr uint64) int {
-	base := s * c.cfg.Ways
 	want := tagOf(lineAddr) | tagValid
-	for w, tag := range c.tags[base : base+c.cfg.Ways] {
+	for w, tag := range c.sets[s].tags[:c.cfg.Ways] {
 		if tag&^tagDirty == want {
 			return w
 		}
@@ -323,9 +323,10 @@ func (c *Cache) access(write bool, lineAddr uint64, done sim.Done) {
 	s := c.setFor(lineAddr)
 	if way := c.lookup(s, lineAddr); way >= 0 {
 		c.cHits.Inc()
-		c.sets[s].touch(way)
+		st := &c.sets[s]
+		st.touch(way)
 		if write {
-			c.tags[s*c.cfg.Ways+way] |= tagDirty
+			st.tags[way] |= tagDirty
 		}
 		if jid := done.Journey(); jid != 0 {
 			now := c.eng.Now()
@@ -396,20 +397,20 @@ func (c *Cache) fill(lineAddr uint64) {
 
 	s := c.setFor(lineAddr)
 	way := c.victimFor(s)
-	victim := s*c.cfg.Ways + way
-	if tag := c.tags[victim]; tag&tagFlags == tagFlags {
+	st := &c.sets[s]
+	if tag := st.tags[way]; tag&tagFlags == tagFlags {
 		c.cWritebacks.Inc()
 		// Posted writeback: lower level absorbs it asynchronously.
 		c.nextAccess(true, addrOf(tag), sim.Done{})
 	}
-	c.tags[victim] = tagOf(lineAddr) | tagValid
-	c.sets[s].valid |= 1 << way
-	c.sets[s].touch(way)
+	st.tags[way] = tagOf(lineAddr) | tagValid
+	st.valid |= 1 << way
+	st.touch(way)
 	now := c.eng.Now()
 	for i := range m.waiters {
 		w := m.waiters[i]
 		if w.write {
-			c.tags[victim] |= tagDirty
+			st.tags[way] |= tagDirty
 		}
 		if jid := w.done.Journey(); jid != 0 {
 			// The level's whole share of the miss, waiter arrival to
@@ -441,10 +442,10 @@ func (c *Cache) allocMSHR() *mshr {
 	return &mshr{}
 }
 
+// freeMSHR returns m to the free list. Its stale waiters are not
+// cleared: their tokens hold only method values the simulator keeps alive
+// anyway, and the next miss overwrites them.
 func (c *Cache) freeMSHR(m *mshr) {
-	for i := range m.waiters {
-		m.waiters[i] = waiter{} // drop completion references
-	}
 	m.waiters = m.waiters[:0]
 	c.mshrFree = append(c.mshrFree, m)
 }
@@ -498,15 +499,16 @@ func (c *Cache) Contains(addr uint64) bool {
 // Flush writes back every dirty line and invalidates the cache, e.g. to
 // model cache loss at power failure or explicit clwb sweeps.
 func (c *Cache) Flush() {
-	for i, tag := range c.tags {
-		if tag&tagFlags == tagFlags {
-			c.cWritebacks.Inc()
-			c.nextAccess(true, addrOf(tag), sim.Done{})
+	for s := range c.sets {
+		st := &c.sets[s]
+		for w, tag := range st.tags[:c.cfg.Ways] {
+			if tag&tagFlags == tagFlags {
+				c.cWritebacks.Inc()
+				c.nextAccess(true, addrOf(tag), sim.Done{})
+			}
+			st.tags[w] = tag &^ tagFlags
 		}
-		c.tags[i] = tag &^ tagFlags
-	}
-	for i := range c.sets {
-		c.sets[i].valid = 0
+		st.valid = 0
 	}
 }
 

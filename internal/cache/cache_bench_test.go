@@ -115,3 +115,33 @@ func TestCacheMissEvictDoesNotAllocate(t *testing.T) {
 		t.Fatalf("writebacks = %d, want one per access (201)", got)
 	}
 }
+
+// BenchmarkCacheLookupSpread measures the hit path when hits spread over
+// every set of an L3-sized level, so each lookup lands on a set record
+// the host has likely evicted from its own L1. The level holds exactly
+// its sets×ways lines; an odd stride through them visits every line,
+// and so every set, once per lap.
+func BenchmarkCacheLookupSpread(b *testing.B) {
+	eng := sim.NewEngine()
+	below := &immediatePort{eng: eng, latency: 100}
+	cfg := L3Config(1)
+	c := New(eng, cfg, below)
+	lines := uint64(cfg.Size / mem.LineSize)
+	for l := range lines {
+		c.Access(false, l*mem.LineSize, sim.Done{})
+		eng.Run()
+	}
+	hits := c.Counters.Get("l3.hits")
+	const stride = 2053 // odd, so it is coprime with the power-of-two line count
+	b.ReportAllocs()
+	b.ResetTimer()
+	var l uint64
+	for i := 0; i < b.N; i++ {
+		c.Access(false, l*mem.LineSize, sim.Done{})
+		l = (l + stride) & (lines - 1)
+	}
+	b.StopTimer()
+	if got := c.Counters.Get("l3.hits") - hits; got != uint64(b.N) {
+		b.Fatalf("hits = %d, want %d", got, b.N)
+	}
+}

@@ -203,7 +203,7 @@ func TestCacheTagInvariantProperty(t *testing.T) {
 		ways := c.cfg.Ways
 		for s, st := range c.sets {
 			seen := map[uint64]bool{}
-			for way, tag := range c.tags[s*ways : (s+1)*ways] {
+			for way, tag := range st.tags[:ways] {
 				if (tag&tagValid != 0) != (st.valid>>way&1 != 0) {
 					return false // valid mask disagrees with the tag
 				}

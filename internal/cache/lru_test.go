@@ -111,7 +111,7 @@ func (r *stampLRU) snapshot(c *Cache) []byte {
 func (r *stampLRU) compare(t *testing.T, c *Cache, below *immediatePort, what string) {
 	t.Helper()
 	for i, l := range r.lines {
-		tag := c.tags[i]
+		tag := c.sets[i/r.ways].tags[i%r.ways]
 		if addrOf(tag) != l&^(refValid|refDirty) || tag&tagValid != 0 != (l&refValid != 0) || tag&tagDirty != 0 != (l&refDirty != 0) {
 			t.Fatalf("%s: line %d = %#x (flags %d), want %#x", what, i, addrOf(tag), tag&tagFlags, l)
 		}

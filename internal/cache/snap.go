@@ -25,11 +25,12 @@ func (c *Cache) SaveSnap(w *snapbuf.Writer) error {
 	w.U64(c.lruClock)
 	ways := c.cfg.Ways
 	var stamps [maxWays]uint64
-	for s, st := range c.sets {
+	for s := range c.sets {
+		st := &c.sets[s]
 		for k := range ways {
 			stamps[st.order>>(4*k)&0xF] = c.lruClock + uint64(ways-k)
 		}
-		for way, tag := range c.tags[s*ways : (s+1)*ways] {
+		for way, tag := range st.tags[:ways] {
 			w.U64(addrOf(tag))
 			w.Bool(tag&tagValid != 0)
 			w.Bool(tag&tagDirty != 0)
@@ -60,7 +61,7 @@ func (c *Cache) LoadSnap(r *snapbuf.Reader) error {
 	n := c.cfg.Ways
 	var stamps [maxWays]uint64
 	for s := range c.sets {
-		st := setState{}
+		st := set{}
 		for way := range n {
 			i := s*n + way
 			addr := r.U64()
@@ -78,7 +79,7 @@ func (c *Cache) LoadSnap(r *snapbuf.Reader) error {
 			if r.Bool() {
 				tag |= tagDirty
 			}
-			c.tags[i] = tag
+			st.tags[way] = tag
 			stamps[way] = r.U64()
 		}
 		// Insertion sort, most recent first: each way goes in front of

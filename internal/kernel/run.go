@@ -41,7 +41,9 @@ func (k *Kernel) step(t *Thread, cs *coreState) {
 		if op.SP != 0 {
 			t.sp = op.SP
 		}
-		cs.core.Write(op.Addr, t.storeData(op), t.opDoneFn)
+		core := cs.core
+		fill := op.Addr < core.TimingOnlyLo || op.Addr+uint64(op.Size) > core.TimingOnlyHi
+		core.Write(op.Addr, t.storeData(op, fill), t.opDoneFn)
 	default:
 		panic("kernel: unknown op kind")
 	}
@@ -70,13 +72,19 @@ func (t *Thread) finishOp() {
 // every write changes memory contents verifiably. The returned slice
 // aliases the thread's reused payload buffer; it is stable until the
 // store's done callback fires, which is exactly the window Core.Write
-// reads it in (threads issue at most one op at a time).
-func (t *Thread) storeData(op workload.Op) []byte {
+// reads it in (threads issue at most one op at a time). Without fill
+// the payload is left unwritten, for a store the core keeps no bytes of
+// (its whole range is timing-only); the sequence number still advances,
+// so every later payload is unchanged.
+func (t *Thread) storeData(op workload.Op, fill bool) []byte {
 	t.storeSeq++
 	if cap(t.storeBuf) < int(op.Size) {
 		t.storeBuf = make([]byte, op.Size)
 	}
 	data := t.storeBuf[:op.Size]
+	if !fill {
+		return data
+	}
 	var seedBuf [8]byte
 	binary.LittleEndian.PutUint64(seedBuf[:], op.Addr^t.storeSeq*0x9e3779b97f4a7c15)
 	for i := range data {

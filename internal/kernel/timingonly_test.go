@@ -46,7 +46,7 @@ func expectedBytes(l *storeLog, lo, hi uint64) map[uint64]byte {
 	ref := &Thread{}
 	want := map[uint64]byte{}
 	for _, op := range l.stores {
-		data := ref.storeData(op)
+		data := ref.storeData(op, true)
 		if op.Addr < lo || op.Addr >= hi {
 			continue
 		}

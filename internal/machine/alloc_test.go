@@ -2,6 +2,8 @@ package machine
 
 import (
 	"testing"
+
+	"prosper/internal/mem"
 )
 
 // These tests pin the allocation cost of the simulator's hot access
@@ -85,24 +87,35 @@ func TestAllocsTLBMissPageWalk(t *testing.T) {
 
 // BenchmarkPageWalk measures a load that misses the TLB on a mapped
 // page: the four dependent page-table reads through L2, the TLB fill and
-// the L1-hit data access.
+// the L1-hit data access. It cycles through twice as many mapped pages
+// as the TLB holds, so under LRU every load misses by eviction and no
+// explicit invalidation runs in the loop. Each page's load lands on its
+// own line offset, spreading the data lines over the L1's sets.
 func BenchmarkPageWalk(b *testing.B) {
 	m, core, _ := testEnv(nil)
-	core.Write(addrUnderTest, []byte{1}, nil)
+	pages := uint64(2 * m.Cfg.TLBEntries)
+	addr := func(i uint64) uint64 {
+		p := i % pages
+		return addrUnderTest + p*mem.PageSize + p%(mem.PageSize/mem.LineSize)*mem.LineSize
+	}
+	for i := range pages {
+		core.Write(addr(i), []byte{1}, nil)
+	}
 	m.Eng.Run()
 	readDone := func() {}
-	core.TLB.Invalidate(addrUnderTest) // one walk warms the pools
-	core.Read(addrUnderTest, 8, readDone)
-	m.Eng.Run()
+	for i := range pages { // one lap warms the pools and the caches
+		core.Read(addr(i), 8, readDone)
+		m.Eng.Run()
+	}
+	walks := core.Counters.Get("core.page_walks")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.TLB.Invalidate(addrUnderTest)
-		core.Read(addrUnderTest, 8, readDone)
+		core.Read(addr(uint64(i)), 8, readDone)
 		m.Eng.Run()
 	}
 	b.StopTimer()
-	if walks := core.Counters.Get("core.page_walks"); walks < uint64(b.N) {
-		b.Fatalf("page walks = %d, want at least %d", walks, b.N)
+	if got := core.Counters.Get("core.page_walks") - walks; got != uint64(b.N) {
+		b.Fatalf("page walks = %d, want %d", got, b.N)
 	}
 }

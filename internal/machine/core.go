@@ -126,6 +126,8 @@ type memOp struct {
 // bound once at record birth: translatedFn resumes after address
 // translation, lineDoneTok after the L1 access, issueFn after a
 // store-hook stall, creditFn after a store-buffer credit is granted.
+// issueSegs stamps lineDoneTok with jid once, so a read segment passes it
+// on unmodified.
 type segOp struct {
 	core   *Core
 	op     *memOp
@@ -156,14 +158,17 @@ type walkOp struct {
 	kind  walkKind
 	vaddr uint64
 	write bool
-	jid   uint32 // journey of the access that triggered the walk
 	k     func(uint64)
 	entry *vm.TLBEntry // dirty-set walks: the hitting TLB entry
+	leaf  *vm.PTE      // the PTE the walk reached; nil if a level was missing
 	addrs [4]uint64
 	n, i  int
 	began sim.Time
 
-	stepFn sim.Done
+	// stepTok resumes the walk after each table read. startWalk stamps it
+	// with the journey of the access that triggered the walk, so each
+	// step passes it on unmodified.
+	stepTok sim.Done
 }
 
 func (c *Core) allocOp() *memOp {
@@ -207,7 +212,7 @@ func (c *Core) allocWalk() *walkOp {
 		return w
 	}
 	w := &walkOp{core: c}
-	w.stepFn = sim.Thunk(sim.CompVM, w.step)
+	w.stepTok = sim.Thunk(sim.CompVM, w.step)
 	return w
 }
 
@@ -254,8 +259,7 @@ func (c *Core) translate(vaddr uint64, write bool, jid uint32, k func(paddr uint
 			w := c.allocWalk()
 			w.kind = walkDirtySet
 			w.vaddr, w.write, w.k, w.entry = vaddr, write, k, e
-			w.jid = jid
-			c.startWalk(w)
+			c.startWalk(w, jid)
 			return
 		}
 		k(e.Frame | (vaddr & (mem.PageSize - 1)))
@@ -265,15 +269,17 @@ func (c *Core) translate(vaddr uint64, write bool, jid uint32, k func(paddr uint
 	w := c.allocWalk()
 	w.kind = walkTLBMiss
 	w.vaddr, w.write, w.k = vaddr, write, k
-	w.jid = jid
-	c.startWalk(w)
+	c.startWalk(w, jid)
 }
 
 // startWalk issues the dependent chain of page-table reads through L2 and
-// records the end-to-end walk latency into the TLB's distribution.
-func (c *Core) startWalk(w *walkOp) {
+// records the end-to-end walk latency into the TLB's distribution. The
+// table is descended once, here; finish reads the leaf this descent
+// reached.
+func (c *Core) startWalk(w *walkOp, jid uint32) {
 	c.pageWalks.Inc()
-	w.n = c.AS.PT.WalkAddrsInto(w.vaddr, &w.addrs)
+	w.n, w.leaf = c.AS.PT.Walk(w.vaddr, &w.addrs)
+	w.stepTok.Stamp(jid)
 	w.began = c.eng.Now()
 	w.i = 0
 	w.step()
@@ -288,17 +294,24 @@ func (w *walkOp) step() {
 	}
 	a := w.addrs[w.i]
 	w.i++
-	c.l2.Access(false, a, w.stepFn.WithJourney(w.jid))
+	c.l2.Access(false, a, w.stepTok)
 }
 
-// finish completes the walk: it re-reads the page table functionally and
-// resumes the translation continuation (or faults). The walkOp is retired
-// before the continuation runs so it can be reused by walks the
-// continuation itself triggers.
+// finish completes the walk: it reads the leaf PTE the walk reached and
+// resumes the translation continuation (or faults). The leaf pointer
+// sees every change made since the walk began (PageTable's invariant);
+// only a walk that found a level missing looks the entry up again,
+// since another thread's fault may have mapped it meanwhile. The walkOp
+// is retired before the continuation runs so it can be reused by walks
+// the continuation itself triggers.
 func (w *walkOp) finish() {
 	c := w.core
-	vaddr, write, jid := w.vaddr, w.write, w.jid
+	vaddr, write, jid := w.vaddr, w.write, w.stepTok.Journey()
 	k := w.k
+	pte := w.leaf
+	if pte == nil {
+		pte = c.AS.PT.Lookup(vaddr)
+	}
 	if jid != 0 {
 		cause := journey.CauseWalk
 		if w.kind == walkDirtySet {
@@ -309,7 +322,6 @@ func (w *walkOp) finish() {
 	if w.kind == walkDirtySet {
 		e := w.entry
 		c.freeWalk(w)
-		pte := c.AS.PT.Lookup(vaddr)
 		if pte == nil || !pte.Present() {
 			c.fault(vaddr, write, jid, k)
 			return
@@ -321,11 +333,11 @@ func (w *walkOp) finish() {
 		return
 	}
 	c.freeWalk(w)
-	paddr, pte, ok := c.AS.PT.Translate(vaddr)
-	if !ok || (write && !pte.Writable()) {
+	if pte == nil || !pte.Present() || (write && !pte.Writable()) {
 		c.fault(vaddr, write, jid, k)
 		return
 	}
+	paddr := pte.Frame | (vaddr & (mem.PageSize - 1))
 	pte.Flags |= vm.FlagAccess
 	if write {
 		pte.Flags |= vm.FlagDirty
@@ -418,6 +430,7 @@ func (c *Core) issueSegs(op *memOp, vaddr uint64, size int, write bool, jid uint
 		s.op = op
 		s.va, s.off, s.n, s.write = vaddr, off, n, write
 		s.jid = jid
+		s.lineDoneTok.Stamp(jid)
 		c.translate(vaddr, write, jid, s.translatedFn)
 		vaddr += uint64(n)
 		off += n
@@ -432,7 +445,7 @@ func (c *Core) issueSegs(op *memOp, vaddr uint64, size int, write bool, jid uint
 func (s *segOp) translated(paddr uint64) {
 	c := s.core
 	if !s.write {
-		c.l1.Access(false, paddr, s.lineDoneTok.WithJourney(s.jid))
+		c.l1.Access(false, paddr, s.lineDoneTok)
 		return
 	}
 	if s.va < c.TimingOnlyLo || s.va >= c.TimingOnlyHi {

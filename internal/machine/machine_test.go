@@ -375,3 +375,86 @@ func TestCoreMemoryConsistencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWalkSeesTableChangesMadeDuringIt changes the page table while a
+// page walk's reads are in flight, five cycles after the walk starts
+// (its first L2 read takes at least twelve), and checks that the walk
+// resolves to exactly what a fresh Translate gives: (i) a D bit cleared
+// by the Dirtybit mechanism's interval start is not cached as set, and
+// (ii) a page whose table levels were missing when the walk began, and
+// which another thread's fault maps meanwhile, translates without a
+// fault of its own.
+func TestWalkSeesTableChangesMadeDuringIt(t *testing.T) {
+	check := func(t *testing.T, core *Core, as *vm.AddressSpace, vaddr uint64) {
+		t.Helper()
+		paddr, pte, ok := as.PT.Translate(vaddr)
+		if !ok {
+			t.Fatalf("%#x unmapped after the walk", vaddr)
+		}
+		e := core.TLB.Lookup(vaddr)
+		if e == nil {
+			t.Fatalf("walk of %#x left no TLB entry", vaddr)
+		}
+		if e.Frame != paddr&^uint64(mem.PageSize-1) || e.Write != pte.Writable() || e.Dirty != pte.Dirty() {
+			t.Fatalf("TLB entry frame %#x write %v dirty %v, Translate gives %#x %v %v",
+				e.Frame, e.Write, e.Dirty, paddr&^uint64(mem.PageSize-1), pte.Writable(), pte.Dirty())
+		}
+	}
+	// during reads vaddr through core and runs change five cycles after
+	// the walk starts, failing unless the read walked and change ran
+	// before it finished.
+	during := func(t *testing.T, m *Machine, core *Core, vaddr uint64, change func()) {
+		t.Helper()
+		walks := core.Counters.Get("core.page_walks")
+		changedAt, doneAt := sim.Time(-1), sim.Time(-1)
+		m.Eng.Schedule(sim.CompSim, 5, func() { changedAt = m.Eng.Now(); change() })
+		core.Read(vaddr, 8, func() { doneAt = m.Eng.Now() })
+		m.Eng.Run()
+		if core.Counters.Get("core.page_walks") != walks+1 {
+			t.Fatalf("read of %#x ran %d walks, want 1", vaddr, core.Counters.Get("core.page_walks")-walks)
+		}
+		if changedAt < 0 || doneAt <= changedAt {
+			t.Fatalf("change at cycle %d, read done at %d: the change did not land mid-walk", changedAt, doneAt)
+		}
+	}
+
+	t.Run("dirty bit cleared", func(t *testing.T) {
+		m, core, as := testEnv(t)
+		const page = 0x20000
+		core.Write(page, []byte{1}, nil)
+		m.Eng.Run()
+		core.TLB.Flush()
+		during(t, m, core, page, func() { as.PT.ClearFlagsRange(page, page+mem.PageSize, vm.FlagDirty) })
+		if as.PT.Lookup(page).Dirty() {
+			t.Fatal("a read walk set the D bit")
+		}
+		check(t, core, as, page)
+		// The next store must pay the dirty-set walk the cleared bit owes.
+		sets := core.Counters.Get("core.dirty_set_walks")
+		core.Write(page, []byte{2}, nil)
+		m.Eng.Run()
+		if core.Counters.Get("core.dirty_set_walks") != sets+1 || !as.PT.Lookup(page).Dirty() {
+			t.Fatal("store after the cleared D bit did not re-set it through a dirty-set walk")
+		}
+		check(t, core, as, page)
+	})
+
+	t.Run("missing level mapped", func(t *testing.T) {
+		m, core, as := testEnv(t)
+		const page = 0x7000_0000 + 0x40000 // its leaf table does not exist yet
+		var addrs [4]uint64
+		if _, leaf := as.PT.Walk(page, &addrs); leaf != nil {
+			t.Fatal("setup: the page's leaf table already exists")
+		}
+		faults := core.Counters.Get("core.page_faults")
+		during(t, m, core, page, func() {
+			if _, err := as.HandleFault(page, true); err != nil {
+				t.Error(err)
+			}
+		})
+		if got := core.Counters.Get("core.page_faults"); got != faults {
+			t.Fatalf("the walking core took %d faults, want 0: the walk missed the new mapping", got-faults)
+		}
+		check(t, core, as, page)
+	})
+}

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+
 	"prosper/internal/journey"
 	"prosper/internal/sim"
 	"prosper/internal/stats"
@@ -16,8 +18,9 @@ type DeviceConfig struct {
 	ReadLatency  sim.Time
 	WriteLatency sim.Time
 
-	// Banks is the number of independently schedulable banks; BankBusyRead
-	// and BankBusyWrite are the occupancy a request imposes on its bank.
+	// Banks is the number of independently schedulable banks, a power of
+	// two (zero means one); BankBusyRead and BankBusyWrite are the
+	// occupancy a request imposes on its bank.
 	Banks         int
 	BankBusyRead  sim.Time
 	BankBusyWrite sim.Time
@@ -116,6 +119,7 @@ type Device struct {
 	cfg DeviceConfig
 
 	bankFreeAt []sim.Time
+	bankMask   uint64 // Banks-1: a line's bank is its line number's low bits
 	busFreeAt  sim.Time
 
 	inflightReads  int
@@ -161,15 +165,20 @@ type Device struct {
 	jNVM     bool
 }
 
-// NewDevice builds a device timing model on the given engine.
+// NewDevice builds a device timing model on the given engine. It panics
+// on a bank count that is not a power of two.
 func NewDevice(eng *sim.Engine, cfg DeviceConfig) *Device {
 	if cfg.Banks <= 0 {
 		cfg.Banks = 1
+	}
+	if cfg.Banks&(cfg.Banks-1) != 0 {
+		panic(fmt.Sprintf("mem: %s: %d banks, want a power of two", cfg.Name, cfg.Banks))
 	}
 	d := &Device{
 		eng:        eng,
 		cfg:        cfg,
 		bankFreeAt: make([]sim.Time, cfg.Banks),
+		bankMask:   uint64(cfg.Banks - 1),
 		openBatch:  -1,
 		firing:     -1,
 		Counters:   stats.NewCounters(),
@@ -221,7 +230,7 @@ func (d *Device) admissible(write bool) bool {
 }
 
 func (d *Device) start(p pendingAccess) {
-	bank := int((p.addr >> LineShift) % uint64(d.cfg.Banks))
+	bank := int((p.addr >> LineShift) & d.bankMask)
 	now := d.eng.Now()
 	start := now
 	if d.bankFreeAt[bank] > start {
@@ -347,11 +356,10 @@ func (d *Device) runFiring() {
 		d.drainWaiting()
 		c.done.Run()
 	}
-	items := b.items
-	for i := range items {
-		items[i] = devCompletion{}
-	}
-	b.items = items[:0]
+	// Spent items are not cleared: their tokens hold only callbacks the
+	// simulator keeps alive anyway, and the batch's next life overwrites
+	// them.
+	b.items = b.items[:0]
 	d.batchFree = append(d.batchFree, idx)
 	d.firing = -1
 	d.firingPos = 0

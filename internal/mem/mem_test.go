@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -372,4 +374,41 @@ func TestFrameAllocatorInvalidFreePanics(t *testing.T) {
 		}
 	}()
 	a.Free(8 * PageSize)
+}
+
+// TestNewDeviceRejectsBadBanks checks that a bank count that is not a
+// power of two is refused by name, and that accepted counts pick a
+// line's bank from its line number's low bits: the line Banks lines on
+// waits for the first line's bank, the next line does not.
+func TestNewDeviceRejectsBadBanks(t *testing.T) {
+	for _, banks := range []int{3, 6, 12} {
+		msg := func() (msg string) {
+			defer func() { msg, _ = recover().(string) }()
+			NewDevice(sim.NewEngine(), DeviceConfig{Name: "odd", Banks: banks})
+			return ""
+		}()
+		if !strings.Contains(msg, "odd") || !strings.Contains(msg, fmt.Sprintf("%d banks", banks)) {
+			t.Fatalf("NewDevice with %d banks panicked with %q, want one naming the device and its bank count", banks, msg)
+		}
+	}
+	for _, banks := range []int{0, 1, 2, 4, 16} {
+		eng := sim.NewEngine()
+		d := NewDevice(eng, DeviceConfig{Name: "pow2", Banks: banks, ReadLatency: 10, BankBusyRead: 100})
+		n := max(banks, 1)
+		finish := map[uint64]sim.Time{}
+		lines := []uint64{0, uint64(n)}
+		if n > 1 {
+			lines = []uint64{0, 1, uint64(n)} // line 1 first: the bus is reserved in arrival order
+		}
+		for _, line := range lines {
+			d.Access(false, line<<LineShift, sim.Thunk(sim.CompMem, func() { finish[line] = eng.Now() }))
+		}
+		eng.Run()
+		if finish[uint64(n)] != 110 {
+			t.Errorf("%d banks: line %d finished at %d, want 110 (after line 0's bank)", banks, n, finish[uint64(n)])
+		}
+		if n > 1 && finish[1] != 10 {
+			t.Errorf("%d banks: line 1 finished at %d, want 10 (its own bank)", banks, finish[1])
+		}
+	}
 }

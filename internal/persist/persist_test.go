@@ -336,6 +336,21 @@ func TestSSPConsolidationRuns(t *testing.T) {
 	ssp.Detach()
 }
 
+// unmapForBoot gives [lo, hi) the empty mappings of a fresh boot: it
+// unmaps every page and returns its frame to the pool it came from.
+func unmapForBoot(env *Env, lo, hi uint64) {
+	for va := lo; va < hi; va += mem.PageSize {
+		frame, ok := env.AS.PT.Unmap(va)
+		switch {
+		case !ok:
+		case env.Mach.NVMFrames.Contains(frame):
+			env.Mach.NVMFrames.Free(frame)
+		default:
+			env.Mach.DRAMFrames.Free(frame)
+		}
+	}
+}
+
 func TestProsperRecoveryRestoresCheckpointedState(t *testing.T) {
 	env, seg, core := newEnv(t)
 	mech := NewProsper(ProsperConfig{})()
@@ -352,7 +367,7 @@ func TestProsperRecoveryRestoresCheckpointedState(t *testing.T) {
 
 	// Crash: drop DRAM (and the mapping state of a fresh boot).
 	env.Mach.Crash()
-	env.AS.ReleaseRange(seg.Lo, seg.Hi)
+	unmapForBoot(env, seg.Lo, seg.Hi)
 	for _, c := range env.Mach.Cores {
 		c.TLB.Flush()
 	}
@@ -383,7 +398,7 @@ func TestProsperRecoveryReappliesTornApply(t *testing.T) {
 	env.Mach.Storage.Write(seg.ImageBase+0x6000, []byte("GARBAGEGARBA"))
 	env.Mach.Storage.WriteU64(seg.MetaBase+metaPhase, phaseTempValid)
 	env.Mach.Crash()
-	env.AS.ReleaseRange(seg.Lo, seg.Hi)
+	unmapForBoot(env, seg.Lo, seg.Hi)
 
 	done := false
 	p.Recover(func() { done = true })
@@ -418,7 +433,7 @@ func TestProsperCheckpointRecoveryProperty(t *testing.T) {
 		checkpointSync(env, core, mech)
 
 		env.Mach.Crash()
-		env.AS.ReleaseRange(seg.Lo, seg.Hi)
+		unmapForBoot(env, seg.Lo, seg.Hi)
 		ok := false
 		mech.Recover(func() { ok = true })
 		runUntilFlag(env, &ok)

@@ -122,10 +122,16 @@ type Tracker struct {
 	Counters   *stats.Counters
 	Histograms *stats.Histograms
 
-	// Precomputed handles for the per-store hot path.
+	// Precomputed handles for the per-store hot path. The lazy ones
+	// register on first use, so Counters keeps the order the string-keyed
+	// Inc calls gave it.
 	cSOIs         stats.Counter
 	cBitmapLoads  stats.Counter
 	cBitmapStores stats.Counter
+
+	cHWMWritebacks, cEvictions      stats.LazyCounter
+	cLWMEvictions, cRandomEvictions stats.LazyCounter
+	cFlushes                        stats.LazyCounter
 
 	hFlushEntries *stats.Histogram // live table entries at each Flush
 	hFlushWait    *stats.Histogram // FlushAndWait call to quiescence, cycles
@@ -155,6 +161,11 @@ func New(eng *sim.Engine, port cache.Port, storage *mem.Storage, cfg Config) *Tr
 	t.cSOIs = t.Counters.Handle("prosper.sois")
 	t.cBitmapLoads = t.Counters.Handle("prosper.bitmap_loads")
 	t.cBitmapStores = t.Counters.Handle("prosper.bitmap_stores")
+	t.cHWMWritebacks = t.Counters.Lazy("prosper.hwm_writebacks")
+	t.cEvictions = t.Counters.Lazy("prosper.evictions")
+	t.cLWMEvictions = t.Counters.Lazy("prosper.lwm_evictions")
+	t.cRandomEvictions = t.Counters.Lazy("prosper.random_evictions")
+	t.cFlushes = t.Counters.Lazy("prosper.flushes")
 	t.hFlushEntries = t.Histograms.New("flush_entries")
 	t.hFlushWait = t.Histograms.New("flush_wait")
 	return t
@@ -239,7 +250,7 @@ func (t *Tracker) recordGranule(g uint64) {
 	if e := t.find(wordAddr); e != nil {
 		e.accum |= bit
 		if t.popcount(e) >= t.cfg.HWM {
-			t.Counters.Inc("prosper.hwm_writebacks")
+			t.cHWMWritebacks.Inc()
 			if t.Trace.Enabled() {
 				t.Trace.Instant(t.TraceTrack, "hwm_writeback", telemetry.I("bits", int64(t.popcount(e))))
 			}
@@ -278,7 +289,7 @@ func (t *Tracker) allocate(wordAddr uint64) *entry {
 		}
 	}
 	victim := t.selectVictim()
-	t.Counters.Inc("prosper.evictions")
+	t.cEvictions.Inc()
 	t.writeback(victim)
 	*victim = entry{used: true, wordAddr: wordAddr}
 	return victim
@@ -290,14 +301,14 @@ func (t *Tracker) allocate(wordAddr uint64) *entry {
 func (t *Tracker) selectVictim() *entry {
 	for i := range t.table {
 		if t.table[i].used && t.popcount(&t.table[i]) < t.cfg.LWM {
-			t.Counters.Inc("prosper.lwm_evictions")
+			t.cLWMEvictions.Inc()
 			if t.Trace.Enabled() {
 				t.Trace.Instant(t.TraceTrack, "lwm_eviction", telemetry.I("bits", int64(t.popcount(&t.table[i]))))
 			}
 			return &t.table[i]
 		}
 	}
-	t.Counters.Inc("prosper.random_evictions")
+	t.cRandomEvictions.Inc()
 	if t.Trace.Enabled() {
 		t.Trace.Instant(t.TraceTrack, "random_eviction")
 	}
@@ -352,7 +363,7 @@ func (t *Tracker) issueStore(wordAddr uint64) {
 // Flush evicts every table entry (checkpoint end or context switch). The
 // OS must then poll Quiesced before inspecting the bitmap.
 func (t *Tracker) Flush() {
-	t.Counters.Inc("prosper.flushes")
+	t.cFlushes.Inc()
 	t.hFlushEntries.Observe(uint64(t.LiveEntries()))
 	if t.Trace.Enabled() {
 		t.Trace.Instant(t.TraceTrack, "flush", telemetry.I("live_entries", int64(t.LiveEntries())))

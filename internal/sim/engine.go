@@ -106,29 +106,36 @@ func (ev event) less(other event) bool {
 // A token also carries an optional journey ID (see internal/journey):
 // when a sampled access's completion chain is handed down the hierarchy,
 // WithJourney stamps the token and each component reads Journey() to tag
-// the spans it records. The slot packs into the struct's existing
-// padding next to comp, so carrying it is free, and an unstamped token's
-// jid is 0 ("not sampled") — the tracing-off path costs one predictable
-// branch per component and zero allocations.
+// the spans it records. The owner and the journey ID share one 64-bit
+// word, meta: the Component in the low byte, the ID in the high 32 bits,
+// so stamping is one 8-byte update with no narrower store into the
+// word's other half. Tokens are copied with 16-byte moves, and one that
+// reloads a store still in flight stalls the host on store-to-load
+// forwarding; pooled records therefore stamp their token once per use
+// with Stamp, which leaves an unchanged ID unwritten. An unstamped
+// token's ID is 0 ("not sampled"): the tracing-off path costs one
+// predictable branch per component and zero allocations.
 type Done struct {
 	fn   func()
 	afn  func(uint64)
 	arg  uint64
-	comp Component
-	jid  uint32
+	meta uint64
 	key  uint64
 }
+
+// jidShift places the journey ID in meta's high half.
+const jidShift = 32
 
 // Thunk wraps a plain callback as a completion token owned by comp.
 // Wrapping is free; creating fn itself may allocate, so hot paths should
 // create it once and reuse the token.
-func Thunk(comp Component, fn func()) Done { return Done{fn: fn, comp: comp} }
+func Thunk(comp Component, fn func()) Done { return Done{fn: fn, meta: uint64(comp)} }
 
 // Bind wraps a single-argument callback plus its argument as a completion
 // token owned by comp. The callback is typically a method value stored
 // once on the owning component; Bind itself never allocates.
 func Bind(comp Component, fn func(uint64), arg uint64) Done {
-	return Done{afn: fn, arg: arg, comp: comp}
+	return Done{afn: fn, arg: arg, meta: uint64(comp)}
 }
 
 // KeyedThunk wraps a plain callback as a completion token owned by comp
@@ -139,18 +146,18 @@ func Bind(comp Component, fn func(uint64), arg uint64) Done {
 // Keys must be unique per live callback target; 0 means "no identity"
 // (such a token cannot cross a snapshot boundary).
 func KeyedThunk(comp Component, key uint64, fn func()) Done {
-	return Done{fn: fn, comp: comp, key: key}
+	return Done{fn: fn, meta: uint64(comp), key: key}
 }
 
 // KeyedBind wraps a single-argument callback plus its argument as a
 // completion token owned by comp with a stable resume identity; see
 // KeyedThunk for the key contract.
 func KeyedBind(comp Component, key uint64, fn func(uint64), arg uint64) Done {
-	return Done{afn: fn, arg: arg, comp: comp, key: key}
+	return Done{afn: fn, arg: arg, meta: uint64(comp), key: key}
 }
 
 // Component returns the owner declared when the token was built.
-func (d Done) Component() Component { return d.comp }
+func (d Done) Component() Component { return Component(d.meta) }
 
 // Key returns the token's resume identity (0 when none was declared).
 func (d Done) Key() uint64 { return d.key }
@@ -170,13 +177,24 @@ func (d Done) WithArg(arg uint64) Done {
 // components downstream read it back with Journey. Stamping jid 0 is the
 // identity (an unsampled access).
 func (d Done) WithJourney(jid uint32) Done {
-	d.jid = jid
+	d.meta = d.meta&(1<<jidShift-1) | uint64(jid)<<jidShift
 	return d
+}
+
+// Stamp sets the token's journey ID in place, as WithJourney would. It
+// writes only when the ID changes: a pooled token restamped with the ID
+// it holds (every token while tracing is off) sees no store, so copying
+// it right afterwards reloads settled memory instead of stalling on a
+// store still in flight.
+func (d *Done) Stamp(jid uint32) {
+	if d.Journey() != jid {
+		*d = d.WithJourney(jid)
+	}
 }
 
 // Journey returns the journey ID the token was stamped with (0 when the
 // access is not sampled or tracing is off).
-func (d Done) Journey() uint32 { return d.jid }
+func (d Done) Journey() uint32 { return uint32(d.meta >> jidShift) }
 
 // Valid reports whether the token carries a callback (the analogue of the
 // old `done != nil` check).
@@ -289,7 +307,7 @@ func (e *Engine) InjectDone(when Time, seq uint64, d Done) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: inject at %d before now %d", when, e.now))
 	}
-	e.push(when, seq, d.fn, d.afn, d.arg, d.comp)
+	e.push(when, seq, d.fn, d.afn, d.arg, Component(d.meta))
 }
 
 // PendingKey identifies one queued event by its total-order position.
@@ -382,7 +400,7 @@ func (e *Engine) AtDone(t Time, d Done) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
-	e.push(t, e.seq, d.fn, d.afn, d.arg, d.comp)
+	e.push(t, e.seq, d.fn, d.afn, d.arg, Component(d.meta))
 	e.seq++
 }
 
@@ -582,7 +600,9 @@ func (e *Engine) stepBy(limit Time) bool {
 	} else {
 		e.head[b] = ev.next
 	}
-	*ev = event{next: e.free} // drop callback references so the GC can reclaim them
+	// Drop only the callback references, so the GC can reclaim a one-off
+	// closure; the slot's other fields are overwritten when it is reused.
+	ev.fn, ev.afn, ev.next = nil, nil, e.free
 	e.free = i
 	e.inWheel--
 	e.fired++

@@ -27,6 +27,28 @@ func TestDoneJourneySlot(t *testing.T) {
 	}
 }
 
+// TestDoneStampKeepsOwner pins the shared owner/journey word: stamping
+// any ID, by value or in place, leaves the owner intact, and restamping
+// replaces the ID rather than merging into it.
+func TestDoneStampKeepsOwner(t *testing.T) {
+	for _, comp := range Components() {
+		for _, jid := range []uint32{1, 0x8000_0001, ^uint32(0)} {
+			tok := Bind(comp, func(uint64) {}, 3).WithJourney(jid)
+			if tok.Component() != comp || tok.Journey() != jid {
+				t.Fatalf("WithJourney(%#x) on a %s token: owner %s, jid %#x", jid, comp, tok.Component(), tok.Journey())
+			}
+			tok.Stamp(5)
+			if tok.Component() != comp || tok.Journey() != 5 {
+				t.Fatalf("Stamp(5) after %#x on a %s token: owner %s, jid %#x", jid, comp, tok.Component(), tok.Journey())
+			}
+			tok.Stamp(0)
+			if tok.Component() != comp || tok.Journey() != 0 || tok.Arg() != 3 {
+				t.Fatalf("Stamp(0) on a %s token: owner %s, jid %#x, arg %d", comp, tok.Component(), tok.Journey(), tok.Arg())
+			}
+		}
+	}
+}
+
 // TestJourneyTokenPreservesOrder proves that tagging completion tokens
 // with journey IDs never perturbs the engine's (when, seq) firing order:
 // the jid rides dead weight in the token, invisible to the scheduler.
@@ -67,7 +89,7 @@ func TestJourneyTokenPreservesOrder(t *testing.T) {
 }
 
 // TestJourneyTokenSteadyStateAllocs pins that scheduling journey-tagged
-// tokens allocates nothing: the slot packs into existing token padding.
+// tokens allocates nothing: the ID shares the owner's word of the token.
 func TestJourneyTokenSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}

@@ -22,7 +22,7 @@ func SaveDone(w *snapbuf.Writer, d Done) error {
 		return nil
 	}
 	if d.key == 0 {
-		return fmt.Errorf("%w (component %s)", ErrUnkeyedDone, d.comp)
+		return fmt.Errorf("%w (component %s)", ErrUnkeyedDone, d.Component())
 	}
 	w.Bool(true)
 	w.U64(d.key)

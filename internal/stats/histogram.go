@@ -7,16 +7,18 @@ import "math/bits"
 // samples v with bits.Len64(v) == i, i.e. bucket 0 holds exactly v=0 and
 // bucket i>0 holds [2^(i-1), 2^i - 1]. All state is integral, so
 // serialized output is deterministic across platforms, and recording is
-// a couple of integer ops — cheap enough for per-access hot paths.
+// a couple of integer ops — cheap enough for per-access hot paths. The
+// summary words come first, next to the low buckets that small samples
+// land in, so an Observe of a small sample touches few host cache lines.
 //
 // All methods are safe on a nil receiver: Observe is a no-op and the
 // queries return zeros, mirroring the nil-tracer fast path in telemetry.
 type Histogram struct {
-	buckets [65]uint64
 	count   uint64
 	sum     uint64
 	min     uint64
 	max     uint64
+	buckets [65]uint64
 }
 
 // NewHistogram returns an empty histogram.

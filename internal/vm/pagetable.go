@@ -61,6 +61,12 @@ type node struct {
 type FrameSource func() uint64
 
 // PageTable is a 4-level radix page table.
+//
+// Table nodes are never freed, and Unmap zeroes a leaf entry in place, so
+// a *PTE that Lookup or Walk returned keeps naming vaddr's entry for the
+// life of the table: the page walker reads a walk's flags through it when
+// the walk finishes. Only LoadSnap replaces the node graph, on a table no
+// walk is in flight on.
 type PageTable struct {
 	root     *node
 	frames   FrameSource
@@ -150,47 +156,27 @@ func (pt *PageTable) Lookup(vaddr uint64) *PTE {
 	return &n.ptes[indexAt(vaddr, levels-1)]
 }
 
-// WalkAddrs returns the physical addresses of the 4 table entries a
-// hardware walker would read to translate vaddr (whether or not the
-// translation exists at every level — missing levels are omitted).
-func (pt *PageTable) WalkAddrs(vaddr uint64) []uint64 {
+// Walk descends the table once for vaddr, as a hardware walker would.
+// It fills dst with the physical addresses of the entries it reads, one
+// per level down to the first missing table, and returns how many it
+// filled (1..levels) and leaf, the leaf PTE it reached (present or not),
+// or nil when a level was missing. By the table's invariant leaf stays
+// Lookup(vaddr) while the walk is timed; a nil leaf can go stale, when a
+// later Map creates the missing levels.
+func (pt *PageTable) Walk(vaddr uint64, dst *[levels]uint64) (n int, leaf *PTE) {
 	checkVA(vaddr)
-	addrs := make([]uint64, 0, levels)
-	n := pt.root
-	for level := 0; level < levels; level++ {
-		idx := indexAt(vaddr, level)
-		addrs = append(addrs, n.physBase+uint64(idx)*8)
-		if level == levels-1 {
-			break
-		}
-		n = n.children[idx]
-		if n == nil {
-			break
-		}
-	}
-	return addrs
-}
-
-// WalkAddrsInto is the allocation-free variant of WalkAddrs for the hot
-// page-walk path: it fills dst with the walk's physical addresses and
-// returns how many levels were present (1..levels).
-func (pt *PageTable) WalkAddrsInto(vaddr uint64, dst *[levels]uint64) int {
-	checkVA(vaddr)
-	n := 0
 	nd := pt.root
-	for level := 0; level < levels; level++ {
+	for level := 0; level < levels-1; level++ {
 		idx := indexAt(vaddr, level)
 		dst[n] = nd.physBase + uint64(idx)*8
 		n++
-		if level == levels-1 {
-			break
-		}
-		nd = nd.children[idx]
-		if nd == nil {
-			break
+		if nd = nd.children[idx]; nd == nil {
+			return n, nil
 		}
 	}
-	return n
+	idx := indexAt(vaddr, levels-1)
+	dst[n] = nd.physBase + uint64(idx)*8
+	return n + 1, &nd.ptes[idx]
 }
 
 // Translate performs a functional walk: on success it returns the physical

@@ -212,16 +212,3 @@ func (as *AddressSpace) EnsureRange(lo, hi uint64) {
 		}
 	}
 }
-
-// ReleaseRange unmaps [lo, hi) and returns frames to their pools.
-func (as *AddressSpace) ReleaseRange(lo, hi uint64) {
-	for va := mem.PageOf(lo); va < hi; va += mem.PageSize {
-		if frame, ok := as.PT.Unmap(va); ok {
-			if as.nvm != nil && as.nvm.Contains(frame) {
-				as.nvm.Free(frame)
-			} else {
-				as.dram.Free(frame)
-			}
-		}
-	}
-}

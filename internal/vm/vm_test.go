@@ -72,22 +72,35 @@ func TestPageTableRemapKeepsCount(t *testing.T) {
 	}
 }
 
-func TestWalkAddrsDepth(t *testing.T) {
+func TestWalkDepth(t *testing.T) {
 	pt := testPT()
-	if got := len(pt.WalkAddrs(0x5000)); got != 1 {
-		t.Fatalf("unmapped walk depth = %d, want 1 (root only)", got)
+	var addrs [levels]uint64
+	if n, leaf := pt.Walk(0x5000, &addrs); n != 1 || leaf != nil {
+		t.Fatalf("unmapped walk depth = %d, leaf %v, want 1 (root only), nil", n, leaf)
 	}
 	pt.Map(0x5000, 0x8000, 0)
-	if got := len(pt.WalkAddrs(0x5000)); got != 4 {
-		t.Fatalf("mapped walk depth = %d, want 4", got)
+	n, leaf := pt.Walk(0x5000, &addrs)
+	if n != 4 {
+		t.Fatalf("mapped walk depth = %d, want 4", n)
 	}
-	addrs := pt.WalkAddrs(0x5000)
+	if leaf != pt.Lookup(0x5000) {
+		t.Fatal("walk leaf is not the PTE Lookup returns")
+	}
 	seen := map[uint64]bool{}
-	for _, a := range addrs {
+	for _, a := range addrs[:n] {
 		if seen[mem.PageOf(a)] {
 			t.Fatal("two walk levels share a table page")
 		}
 		seen[mem.PageOf(a)] = true
+	}
+	// A leaf table without the entry: the walk still reaches the (empty)
+	// leaf, and Unmap zeroes that same entry in place.
+	if n, leaf := pt.Walk(0x6000, &addrs); n != 4 || leaf == nil || leaf.Present() {
+		t.Fatalf("walk to an unmapped page of a mapped leaf table = %d, %v; want 4, a non-present leaf", n, leaf)
+	}
+	pt.Unmap(0x5000)
+	if leaf.Present() || leaf != pt.Lookup(0x5000) {
+		t.Fatal("Unmap did not clear the walked leaf in place")
 	}
 }
 
@@ -339,14 +352,12 @@ func TestVMAOverlapRejected(t *testing.T) {
 	}
 }
 
-func TestEnsureAndReleaseRange(t *testing.T) {
+func TestEnsureRange(t *testing.T) {
 	dram, nvm := testAllocators()
 	as := NewAddressSpace(dram, nvm)
 	if err := as.AddVMA(&VMA{Lo: 0x50000, Hi: 0x58000, Kind: KindBitmap, Writable: true, ThreadID: -1}); err != nil {
 		t.Fatal(err)
 	}
-	// First cycle pays for page-table node pages, which are retained by
-	// design; after that, map/release must be frame-neutral.
 	as.EnsureRange(0x50000, 0x58000)
 	if as.PT.Mapped() != 8 {
 		t.Fatalf("mapped = %d, want 8", as.PT.Mapped())
@@ -355,16 +366,6 @@ func TestEnsureAndReleaseRange(t *testing.T) {
 	as.EnsureRange(0x50000, 0x58000)
 	if as.PT.Mapped() != 8 {
 		t.Fatal("EnsureRange not idempotent")
-	}
-	as.ReleaseRange(0x50000, 0x58000)
-	if as.PT.Mapped() != 0 {
-		t.Fatal("release left mappings")
-	}
-	steady := dram.Allocated()
-	as.EnsureRange(0x50000, 0x58000)
-	as.ReleaseRange(0x50000, 0x58000)
-	if dram.Allocated() != steady {
-		t.Fatalf("frames leaked: %d vs %d", dram.Allocated(), steady)
 	}
 }
 
