@@ -12,10 +12,6 @@
 //	                    [fig1 fig2 ... | all | quick]
 //	prosper-experiments -crash-sweep [-crash-points n] [-crash-seed s]
 //	                    [-parallel n]
-//	prosper-experiments -snapshot-out FILE [-snapshot-at n]
-//	                    [-snapshot-mech m] [-snapshot-seed s]
-//	prosper-experiments -resume-from FILE [-snapshot-mech m]
-//	                    [-snapshot-seed s]
 //
 // "quick" runs the trace-driven motivation figures only (seconds);
 // "all" also runs the full-machine figures (minutes at default scale).
@@ -24,12 +20,6 @@
 // figures: every mechanism is crashed at -crash-points seeded cycles and
 // recovered from the surviving NVM image, and any recovery-invariant
 // violation makes the command exit non-zero (see EXPERIMENTS.md).
-//
-// -snapshot-out runs a deterministic checkpointing workload, saves the
-// full machine state at a chosen commit, and prints the run's headline
-// stats; -resume-from (same flags) restores that snapshot into a fresh
-// kernel, finishes the window, and prints identical stats. Malformed or
-// mismatched snapshots exit 2 with a typed diagnostic (DESIGN.md §14).
 //
 // Every figure is a declarative run plan executed on a bounded worker
 // pool (-parallel, default GOMAXPROCS). Each run owns a private
@@ -90,11 +80,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	crashSweep := fs.Bool("crash-sweep", false, "run the power-failure crash sweep over every mechanism instead of the figures")
 	crashPoints := fs.Int("crash-points", 64, "crash points per mechanism for -crash-sweep")
 	crashSeed := fs.Int64("crash-seed", 1, "PRNG seed for -crash-sweep point sampling")
-	snapshotOut := fs.String("snapshot-out", "", "run the snapshot spec and save a machine snapshot to FILE instead of the figures")
-	snapshotAt := fs.Int("snapshot-at", 2, "measured-window commit to snapshot at for -snapshot-out (counts from 1)")
-	resumeFrom := fs.String("resume-from", "", "resume the machine snapshot in FILE and finish its measured window instead of the figures")
-	snapshotMech := fs.String("snapshot-mech", "prosper", "stack mechanism for -snapshot-out / -resume-from")
-	snapshotSeed := fs.Uint64("snapshot-seed", 1, "workload seed for -snapshot-out / -resume-from")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -127,18 +112,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 
 	if *crashSweep {
 		return runCrashSweep(stdout, stderr, *crashPoints, *crashSeed, *parallel)
-	}
-	if *snapshotOut != "" && *resumeFrom != "" {
-		fmt.Fprintln(stderr, "prosper-experiments: -snapshot-out and -resume-from are mutually exclusive")
-		return 2
-	}
-	if *snapshotOut != "" {
-		return runSnapshotSave(stdout, stderr, *snapshotOut, *snapshotMech, *snapshotSeed,
-			sim.Time(*intervalUS)*sim.Microsecond, *checkpoints, *snapshotAt)
-	}
-	if *resumeFrom != "" {
-		return runResume(stdout, stderr, *resumeFrom, *snapshotMech, *snapshotSeed,
-			sim.Time(*intervalUS)*sim.Microsecond, *checkpoints)
 	}
 
 	scale := experiments.DefaultScale()

@@ -12,15 +12,12 @@ import (
 // return before the figures and a run that exits 2 on a bad name.
 func TestProfilesWrittenInEveryMode(t *testing.T) {
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "s.bin")
 	for _, tc := range []struct {
 		name string
 		args []string
 		want int
 	}{
 		{"figure", []string{"-ops", "2000", "-progress=false", "fig2"}, 0},
-		{"snapshot-out", []string{"-snapshot-out", snap}, 0},
-		{"resume-from", []string{"-resume-from", snap}, 0},
 		{"crash-sweep", []string{"-crash-sweep", "-crash-points", "2"}, 0},
 		{"list", []string{"-list"}, 0},
 		{"unknown experiment", []string{"nope"}, 2},

@@ -89,7 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	threads := fs.Int("threads", 1, "threads (one workload instance each)")
 	cores := fs.Int("cores", 1, "simulated cores")
 	seed := fs.Uint64("seed", 1, "workload seed")
-	parallel := fs.Bool("parallel-ckpt", false, "checkpoint thread stacks concurrently")
 	dumpStats := fs.Bool("stats", false, "dump all simulator counters at the end")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -119,9 +118,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	k := kernel.New(kernel.Config{
-		Machine:                 machine.Config{Cores: *cores},
-		Quantum:                 100 * sim.Microsecond,
-		ParallelStackCheckpoint: *parallel,
+		Machine: machine.Config{Cores: *cores},
+		Quantum: 100 * sim.Microsecond,
 	})
 	progs := make([]workload.Program, *threads)
 	for i := range progs {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestPauseAttributionInvariant checks the stall-attribution sum
-// invariant for every stack mechanism, in both sequential and parallel
-// stack-checkpoint modes: each completed epoch's per-cause cycle counts
+// invariant for every stack mechanism, whose thread stacks checkpoint
+// sequentially: each completed epoch's per-cause cycle counts
 // must sum exactly to the measured stop-the-world pause — the attribution
 // register charges every cycle between quiesce start and commit
 // completion to exactly one named cause.
@@ -29,60 +29,53 @@ func TestPauseAttributionInvariant(t *testing.T) {
 		// interval's log).
 		{"romulus", func() persist.Factory { return persist.NewRomulus() }, 25 * sim.Millisecond},
 	}
-	for _, parallel := range []bool{false, true} {
-		mode := "sequential"
-		if parallel {
-			mode = "parallel"
-		}
-		for _, m := range mechs {
-			m := m
-			t.Run(m.name+"/"+mode, func(t *testing.T) {
-				k := New(Config{
-					Machine:                 machine.Config{Cores: 2},
-					Quantum:                 200 * sim.Microsecond,
-					ParallelStackCheckpoint: parallel,
-				})
-				p := k.Spawn(ProcessConfig{
-					Name:               "attrib",
-					StackMech:          m.mk(),
-					CheckpointInterval: 150 * sim.Microsecond,
-					Seed:               11,
-				}, workload.NewRandom(workload.MicroParams{ArrayBytes: 16 << 10, WritesPerRun: 96}),
-					workload.NewRandom(workload.MicroParams{ArrayBytes: 16 << 10, WritesPerRun: 96}))
-				k.RunFor(m.run)
-				p.Shutdown()
-
-				if len(p.EpochPauses) == 0 {
-					t.Fatal("no checkpoint epochs recorded")
-				}
-				for _, ep := range p.EpochPauses {
-					var sum uint64
-					for _, v := range ep.Causes {
-						sum += v
-					}
-					if sum != uint64(ep.Pause) {
-						t.Errorf("epoch %d: causes sum %d != pause %d (%+v)",
-							ep.Seq, sum, ep.Pause, ep.Causes)
-					}
-					if ep.Pause == 0 {
-						t.Errorf("epoch %d: zero pause", ep.Seq)
-					}
-				}
-				// The checkpoint engine itself must have charged the
-				// bracketing causes for every mechanism.
-				var total [persist.NumCauses]uint64
-				for _, ep := range p.EpochPauses {
-					for c, v := range ep.Causes {
-						total[c] += v
-					}
-				}
-				if total[persist.CauseQuiesce] == 0 {
-					t.Error("no cycles attributed to quiesce")
-				}
-				if total[persist.CauseCommitFence] == 0 {
-					t.Error("no cycles attributed to commit_fence")
-				}
+	for _, m := range mechs {
+		m := m
+		t.Run(m.name+"/sequential", func(t *testing.T) {
+			k := New(Config{
+				Machine: machine.Config{Cores: 2},
+				Quantum: 200 * sim.Microsecond,
 			})
-		}
+			p := k.Spawn(ProcessConfig{
+				Name:               "attrib",
+				StackMech:          m.mk(),
+				CheckpointInterval: 150 * sim.Microsecond,
+				Seed:               11,
+			}, workload.NewRandom(workload.MicroParams{ArrayBytes: 16 << 10, WritesPerRun: 96}),
+				workload.NewRandom(workload.MicroParams{ArrayBytes: 16 << 10, WritesPerRun: 96}))
+			k.RunFor(m.run)
+			p.Shutdown()
+
+			if len(p.EpochPauses) == 0 {
+				t.Fatal("no checkpoint epochs recorded")
+			}
+			for _, ep := range p.EpochPauses {
+				var sum uint64
+				for _, v := range ep.Causes {
+					sum += v
+				}
+				if sum != uint64(ep.Pause) {
+					t.Errorf("epoch %d: causes sum %d != pause %d (%+v)",
+						ep.Seq, sum, ep.Pause, ep.Causes)
+				}
+				if ep.Pause == 0 {
+					t.Errorf("epoch %d: zero pause", ep.Seq)
+				}
+			}
+			// The checkpoint engine itself must have charged the
+			// bracketing causes for every mechanism.
+			var total [persist.NumCauses]uint64
+			for _, ep := range p.EpochPauses {
+				for c, v := range ep.Causes {
+					total[c] += v
+				}
+			}
+			if total[persist.CauseQuiesce] == 0 {
+				t.Error("no cycles attributed to quiesce")
+			}
+			if total[persist.CauseCommitFence] == 0 {
+				t.Error("no cycles attributed to commit_fence")
+			}
+		})
 	}
 }

@@ -47,9 +47,8 @@ func (k *Kernel) checkpointProcess(p *Process, done func()) {
 // telemetry is disabled); phase spans for the stack, heap, and commit
 // steps nest under it on the process's checkpoint lane.
 func (k *Kernel) checkpointPaused(p *Process, start int64, epoch telemetry.Span, done func()) {
-	// Phase 2: register + program state, then segments (thread stacks in
-	// TID order — sequential by default, concurrent when configured —
-	// then the heap).
+	// Phase 2: register + program state, then segments (thread stacks
+	// one at a time in TID order, then the heap).
 	idx := 0
 	var ckptBytes uint64
 	var stackBytes uint64
@@ -87,8 +86,7 @@ func (k *Kernel) checkpointPaused(p *Process, start int64, epoch telemetry.Span,
 			if p.CommitHook != nil {
 				// Snapshot point: the machine is at its quietest (threads
 				// parked, mechanisms committed), and everything that IS in
-				// flight carries a stable resume identity. The hook reads
-				// k.SnapshotPoint to learn which commit it is standing in.
+				// flight carries a stable resume identity.
 				k.hookProc = p
 				k.hookSync = done != nil
 				p.CommitHook(p)
@@ -126,59 +124,6 @@ func (k *Kernel) checkpointPaused(p *Process, start int64, epoch telemetry.Span,
 			finish()
 		})
 	}
-	// persistThread checkpoints one thread's registers and stack; the two
-	// overlap (the paper overlaps OS prep work with the hardware's
-	// flush/quiesce step). next fires when both complete.
-	persistThread := func(t *Thread, next func()) {
-		ss := k.Eng.Now()
-		pendingParts := 2
-		partDone := func() {
-			pendingParts--
-			if pendingParts == 0 {
-				t.ckptEpoch++
-				next()
-			}
-		}
-		k.saveRegisters(t, partDone)
-		t.mech.Checkpoint(func(r persist.Result) {
-			ckptBytes += r.BytesCopied
-			stackBytes += r.BytesCopied
-			p.Counters.Add("proc.stack_ckpt_bytes", r.BytesCopied)
-			p.Counters.Add("proc.stack_ckpt_cycles", uint64(k.Eng.Now()-ss))
-			p.Counters.Add("proc.stack_ckpt_meta", r.MetaScanned)
-			partDone()
-		})
-	}
-
-	if k.Cfg.ParallelStackCheckpoint {
-		// All live threads' stacks at once; their copies overlap in the
-		// memory system.
-		live := 0
-		for _, t := range p.Threads {
-			if t.state != threadDone {
-				live++
-			}
-		}
-		if live == 0 {
-			heapPhase()
-			return
-		}
-		remaining := live
-		for _, t := range p.Threads {
-			if t.state == threadDone {
-				continue
-			}
-			persistThread(t, func() {
-				remaining--
-				if remaining == 0 {
-					p.StackCkptBytes += stackBytes
-					heapPhase()
-				}
-			})
-		}
-		return
-	}
-
 	nextStack = func() {
 		if idx >= len(p.Threads) {
 			p.StackCkptBytes += stackBytes
@@ -191,7 +136,27 @@ func (k *Kernel) checkpointPaused(p *Process, start int64, epoch telemetry.Span,
 			nextStack()
 			return
 		}
-		persistThread(t, nextStack)
+		// The thread's registers and stack persist concurrently (the
+		// paper overlaps OS prep work with the hardware's flush/quiesce
+		// step); the next thread starts when both complete.
+		ss := k.Eng.Now()
+		pendingParts := 2
+		partDone := func() {
+			pendingParts--
+			if pendingParts == 0 {
+				t.ckptEpoch++
+				nextStack()
+			}
+		}
+		k.saveRegisters(t, partDone)
+		t.mech.Checkpoint(func(r persist.Result) {
+			ckptBytes += r.BytesCopied
+			stackBytes += r.BytesCopied
+			p.Counters.Add("proc.stack_ckpt_bytes", r.BytesCopied)
+			p.Counters.Add("proc.stack_ckpt_cycles", uint64(k.Eng.Now()-ss))
+			p.Counters.Add("proc.stack_ckpt_meta", r.MetaScanned)
+			partDone()
+		})
 	}
 	nextStack()
 }

@@ -20,6 +20,10 @@ import (
 	"prosper/internal/telemetry"
 )
 
+// ContextSwitchCost is the fixed kernel-path cost of a context switch
+// (excluding mechanism save/restore, which is timed for real).
+const ContextSwitchCost = sim.Time(300)
+
 // Config sizes the kernel and the machine beneath it.
 type Config struct {
 	Machine machine.Config
@@ -27,14 +31,6 @@ type Config struct {
 	Quantum sim.Time
 	// TrackerCfg parameterizes the per-core Prosper dirty trackers.
 	TrackerCfg prosper.Config
-	// ContextSwitchCost is the fixed kernel-path cost of a switch
-	// (excluding mechanism save/restore, which is timed for real).
-	ContextSwitchCost sim.Time
-	// ParallelStackCheckpoint persists all threads' stacks concurrently
-	// during a process checkpoint instead of thread-by-thread; the copies
-	// contend in the memory system but overlap their latencies. Still
-	// fully deterministic (the event engine fixes the interleaving).
-	ParallelStackCheckpoint bool
 	// Tracer, when non-nil, receives sim-time telemetry: checkpoint
 	// phase spans, tracker flush/HWM/eviction instants, and periodic
 	// occupancy samples of the memory system. Nil (the default) keeps
@@ -54,14 +50,12 @@ func (c Config) withDefaults() Config {
 	if c.Quantum <= 0 {
 		c.Quantum = sim.Millisecond
 	}
-	if c.ContextSwitchCost <= 0 {
-		c.ContextSwitchCost = 300
-	}
 	return c
 }
 
 // Kernel is one booted OS instance.
 type Kernel struct {
+	//prosperlint:ignore snapshot boot configuration: Resume needs a kernel booted with the same Config, and SaveSnap reads it only to refuse observers
 	Cfg      Config
 	Mach     *machine.Machine
 	Eng      *sim.Engine
@@ -233,7 +227,7 @@ func (k *Kernel) scheduleNext(cs *coreState) {
 	k.Counters.Inc("kernel.context_switches")
 	k.installContext(cs, t)
 	start := k.Eng.Now()
-	k.Eng.Schedule(sim.CompKernel, k.Cfg.ContextSwitchCost, func() {
+	k.Eng.Schedule(sim.CompKernel, ContextSwitchCost, func() {
 		t.mech.OnScheduleIn(cs.core, func() {
 			t.Proc.heapScheduleIn(cs.core, func() {
 				k.Counters.Add("kernel.ctxswitch_in_cycles", uint64(k.Eng.Now()-start))

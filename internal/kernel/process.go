@@ -177,8 +177,8 @@ type Process struct {
 	// callback, after the commit is durable and before the threads
 	// resume: architectural and program state are exactly the committed
 	// epoch's. It is the one point in a run where a simulator snapshot
-	// can be taken (snapshot.Save reads the kernel's SnapshotPoint while
-	// the hook runs). It must not block or mutate simulation state.
+	// can be taken (the kernel's SaveSnap refuses anywhere else). It
+	// must not block or mutate simulation state.
 	CommitHook func(p *Process)
 
 	// Checkpoints completed and cumulative checkpoint statistics; their

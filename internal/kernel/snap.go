@@ -16,19 +16,15 @@ import (
 // background apply traffic whose continuations carry resume keys. Save
 // is a pure read; the run continues unperturbed afterwards.
 
-// SnapshotPoint reports the commit hook currently executing: the process
-// whose checkpoint just committed, and whether the checkpoint was
-// triggered synchronously (such a commit carries a host-side done
-// closure and cannot be snapshotted). Nil outside a commit hook.
-func (k *Kernel) SnapshotPoint() (p *Process, sync bool) { return k.hookProc, k.hookSync }
-
 // SaveSnap encodes the full kernel state: scheduler, trackers, and every
 // process with its address space, mechanisms, and threads. claims
 // accumulates the (when, seq) identities of the pending engine events
 // the kernel owns (quantum and checkpoint tickers).
 func (k *Kernel) SaveSnap(w *snapbuf.Writer, claims *sim.EventClaims) error {
-	if k.Trace.Enabled() {
-		return errors.New("kernel: cannot snapshot a run with telemetry tracing active")
+	// The observers hold host state no snapshot can carry: open spans,
+	// journeys keyed by live record identity, wall-clock accumulators.
+	if k.Trace.Enabled() || k.Cfg.Journey != nil || k.Eng.Profiling() != nil {
+		return errors.New("kernel: telemetry tracing, journey recording and event profiling cannot cross a snapshot")
 	}
 	if k.hookProc == nil {
 		return errors.New("kernel: snapshots are taken inside checkpoint commit hooks only")

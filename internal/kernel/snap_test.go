@@ -4,9 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"prosper/internal/journey"
+	"prosper/internal/machine"
 	"prosper/internal/persist"
 	"prosper/internal/sim"
 	"prosper/internal/snapbuf"
+	"prosper/internal/telemetry"
 	"prosper/internal/workload"
 )
 
@@ -33,12 +36,9 @@ func captureKernelSnap(t *testing.T) (*Kernel, []byte) {
 	t.Helper()
 	k, p := snapBoot()
 	var saved []byte
-	p.CommitHook = func(proc *Process) {
+	p.CommitHook = func(*Process) {
 		if saved != nil {
 			return
-		}
-		if hp, sync := k.SnapshotPoint(); hp != proc || sync {
-			t.Errorf("SnapshotPoint inside hook = (%v, %v)", hp, sync)
 		}
 		w := snapbuf.NewWriter()
 		var claims sim.EventClaims
@@ -61,8 +61,15 @@ func TestKernelSnapRoundTripAndTruncation(t *testing.T) {
 	if err := fresh.LoadSnap(snapbuf.NewReader(data), nil); err != nil {
 		t.Fatalf("full payload LoadSnap: %v", err)
 	}
-	if hp, _ := fresh.SnapshotPoint(); hp == nil {
-		t.Fatal("LoadSnap did not re-enter the commit hook")
+	// LoadSnap re-enters the commit hook, so SaveSnap is accepted again
+	// and re-encodes the identical payload.
+	w := snapbuf.NewWriter()
+	var claims sim.EventClaims
+	if err := fresh.SaveSnap(w, &claims); err != nil {
+		t.Fatalf("SaveSnap after LoadSnap: %v", err)
+	}
+	if string(w.Bytes()) != string(data) {
+		t.Fatal("re-saved kernel payload differs")
 	}
 	// Every truncation length must be rejected, but booting a kernel per
 	// prefix is expensive: sweep the structured head densely and sample
@@ -145,9 +152,6 @@ func TestKernelSnapRequiresQuiescence(t *testing.T) {
 	k.RunFor(200 * sim.Microsecond)
 
 	// Outside any commit hook.
-	if hp, _ := k.SnapshotPoint(); hp != nil {
-		t.Fatal("SnapshotPoint non-nil outside a commit hook")
-	}
 	w := snapbuf.NewWriter()
 	var claims sim.EventClaims
 	if err := k.SaveSnap(w, &claims); err == nil ||
@@ -173,6 +177,52 @@ func TestKernelSnapRequiresQuiescence(t *testing.T) {
 	}
 	if hookErr == nil || !strings.Contains(hookErr.Error(), "synchronous checkpoint") {
 		t.Fatalf("err = %v, want synchronous-checkpoint rejection", hookErr)
+	}
+}
+
+// TestKernelSnapRefusesObservers: a run with a telemetry tracer, a
+// journey recorder or an event profiler cannot be saved even inside a
+// commit hook, since each holds host state no snapshot carries.
+func TestKernelSnapRefusesObservers(t *testing.T) {
+	for name, boot := range map[string]func() *Kernel{
+		"tracer": func() *Kernel {
+			return New(Config{Machine: machine.Config{Cores: 1}, Tracer: telemetry.NewTrace().NewTracer("snap")})
+		},
+		"journey": func() *Kernel {
+			return New(Config{Machine: machine.Config{Cores: 1}, Journey: journey.NewRecorder("snap", 64, 1)})
+		},
+		"profile": func() *Kernel {
+			k := testKernel(1)
+			k.Eng.EnableProfiling(nil)
+			return k
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			k := boot()
+			p := k.Spawn(ProcessConfig{
+				Name:               "app",
+				StackMech:          persist.NewProsper(persist.ProsperConfig{}),
+				CheckpointInterval: 100 * sim.Microsecond,
+				StackReserve:       16 << 10,
+				HeapSize:           64 << 10,
+			}, workload.NewRandom(workload.MicroParams{ArrayBytes: 8 << 10, WritesPerRun: 32}))
+			defer p.Shutdown()
+			var err error
+			hooked := false
+			p.CommitHook = func(*Process) {
+				if !hooked {
+					hooked = true
+					err = k.SaveSnap(snapbuf.NewWriter(), &sim.EventClaims{})
+				}
+			}
+			k.RunFor(sim.Millisecond)
+			if !hooked {
+				t.Fatal("no commit hook fired")
+			}
+			if err == nil || !strings.Contains(err.Error(), "cannot cross a snapshot") {
+				t.Fatalf("err = %v, want observer rejection", err)
+			}
+		})
 	}
 }
 

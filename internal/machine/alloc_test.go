@@ -93,7 +93,7 @@ func TestAllocsTLBMissPageWalk(t *testing.T) {
 // own line offset, spreading the data lines over the L1's sets.
 func BenchmarkPageWalk(b *testing.B) {
 	m, core, _ := testEnv(nil)
-	pages := uint64(2 * m.Cfg.TLBEntries)
+	pages := uint64(2 * TLBEntries)
 	addr := func(i uint64) uint64 {
 		p := i % pages
 		return addrUnderTest + p*mem.PageSize + p%(mem.PageSize/mem.LineSize)*mem.LineSize

@@ -19,7 +19,7 @@ type StoreObserver interface {
 }
 
 // FaultHandler resolves a page fault in kernel context; the machine
-// charges Config.PageFaultCycles around the call. Returning an error
+// charges PageFaultCycles around the call. Returning an error
 // kills the access (simulated segfault).
 type FaultHandler func(vaddr uint64, write bool) error
 
@@ -95,10 +95,10 @@ func newCore(m *Machine, id int) *Core {
 		ID:           id,
 		mach:         m,
 		eng:          m.Eng,
-		TLB:          vm.NewTLB(fmt.Sprintf("core%d.tlb", id), m.Cfg.TLBEntries),
+		TLB:          vm.NewTLB(fmt.Sprintf("core%d.tlb", id), TLBEntries),
 		l1:           m.Hier.L1D[id],
 		l2:           m.Hier.L2[id],
-		storeCredits: m.Cfg.StoreBuffer,
+		storeCredits: StoreBuffer,
 		Counters:     stats.NewCounters(),
 	}
 	c.relCreditTok = sim.Thunk(sim.CompWorkload, c.releaseStoreCredit)
@@ -231,8 +231,8 @@ func (c *Core) L1() *cache.Cache { return c.l1 }
 func (c *Core) L2() *cache.Cache { return c.l2 }
 
 // StoreBufferInUse returns how many store-buffer entries are occupied
-// right now; telemetry samples it against Config.StoreBuffer.
-func (c *Core) StoreBufferInUse() int { return c.mach.Cfg.StoreBuffer - c.storeCredits }
+// right now; telemetry samples it against StoreBuffer.
+func (c *Core) StoreBufferInUse() int { return StoreBuffer - c.storeCredits }
 
 // SwitchContext rebinds the core to a new address space, flushing the TLB
 // like a CR3 write.
@@ -360,10 +360,10 @@ func (c *Core) fault(vaddr uint64, write bool, jid uint32, k func(uint64)) {
 	}
 	if jid != 0 {
 		now := c.eng.Now()
-		c.journeys.Span(jid, journey.StageTLB, journey.CauseFault, now, now+c.mach.Cfg.PageFaultCycles)
+		c.journeys.Span(jid, journey.StageTLB, journey.CauseFault, now, now+PageFaultCycles)
 	}
 	c.TLB.Invalidate(vaddr)
-	c.eng.Schedule(sim.CompVM, c.mach.Cfg.PageFaultCycles, func() {
+	c.eng.Schedule(sim.CompVM, PageFaultCycles, func() {
 		c.translate(vaddr, write, jid, k)
 	})
 }
@@ -556,7 +556,7 @@ func (c *Core) releaseStoreCredit() {
 // DrainStores calls done once every in-flight store has left the store
 // buffer (a store fence, used around checkpoints and context switches).
 func (c *Core) DrainStores(done func()) {
-	if c.storeCredits == c.mach.Cfg.StoreBuffer && c.swHead == len(c.storeWaiters) {
+	if c.storeCredits == StoreBuffer && c.swHead == len(c.storeWaiters) {
 		c.eng.Schedule(sim.CompKernel, 0, done)
 		return
 	}

@@ -13,13 +13,17 @@ import (
 	"prosper/internal/stats"
 )
 
+// Fixed machine parameters (Table II) that no experiment varies.
+const (
+	TLBEntries      = 64             // entries per core TLB
+	StoreBuffer     = 32             // store-buffer entries per core
+	PageFaultCycles = sim.Time(3000) // kernel entry/exit + handler cost per fault (~1 µs)
+	CopyWindow      = 8              // outstanding lines per physical copy engine
+)
+
 // Config sizes the machine. Zero fields take the defaults of Table II.
 type Config struct {
-	Cores           int
-	TLBEntries      int
-	StoreBuffer     int      // store-buffer entries per core
-	PageFaultCycles sim.Time // kernel entry/exit + handler cost per fault
-	CopyWindow      int      // outstanding lines per physical copy engine
+	Cores int
 
 	// Storage, when non-nil, backs the machine with an existing
 	// functional store — the post-crash reboot path: NVM contents
@@ -39,18 +43,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Cores <= 0 {
 		c.Cores = 4
-	}
-	if c.TLBEntries <= 0 {
-		c.TLBEntries = 64
-	}
-	if c.StoreBuffer <= 0 {
-		c.StoreBuffer = 32
-	}
-	if c.PageFaultCycles <= 0 {
-		c.PageFaultCycles = 3000 // ~1 µs kernel fault path
-	}
-	if c.CopyWindow <= 0 {
-		c.CopyWindow = 8
 	}
 	return c
 }
@@ -278,7 +270,7 @@ func (m *Machine) CopyPhysTok(dst, src uint64, n int, done sim.Done) {
 	op.srcLine = mem.LineOf(src)
 	op.dstLine = mem.LineOf(dst)
 	op.lines = mem.LinesSpanned(src, n)
-	op.window = m.Cfg.CopyWindow
+	op.window = CopyWindow
 	op.issued, op.completed, op.inFlight = 0, 0, 0
 	op.persistBase, op.persistLen = dst, uint64(n)
 	op.done = done

@@ -78,7 +78,7 @@ func TestCoreDemandFaultCharged(t *testing.T) {
 	if doneAt < 0 {
 		t.Fatal("write never accepted")
 	}
-	if doneAt > int64(m.Cfg.PageFaultCycles) {
+	if doneAt > int64(PageFaultCycles) {
 		t.Fatalf("warm write took %d cycles (looks like a fault)", doneAt)
 	}
 }
@@ -247,7 +247,7 @@ func TestDrainStores(t *testing.T) {
 	if !drained {
 		t.Fatal("drain never completed")
 	}
-	if core.storeCredits != m.Cfg.StoreBuffer {
+	if core.storeCredits != StoreBuffer {
 		t.Fatalf("credits = %d after drain", core.storeCredits)
 	}
 }

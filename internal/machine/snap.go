@@ -221,7 +221,7 @@ func (m *Machine) ResumeFiring() {
 // idle — snapshots happen at checkpoint commits, where every thread is
 // paused at an operation boundary and the store buffer has drained.
 func (c *Core) SaveSnap(w *snapbuf.Writer) error {
-	if c.storeCredits != c.mach.Cfg.StoreBuffer || c.swHead != len(c.storeWaiters) {
+	if c.storeCredits != StoreBuffer || c.swHead != len(c.storeWaiters) {
 		return fmt.Errorf("machine: core %d store buffer busy at snapshot point", c.ID)
 	}
 	c.TLB.SaveSnap(w)

@@ -2,14 +2,13 @@ package mem
 
 import "fmt"
 
-// FrameAllocator hands out page-sized physical frames from a fixed range,
-// reusing freed frames LIFO. It backs the kernel's DRAM and NVM frame
+// FrameAllocator hands out page-sized physical frames from a fixed range
+// in address order. Frames are never returned: every mapping a run makes
+// lives as long as the run. It backs the kernel's DRAM and NVM frame
 // pools.
 type FrameAllocator struct {
 	base, size uint64
 	next       uint64
-	free       []uint64
-	allocated  int
 }
 
 // NewFrameAllocator manages [base, base+size); both must be page-aligned.
@@ -22,35 +21,17 @@ func NewFrameAllocator(base, size uint64) *FrameAllocator {
 
 // Alloc returns the physical base of a free frame.
 func (a *FrameAllocator) Alloc() (uint64, error) {
-	if n := len(a.free); n > 0 {
-		f := a.free[n-1]
-		a.free = a.free[:n-1]
-		a.allocated++
-		return f, nil
-	}
 	if a.next >= a.base+a.size {
 		return 0, fmt.Errorf("mem: out of frames in [%#x,%#x)", a.base, a.base+a.size)
 	}
 	f := a.next
 	a.next += PageSize
-	a.allocated++
 	return f, nil
 }
 
-// Free returns a frame to the pool. Freeing a frame outside the managed
-// range panics — it indicates kernel corruption.
-func (a *FrameAllocator) Free(frame uint64) {
-	if frame < a.base || frame >= a.base+a.size || frame%PageSize != 0 {
-		panic(fmt.Sprintf("mem: freeing invalid frame %#x", frame))
-	}
-	a.allocated--
-	a.free = append(a.free, frame)
-}
-
 // AllocContiguous reserves n physically contiguous frames and returns the
-// base of the run. Contiguous runs come from the bump region only (freed
-// frames are never coalesced), which suits the long-lived NVM checkpoint
-// areas and DRAM bitmap areas that need them.
+// base of the run, which suits the long-lived NVM checkpoint areas and
+// DRAM bitmap areas that need them.
 func (a *FrameAllocator) AllocContiguous(n int) (uint64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("mem: AllocContiguous(%d)", n)
@@ -61,14 +42,8 @@ func (a *FrameAllocator) AllocContiguous(n int) (uint64, error) {
 	}
 	base := a.next
 	a.next += need
-	a.allocated += n
 	return base, nil
 }
 
-// Allocated returns the number of frames currently handed out.
-func (a *FrameAllocator) Allocated() int { return a.allocated }
-
-// Contains reports whether addr lies in the allocator's managed range.
-func (a *FrameAllocator) Contains(addr uint64) bool {
-	return addr >= a.base && addr < a.base+a.size
-}
+// Allocated returns the number of frames handed out.
+func (a *FrameAllocator) Allocated() int { return int((a.next - a.base) / PageSize) }

@@ -49,24 +49,20 @@ func (s *Storage) LoadSnap(r *snapbuf.Reader) error {
 	return r.Err()
 }
 
-// SaveSnap encodes the allocator cursor and free list. The managed range
-// is written too so a resume into a differently shaped machine fails
-// loudly instead of corrupting frame accounting.
+// SaveSnap encodes the allocator cursor. The managed range is written
+// too so a resume into a differently shaped machine fails loudly instead
+// of corrupting frame accounting.
 func (a *FrameAllocator) SaveSnap(w *snapbuf.Writer) {
 	w.U64(a.base)
 	w.U64(a.size)
 	w.U64(a.next)
-	w.Int(a.allocated)
-	w.U64(uint64(len(a.free)))
-	for _, f := range a.free {
-		w.U64(f)
-	}
 }
 
-// LoadSnap restores the allocator cursor and free list.
+// LoadSnap restores the allocator cursor.
 func (a *FrameAllocator) LoadSnap(r *snapbuf.Reader) error {
 	base := r.U64()
 	size := r.U64()
+	next := r.U64()
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -74,14 +70,11 @@ func (a *FrameAllocator) LoadSnap(r *snapbuf.Reader) error {
 		return fmt.Errorf("mem: allocator range mismatch: snapshot [%#x,+%#x), machine [%#x,+%#x)",
 			base, size, a.base, a.size)
 	}
-	a.next = r.U64()
-	a.allocated = r.Int()
-	n := r.Count(8)
-	a.free = a.free[:0]
-	for i := 0; i < n; i++ {
-		a.free = append(a.free, r.U64())
+	if next < base || next > base+size || next%PageSize != 0 {
+		return fmt.Errorf("mem: allocator cursor %#x outside [%#x,+%#x)", next, base, size)
 	}
-	return r.Err()
+	a.next = next
+	return nil
 }
 
 // SaveSnap encodes the persistence domain: the durable shadow plus every

@@ -71,11 +71,8 @@ func TestStorageSnapRejectsMalformedPage(t *testing.T) {
 
 func TestFrameAllocatorSnapRoundTripAndMismatch(t *testing.T) {
 	a := NewFrameAllocator(0x10000, 16*PageSize)
-	f1, _ := a.Alloc()
-	f2, _ := a.Alloc()
 	_, _ = a.Alloc()
-	a.Free(f1)
-	a.Free(f2)
+	_, _ = a.AllocContiguous(2)
 	w := snapbuf.NewWriter()
 	a.SaveSnap(w)
 	data := w.Bytes()
@@ -96,6 +93,15 @@ func TestFrameAllocatorSnapRoundTripAndMismatch(t *testing.T) {
 	err := NewFrameAllocator(0x20000, 16*PageSize).LoadSnap(snapbuf.NewReader(data))
 	if err == nil || !strings.Contains(err.Error(), "allocator range mismatch") {
 		t.Fatalf("err = %v, want range-mismatch rejection", err)
+	}
+
+	past := snapbuf.NewWriter()
+	past.U64(0x10000)
+	past.U64(16 * PageSize)
+	past.U64(0x10000 + 17*PageSize)
+	err = NewFrameAllocator(0x10000, 16*PageSize).LoadSnap(snapbuf.NewReader(past.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "allocator cursor") {
+		t.Fatalf("err = %v, want cursor-range rejection", err)
 	}
 }
 

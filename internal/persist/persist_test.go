@@ -336,18 +336,10 @@ func TestSSPConsolidationRuns(t *testing.T) {
 	ssp.Detach()
 }
 
-// unmapForBoot gives [lo, hi) the empty mappings of a fresh boot: it
-// unmaps every page and returns its frame to the pool it came from.
+// unmapForBoot gives [lo, hi) the empty mappings of a fresh boot.
 func unmapForBoot(env *Env, lo, hi uint64) {
 	for va := lo; va < hi; va += mem.PageSize {
-		frame, ok := env.AS.PT.Unmap(va)
-		switch {
-		case !ok:
-		case env.Mach.NVMFrames.Contains(frame):
-			env.Mach.NVMFrames.Free(frame)
-		default:
-			env.Mach.DRAMFrames.Free(frame)
-		}
+		env.AS.PT.Unmap(va)
 	}
 }
 

@@ -88,7 +88,7 @@ func (p *Prosper) OnStore(core *machine.Core, vaddr, paddr uint64, size int) sim
 	}
 	p.recordSoftware(vaddr, size)
 	p.Counters.Inc("prosper.interthread_faults")
-	return p.env.Mach.Cfg.PageFaultCycles
+	return machine.PageFaultCycles
 }
 
 // recordSoftware is the OS fault handler's bitmap update for writes the

@@ -233,10 +233,7 @@ func (sp Spec) boot() (*kernel.Kernel, *sim.Profile) {
 	return k, prof
 }
 
-// spawn creates the spec's measured process on k. The spawn sequence is
-// fully determined by the spec, which is what lets a snapshot resume
-// into a freshly booted kernel: boot+spawn reproduce the identical
-// object graph, and restoration then overwrites its state.
+// spawn creates the spec's measured process on k.
 func (sp Spec) spawn(k *kernel.Kernel) *kernel.Process {
 	pc := kernel.ProcessConfig{
 		Name:         sp.Name,
@@ -258,8 +255,7 @@ func (sp Spec) spawn(k *kernel.Kernel) *kernel.Process {
 }
 
 // baselines captures every counter the measured window subtracts from,
-// taken at warmup end. It rides inside snapshots (as the opaque user
-// payload) so a resumed run computes the identical deltas.
+// taken at warmup end.
 type baselines struct {
 	opsBase, cyclesBase            uint64
 	ckptBase, ckptBytesBase        uint64

@@ -101,7 +101,7 @@ func FuzzResumeSnapshot(f *testing.F) {
 		}
 		// Accepted input: finishing the resume and re-saving must not
 		// panic either (byte-idempotence of genuine snapshots is pinned
-		// separately by the runner's TestSnapshotIdempotent).
+		// separately by TestSnapshotIdempotent).
 		if err := snapshot.Save(&bytes.Buffer{}, k, resumed.User); err != nil {
 			t.Fatalf("re-save of an accepted snapshot failed: %v", err)
 		}

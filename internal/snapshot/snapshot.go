@@ -9,15 +9,15 @@
 // Format (all little-endian):
 //
 //	magic   u64  "PROSNAP1"
-//	version u32  format version (currently 2)
+//	version u32  format version (currently 3)
 //	4 sections, in order USER, ENGINE, MACHINE, KERNEL, each:
 //	  id  u32
 //	  len u64   payload length
 //	  crc u32   IEEE CRC-32 of the payload
 //	  payload
 //
-// The USER payload is opaque to this package; the runner stores its
-// experiment baselines there. Any structural damage — bad magic, an
+// The USER payload is opaque to this package and comes back verbatim
+// in Resumed.User. Any structural damage — bad magic, an
 // unknown version, a wrong section id, a CRC mismatch, truncation —
 // yields a typed error, never a panic.
 package snapshot
@@ -41,7 +41,7 @@ const Magic = uint64(0x3150414e534f5250)
 // other version: the encoding has no compatibility shims — a snapshot is
 // a same-binary, same-configuration artifact, and silent cross-version
 // decoding would corrupt state instead of failing loudly.
-const Version = uint32(2)
+const Version = uint32(3)
 
 // Section ids, in their required file order.
 const (
@@ -70,9 +70,9 @@ var (
 )
 
 // Save serializes the kernel and everything beneath it. user is an
-// opaque payload stored verbatim (the runner keeps its experiment
-// baselines there). Save must be called from inside a checkpoint commit
-// hook (Process.CommitHook); anywhere else it fails with ErrNotQuiescent.
+// opaque payload stored verbatim. Save must be called from inside a
+// checkpoint commit hook (Process.CommitHook); anywhere else it fails
+// with ErrNotQuiescent.
 // Save is a pure read — the simulation continues unperturbed afterwards.
 func Save(w io.Writer, k *kernel.Kernel, user []byte) error {
 	var claims sim.EventClaims

@@ -65,10 +65,16 @@ func (h *LazyCounter) Inc() { h.Add(1) }
 // Add increments the counter by delta, registering it on first use.
 func (h *LazyCounter) Add(delta uint64) {
 	if h.v == nil {
-		h.v = h.set.slot(h.name)
+		h.register()
 	}
 	*h.v += delta
 }
+
+// register resolves the handle's slot. It stays out of line so the map
+// insert it may do is not inlined into every hot caller of Add.
+//
+//go:noinline
+func (h *LazyCounter) register() { h.v = h.set.slot(h.name) }
 
 // NewCounters returns an empty counter set.
 func NewCounters() *Counters {
