@@ -85,10 +85,16 @@ func (t *Thread) storeData(op workload.Op, fill bool) []byte {
 	if !fill {
 		return data
 	}
-	var seedBuf [8]byte
-	binary.LittleEndian.PutUint64(seedBuf[:], op.Addr^t.storeSeq*0x9e3779b97f4a7c15)
-	for i := range data {
-		data[i] = seedBuf[i%8] ^ byte(i)
+	// Byte i is seed byte i%8 xor byte(i), written a word at a time: a
+	// word at i (a multiple of 8) xors the seed with bytes byte(i)..
+	// byte(i)+7, which never carry.
+	seed := op.Addr ^ t.storeSeq*0x9e3779b97f4a7c15
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		binary.LittleEndian.PutUint64(data[i:], seed^(uint64(byte(i))*0x0101010101010101+0x0706050403020100))
+	}
+	for ; i < len(data); i++ {
+		data[i] = byte(seed>>(8*(i%8))) ^ byte(i)
 	}
 	return data
 }

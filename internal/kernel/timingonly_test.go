@@ -155,3 +155,21 @@ func TestTimingOnlyRangeFollowsContextSwitches(t *testing.T) {
 	th := pd.Threads[0]
 	checkBytes(t, k, pd, "second stack", expectedBytes(dropped, th.StackSeg.Lo, th.StackSeg.Hi))
 }
+
+// TestStoreDataPattern checks the word-at-a-time payload against its
+// byte definition: byte i is byte i%8 of the seed (address xor scaled
+// store sequence) xor byte(i), for every size up to a few words and for
+// payloads long enough that byte(i) wraps.
+func TestStoreDataPattern(t *testing.T) {
+	th := &Thread{}
+	for _, size := range []int{1, 3, 7, 8, 9, 15, 16, 24, 29, 300} {
+		op := workload.Op{Kind: workload.Store, Addr: 0x7000_0000 - uint64(size)*13, Size: int32(size)}
+		got := th.storeData(op, true)
+		seed := op.Addr ^ th.storeSeq*0x9e3779b97f4a7c15
+		for i, b := range got {
+			if want := byte(seed>>(8*(i%8))) ^ byte(i); b != want {
+				t.Fatalf("size %d: byte %d = %#x, want %#x", size, i, b, want)
+			}
+		}
+	}
+}

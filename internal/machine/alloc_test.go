@@ -18,9 +18,7 @@ import (
 // callback (bound once, like the kernel's per-thread callbacks).
 func allocEnv(t *testing.T) (m *Machine, core *Core, readDone func()) {
 	t.Helper()
-	m, core, _ = testEnv(t)
-	core.Write(addrUnderTest, []byte{1}, nil)
-	m.Eng.Run()
+	m, core, _ = storeWarm(t)
 	return m, core, func() {}
 }
 

@@ -26,10 +26,11 @@ type FaultHandler func(vaddr uint64, write bool) error
 // Core is one in-order simulated CPU. The kernel binds an address space,
 // fault handler, and optional observers before running code on it.
 //
-// The access path is closure-free: each in-flight Read/Write is tracked
-// by pooled continuation records (memOp/segOp/walkOp) whose callbacks are
-// method values bound once when the record is first created, so the
-// steady-state load/store path allocates nothing.
+// The access path is closure-free: each in-flight Read, and each Write
+// from its first wait on, is tracked by pooled continuation records
+// (memOp/segOp/walkOp) whose callbacks are method values bound once when
+// the record is first created, so the steady-state load/store path
+// allocates nothing. A store that never waits builds no record at all.
 type Core struct {
 	ID   int      //prosperlint:ignore snapshot identity, fixed at construction; SaveSnap only names it in diagnostics
 	mach *Machine //prosperlint:ignore snapshot boot-time wiring; SaveSnap only reads its config for the quiescence check
@@ -247,7 +248,14 @@ func (c *Core) SwitchContext(as *vm.AddressSpace) {
 // real walk addresses), dirty-bit setting walks on first store to a clean
 // page, and page faults through the kernel handler.
 func (c *Core) translate(vaddr uint64, write bool, jid uint32, k func(paddr uint64)) {
-	if e := c.TLB.Lookup(vaddr); e != nil {
+	c.resolve(c.TLB.Lookup(vaddr), vaddr, write, jid, k)
+}
+
+// resolve is translate after the TLB lookup: e is the hitting entry, or
+// nil on a miss. Write enters here with the entry its own lookup found
+// when a store cannot retire inline.
+func (c *Core) resolve(e *vm.TLBEntry, vaddr uint64, write bool, jid uint32, k func(paddr uint64)) {
+	if e != nil {
 		if write && !e.Write {
 			c.fault(vaddr, write, jid, k)
 			return
@@ -379,11 +387,9 @@ func (c *Core) Read(vaddr uint64, size int, done func()) {
 		c.completeEmpty(done)
 		return
 	}
-	op := c.allocOp()
-	op.done = done
-	op.remaining = mem.LinesSpanned(vaddr, size)
-	jid := c.journeys.Start(c.eng.Now(), false, vaddr, size, op.remaining)
-	c.issueSegs(op, vaddr, size, false, jid)
+	segs := mem.LinesSpanned(vaddr, size)
+	jid := c.journeys.Start(c.eng.Now(), false, vaddr, size, segs)
+	c.issueSegs(c.newOp(nil, done, segs), vaddr, size, false, jid)
 }
 
 // Write performs a store of data at vaddr. done fires when the store has
@@ -391,6 +397,14 @@ func (c *Core) Read(vaddr uint64, size int, done func()) {
 // when it completes in the memory system; completion returns the buffer
 // credit asynchronously, so a full store buffer stalls the core exactly
 // like real hardware.
+//
+// A store that stays inside one line, is unsampled, hits a writable and
+// dirty TLB entry, gets no stall from StoreHook and finds a free credit
+// never waits: it retires here, before Write returns, with no record.
+// Any other store builds its memOp and segOp at its first wait and
+// continues through the segment continuations. Both run the same
+// helpers in the same order: Observer, journeys.Start, TLB lookup,
+// storeLine (Storage write, then StoreHook), credit, L1 write, done.
 func (c *Core) Write(vaddr uint64, data []byte, done func()) {
 	c.stores.Inc()
 	if c.Observer != nil {
@@ -400,12 +414,29 @@ func (c *Core) Write(vaddr uint64, data []byte, done func()) {
 		c.completeEmpty(done)
 		return
 	}
-	op := c.allocOp()
-	op.data = data
-	op.done = done
-	op.remaining = mem.LinesSpanned(vaddr, len(data))
-	jid := c.journeys.Start(c.eng.Now(), true, vaddr, len(data), op.remaining)
-	c.issueSegs(op, vaddr, len(data), true, jid)
+	segs := mem.LinesSpanned(vaddr, len(data))
+	jid := c.journeys.Start(c.eng.Now(), true, vaddr, len(data), segs)
+	if segs > 1 || jid != 0 {
+		c.issueSegs(c.newOp(data, done, segs), vaddr, len(data), true, jid)
+		return
+	}
+	e := c.TLB.Lookup(vaddr)
+	if e == nil || !e.Write || !e.Dirty {
+		s := c.newSeg(c.newOp(data, done, 1), vaddr, 0, len(data), true, 0)
+		c.resolve(e, vaddr, true, 0, s.translatedFn)
+		return
+	}
+	paddr := e.Frame | (vaddr & (mem.PageSize - 1))
+	if stall := c.storeLine(vaddr, paddr, data); stall > 0 || !c.takeStoreCredit() {
+		s := c.newSeg(c.newOp(data, done, 1), vaddr, 0, len(data), true, 0)
+		s.paddr = paddr
+		s.hooked(stall)
+		return
+	}
+	c.writeLine(paddr, 0, 0)
+	if done != nil {
+		done()
+	}
 }
 
 // completeEmpty retires a zero-length access through the engine at +0
@@ -414,6 +445,24 @@ func (c *Core) completeEmpty(done func()) {
 	if done != nil {
 		c.eng.Schedule(sim.CompWorkload, 0, done)
 	}
+}
+
+// newOp takes a memOp from the pool for an access of segs line segments.
+func (c *Core) newOp(data []byte, done func(), segs int) *memOp {
+	op := c.allocOp()
+	op.data, op.done, op.remaining = data, done, segs
+	return op
+}
+
+// newSeg takes a segOp from the pool for the n bytes at va, off bytes
+// into op's access.
+func (c *Core) newSeg(op *memOp, va uint64, off, n int, write bool, jid uint32) *segOp {
+	s := c.allocSeg()
+	s.op = op
+	s.va, s.off, s.n, s.write = va, off, n, write
+	s.jid = jid
+	s.lineDoneTok.Stamp(jid)
+	return s
 }
 
 // issueSegs cuts [vaddr, vaddr+size) at cache-line boundaries and starts
@@ -426,11 +475,7 @@ func (c *Core) issueSegs(op *memOp, vaddr uint64, size int, write bool, jid uint
 		if n > space {
 			n = space
 		}
-		s := c.allocSeg()
-		s.op = op
-		s.va, s.off, s.n, s.write = vaddr, off, n, write
-		s.jid = jid
-		s.lineDoneTok.Stamp(jid)
+		s := c.newSeg(op, vaddr, off, n, write, jid)
 		c.translate(vaddr, write, jid, s.translatedFn)
 		vaddr += uint64(n)
 		off += n
@@ -438,24 +483,36 @@ func (c *Core) issueSegs(op *memOp, vaddr uint64, size int, write bool, jid uint
 	}
 }
 
+// storeLine is a store segment's functional half, once its physical
+// address is known: it moves the bytes into Storage (unless the address
+// is timing-only), then runs StoreHook and returns its stall.
+func (c *Core) storeLine(va, paddr uint64, data []byte) sim.Time {
+	if va < c.TimingOnlyLo || va >= c.TimingOnlyHi {
+		c.mach.Storage.Write(paddr, data)
+	}
+	if c.StoreHook != nil {
+		return c.StoreHook(va, paddr, len(data))
+	}
+	return 0
+}
+
 // translated resumes a segment once its physical address is known: a
-// read goes straight to its timed cache access; a write moves its bytes
-// into Storage immediately (unless its address is timing-only), then
-// enters the store pipeline.
+// read goes straight to its timed cache access; a write runs storeLine,
+// then enters the store pipeline.
 func (s *segOp) translated(paddr uint64) {
 	c := s.core
 	if !s.write {
 		c.l1.Access(false, paddr, s.lineDoneTok)
 		return
 	}
-	if s.va < c.TimingOnlyLo || s.va >= c.TimingOnlyHi {
-		c.mach.Storage.Write(paddr, s.op.data[s.off:s.off+s.n])
-	}
-	var stall sim.Time
-	if c.StoreHook != nil {
-		stall = c.StoreHook(s.va, paddr, s.n)
-	}
 	s.paddr = paddr
+	s.hooked(c.storeLine(s.va, paddr, s.op.data[s.off:s.off+s.n]))
+}
+
+// hooked enters a write segment into the store pipeline after StoreHook:
+// a stall delays its credit request by that many cycles.
+func (s *segOp) hooked(stall sim.Time) {
+	c := s.core
 	if stall > 0 {
 		c.storeHookStalls.Inc()
 		if s.jid != 0 {
@@ -494,23 +551,12 @@ func (s *segOp) issue() {
 }
 
 // credited runs once the store buffer accepts the segment: the timed L1
-// write goes out carrying the credit-release token, and the segment
-// retires (program order continues at acceptance, not completion).
-// A sampled store's journey runs to memory-system completion, not
-// acceptance: its token retires the journey segment when the credit
-// comes back.
+// write goes out, and the segment retires (program order continues at
+// acceptance, not completion).
 func (s *segOp) credited() {
 	c := s.core
 	op := s.op
-	tok := c.relCreditTok
-	if s.jid != 0 {
-		now := c.eng.Now()
-		if now > s.sbWait {
-			c.journeys.Span(s.jid, journey.StageStoreBuf, journey.CauseSBFull, s.sbWait, now)
-		}
-		tok = sim.Bind(sim.CompWorkload, c.relCreditJFn, uint64(s.jid)).WithJourney(s.jid)
-	}
-	c.l1.Access(true, s.paddr, tok)
+	c.writeLine(s.paddr, s.jid, s.sbWait)
 	c.freeSeg(s)
 	op.remaining--
 	if op.remaining == 0 {
@@ -521,9 +567,34 @@ func (s *segOp) credited() {
 	}
 }
 
+// writeLine sends an accepted store segment's timed L1 write, carrying
+// the token that returns its credit on completion. A sampled store's
+// journey runs to memory-system completion, not acceptance: its token
+// retires the journey segment when the credit comes back, and the
+// journey is charged the wait for a credit that began at sbWait.
+func (c *Core) writeLine(paddr uint64, jid uint32, sbWait sim.Time) {
+	tok := c.relCreditTok
+	if jid != 0 {
+		now := c.eng.Now()
+		if now > sbWait {
+			c.journeys.Span(jid, journey.StageStoreBuf, journey.CauseSBFull, sbWait, now)
+		}
+		tok = sim.Bind(sim.CompWorkload, c.relCreditJFn, uint64(jid)).WithJourney(jid)
+	}
+	c.l1.Access(true, paddr, tok)
+}
+
+// takeStoreCredit takes a free store-buffer credit, if there is one.
+func (c *Core) takeStoreCredit() bool {
+	if c.storeCredits <= 0 {
+		return false
+	}
+	c.storeCredits--
+	return true
+}
+
 func (c *Core) acquireStoreCredit(k func()) {
-	if c.storeCredits > 0 {
-		c.storeCredits--
+	if c.takeStoreCredit() {
 		k()
 		return
 	}

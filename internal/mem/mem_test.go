@@ -160,8 +160,8 @@ func TestStorageDropRange(t *testing.T) {
 	}
 }
 
-// TestStoragePageMemoInvalidation reads a page through the last-page
-// memo, then removes or replaces it with DropRange, ReplaceRange and
+// TestStoragePageMemoInvalidation reads pages through the page memo,
+// then removes or replaces them with DropRange, ReplaceRange and
 // LoadSnap: each must read back as zero or the new contents, never the
 // memoized page.
 func TestStoragePageMemoInvalidation(t *testing.T) {
@@ -172,9 +172,10 @@ func TestStoragePageMemoInvalidation(t *testing.T) {
 	if got := s.ReadU64(addr); got != 1 { // memoized
 		t.Fatalf("read = %d, want 1", got)
 	}
+	s.WriteU64(addr+PageSize, 5) // memoized in another slot
 	s.DropRange(DRAMBase, DRAMSize)
-	if got := s.ReadU64(addr); got != 0 {
-		t.Fatalf("dropped page read %d through the memo, want 0", got)
+	if got, next := s.ReadU64(addr), s.ReadU64(addr+PageSize); got != 0 || next != 0 {
+		t.Fatalf("dropped pages read %d and %d through the memo, want 0", got, next)
 	}
 	s.WriteU64(addr, 2)
 	if got, n := s.ReadU64(addr), s.MaterializedPages(); got != 2 || n != 1 {

@@ -32,7 +32,7 @@ func (s *Storage) SaveSnap(w *snapbuf.Writer) {
 func (s *Storage) LoadSnap(r *snapbuf.Reader) error {
 	n := r.Count(8 + PageSize)
 	s.pages = make(map[uint64]*[PageSize]byte, n)
-	s.last = nil
+	s.memo = [memoSlots]memoSlot{}
 	for i := 0; i < n; i++ {
 		base := r.U64()
 		data := r.Bytes8()

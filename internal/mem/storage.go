@@ -11,11 +11,20 @@ import (
 type Storage struct {
 	pages map[uint64]*[PageSize]byte
 
-	// last memoizes the most recent non-nil page lookup (at lastBase).
-	// A derived cache of pages: DropRange and LoadSnap clear it, and a
-	// nil lookup never fills it.
-	lastBase uint64
-	last     *[PageSize]byte //prosperlint:ignore snapshot derived cache of pages; LoadSnap clears it and SaveSnap has nothing to save
+	// memo is a direct-mapped cache of recent non-nil page lookups,
+	// indexed by page number, so pages touched in turn (a stack page and
+	// its tracker's bitmap page) do not evict each other. A derived
+	// cache of pages: DropRange and LoadSnap clear it, and a nil lookup
+	// never fills it.
+	memo [memoSlots]memoSlot //prosperlint:ignore snapshot derived cache of pages; LoadSnap clears it and SaveSnap has nothing to save
+}
+
+// memoSlots is the page memo's size, a power of two.
+const memoSlots = 64
+
+type memoSlot struct {
+	base uint64
+	page *[PageSize]byte
 }
 
 // NewStorage returns an empty store.
@@ -25,8 +34,9 @@ func NewStorage() *Storage {
 
 func (s *Storage) page(addr uint64, create bool) *[PageSize]byte {
 	base := PageOf(addr)
-	if s.last != nil && s.lastBase == base {
-		return s.last
+	m := &s.memo[base/PageSize%memoSlots]
+	if m.page != nil && m.base == base {
+		return m.page
 	}
 	p := s.pages[base]
 	if p == nil {
@@ -36,7 +46,7 @@ func (s *Storage) page(addr uint64, create bool) *[PageSize]byte {
 		p = new([PageSize]byte)
 		s.pages[base] = p
 	}
-	s.lastBase, s.last = base, p
+	m.base, m.page = base, p
 	return p
 }
 
@@ -146,7 +156,7 @@ func (s *Storage) DropRange(base, size uint64) {
 	if base%PageSize != 0 || size%PageSize != 0 {
 		panic(fmt.Sprintf("mem: DropRange not page aligned: %#x+%#x", base, size))
 	}
-	s.last = nil
+	s.memo = [memoSlots]memoSlot{}
 	for pageBase := range s.pages {
 		if pageBase >= base && pageBase < base+size {
 			delete(s.pages, pageBase)

@@ -90,11 +90,9 @@ type State struct {
 	AnyTouched bool
 }
 
-type entry struct {
-	used     bool
-	wordAddr uint64 // physical address of the 32-bit bitmap word
-	accum    uint32 // bits accumulated (AccumulateApply) or merged value (LoadUpdate)
-}
+// noWord marks an unused lookup-table slot. Bitmap words are 4-byte
+// aligned, so no word address equals it.
+const noWord = ^uint64(0)
 
 // Tracker is one per-core dirty tracker.
 type Tracker struct {
@@ -104,8 +102,13 @@ type Tracker struct {
 	cfg     Config
 	rng     *sim.Rand
 
-	msrs  MSRs
-	table []entry //prosperlint:ignore snapshot SaveSnap asserts zero live entries via LiveEntries; a fresh boot's empty table needs no restoring
+	msrs MSRs
+	// The lookup table, one slot per index: words holds each slot's
+	// bitmap word address (noWord when unused) as one packed array the
+	// per-store search scans, and accum its bits accumulated
+	// (AccumulateApply) or merged value (LoadUpdate).
+	words []uint64 //prosperlint:ignore snapshot SaveSnap asserts zero live entries via LiveEntries; a fresh boot's empty table needs no restoring
+	accum []uint32 //prosperlint:ignore snapshot SaveSnap asserts zero live entries via LiveEntries; a fresh boot's empty table needs no restoring
 
 	outstandingLoads  int //prosperlint:ignore snapshot SaveSnap asserts quiescence via Quiesced; zero at every legal snapshot point
 	outstandingStores int //prosperlint:ignore snapshot SaveSnap asserts quiescence via Quiesced; zero at every legal snapshot point
@@ -152,9 +155,13 @@ func New(eng *sim.Engine, port cache.Port, storage *mem.Storage, cfg Config) *Tr
 		storage:    storage,
 		cfg:        cfg,
 		rng:        sim.NewRand(cfg.Seed),
-		table:      make([]entry, cfg.TableSize),
+		words:      make([]uint64, cfg.TableSize),
+		accum:      make([]uint32, cfg.TableSize),
 		Counters:   stats.NewCounters(),
 		Histograms: stats.NewHistograms(),
+	}
+	for i := range t.words {
+		t.words[i] = noWord
 	}
 	t.loadDoneTok = sim.Thunk(sim.CompProsper, t.loadRetired)
 	t.storeDoneTok = sim.Thunk(sim.CompProsper, t.storeRetired)
@@ -247,82 +254,82 @@ func (t *Tracker) ObserveStore(vaddr uint64, size int) {
 func (t *Tracker) recordGranule(g uint64) {
 	wordAddr := t.msrs.BitmapBase + (g/32)*4
 	bit := uint32(1) << (g % 32)
-	if e := t.find(wordAddr); e != nil {
-		e.accum |= bit
-		if t.popcount(e) >= t.cfg.HWM {
+	if i := t.find(wordAddr); i >= 0 {
+		t.accum[i] |= bit
+		if t.popcount(i) >= t.cfg.HWM {
 			t.cHWMWritebacks.Inc()
 			if t.Trace.Enabled() {
-				t.Trace.Instant(t.TraceTrack, "hwm_writeback", telemetry.I("bits", int64(t.popcount(e))))
+				t.Trace.Instant(t.TraceTrack, "hwm_writeback", telemetry.I("bits", int64(t.popcount(i))))
 			}
-			t.writeback(e)
+			t.writeback(i)
 		}
 		return
 	}
-	e := t.allocate(wordAddr)
-	e.accum |= bit
+	i := t.allocate(wordAddr)
+	t.accum[i] |= bit
 	if t.cfg.Policy == LoadUpdate {
 		// Load the old word now so the entry holds the merged value.
-		e.accum |= t.storage.ReadU32(wordAddr)
+		t.accum[i] |= t.storage.ReadU32(wordAddr)
 		t.issueLoad(wordAddr)
 	}
 }
 
-func (t *Tracker) find(wordAddr uint64) *entry {
-	for i := range t.table {
-		if t.table[i].used && t.table[i].wordAddr == wordAddr {
-			return &t.table[i]
+// find returns the slot caching wordAddr, or -1.
+func (t *Tracker) find(wordAddr uint64) int {
+	for i, w := range t.words {
+		if w == wordAddr {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-// popcount returns the number of *new* bits an entry would contribute —
+// popcount returns the number of *new* bits slot i would contribute —
 // for LoadUpdate the entry holds merged state, which still works as a
 // writeback-pressure heuristic.
-func (t *Tracker) popcount(e *entry) int { return bits.OnesCount32(e.accum) }
+func (t *Tracker) popcount(i int) int { return bits.OnesCount32(t.accum[i]) }
 
-func (t *Tracker) allocate(wordAddr uint64) *entry {
-	for i := range t.table {
-		if !t.table[i].used {
-			t.table[i] = entry{used: true, wordAddr: wordAddr}
-			return &t.table[i]
-		}
+// allocate claims the first unused slot for wordAddr, or evicts a
+// victim when every slot is in use, and returns the slot.
+func (t *Tracker) allocate(wordAddr uint64) int {
+	i := t.find(noWord)
+	if i < 0 {
+		i = t.selectVictim()
+		t.cEvictions.Inc()
+		t.writeback(i)
 	}
-	victim := t.selectVictim()
-	t.cEvictions.Inc()
-	t.writeback(victim)
-	*victim = entry{used: true, wordAddr: wordAddr}
-	return victim
+	t.words[i] = wordAddr
+	return i
 }
 
 // selectVictim applies the LWM policy: the first entry with fewer set
 // bits than LWM (prioritising eviction of momentarily-touched call/return
-// frames), else a random entry.
-func (t *Tracker) selectVictim() *entry {
-	for i := range t.table {
-		if t.table[i].used && t.popcount(&t.table[i]) < t.cfg.LWM {
+// frames), else a random entry. Every slot is in use when it runs.
+func (t *Tracker) selectVictim() int {
+	for i := range t.words {
+		if t.popcount(i) < t.cfg.LWM {
 			t.cLWMEvictions.Inc()
 			if t.Trace.Enabled() {
-				t.Trace.Instant(t.TraceTrack, "lwm_eviction", telemetry.I("bits", int64(t.popcount(&t.table[i]))))
+				t.Trace.Instant(t.TraceTrack, "lwm_eviction", telemetry.I("bits", int64(t.popcount(i))))
 			}
-			return &t.table[i]
+			return i
 		}
 	}
 	t.cRandomEvictions.Inc()
 	if t.Trace.Enabled() {
 		t.Trace.Instant(t.TraceTrack, "random_eviction")
 	}
-	return &t.table[t.rng.Intn(len(t.table))]
+	return t.rng.Intn(len(t.words))
 }
 
-// writeback flushes one entry to the bitmap and frees it. Under
+// writeback flushes slot i to the bitmap and frees it. Under
 // AccumulateApply the store request is converted into a load of the old
 // word, a merge, and a store only if the merge changed it. The functional
 // merge happens atomically here; the load/store traffic is timed.
-func (t *Tracker) writeback(e *entry) {
-	wordAddr, accum := e.wordAddr, e.accum
-	e.used = false
-	e.accum = 0
+func (t *Tracker) writeback(i int) {
+	wordAddr, accum := t.words[i], t.accum[i]
+	t.words[i] = noWord
+	t.accum[i] = 0
 	if accum == 0 {
 		return
 	}
@@ -368,9 +375,9 @@ func (t *Tracker) Flush() {
 	if t.Trace.Enabled() {
 		t.Trace.Instant(t.TraceTrack, "flush", telemetry.I("live_entries", int64(t.LiveEntries())))
 	}
-	for i := range t.table {
-		if t.table[i].used {
-			t.writeback(&t.table[i])
+	for i, w := range t.words {
+		if w != noWord {
+			t.writeback(i)
 		}
 	}
 }
@@ -436,10 +443,8 @@ func (t *Tracker) SaveState() State {
 	if !t.Quiesced() {
 		panic("prosper: SaveState before quiescence")
 	}
-	for i := range t.table {
-		if t.table[i].used {
-			panic("prosper: SaveState with live table entries")
-		}
+	if t.LiveEntries() != 0 {
+		panic("prosper: SaveState with live table entries")
 	}
 	return State{
 		MSRs:       t.msrs,
@@ -461,8 +466,8 @@ func (t *Tracker) RestoreState(s State) {
 // the energy model).
 func (t *Tracker) LiveEntries() int {
 	n := 0
-	for i := range t.table {
-		if t.table[i].used {
+	for _, w := range t.words {
+		if w != noWord {
 			n++
 		}
 	}

@@ -254,66 +254,67 @@ func (sp Spec) spawn(k *kernel.Kernel) *kernel.Process {
 	return k.Spawn(pc, progs...)
 }
 
-// baselines captures every counter the measured window subtracts from,
-// taken at warmup end.
-type baselines struct {
-	opsBase, cyclesBase            uint64
-	ckptBase, ckptBytesBase        uint64
-	stackBytesBase                 uint64
-	stackCyclesBase, stackMetaBase uint64
-	heapBytesBase, heapCyclesBase  uint64
-	tr                             trackerSnap
-	wfBase                         uint64
-	start                          sim.Time
-}
+// Run executes the spec on a freshly built kernel and machine and
+// collects stats over the measured window. Every call builds a private
+// sim.Engine, so concurrent Runs of distinct Spec values never share
+// state and each run's results depend only on the spec itself.
+func (sp Spec) Run() RunStats {
+	sp = sp.withDefaults()
+	k, prof := sp.boot()
+	runTrack := sp.Tracer.Track("run")
+	runSpan := sp.Tracer.Begin(runTrack, "run:"+sp.DisplayLabel())
+	p := sp.spawn(k)
+	defer p.Shutdown()
 
-func captureBaselines(k *kernel.Kernel, p *kernel.Process) baselines {
-	var b baselines
+	warmupSpan := sp.Tracer.Begin(runTrack, "warmup")
+	k.RunFor(sp.Warmup)
+	warmupSpan.End()
+	// Baselines: every counter the measured window subtracts from.
+	var opsBase, cyclesBase uint64
 	for _, t := range p.Threads {
-		b.opsBase += t.UserOps
-		b.cyclesBase += t.UserCycles
+		opsBase += t.UserOps
+		cyclesBase += t.UserCycles
 	}
-	b.ckptBase = p.CheckpointCount
-	b.ckptBytesBase = p.CheckpointBytes
-	b.stackBytesBase = p.Counters.Get("proc.stack_ckpt_bytes")
-	b.stackCyclesBase = p.Counters.Get("proc.stack_ckpt_cycles")
-	b.stackMetaBase = p.Counters.Get("proc.stack_ckpt_meta")
-	b.heapBytesBase = p.Counters.Get("proc.heap_ckpt_bytes")
-	b.heapCyclesBase = p.Counters.Get("proc.heap_ckpt_cycles")
-	b.tr = trackerSnapshot(k)
-	b.wfBase = uint64(p.AS.WriteFaults())
-	b.start = k.Eng.Now()
-	return b
-}
+	ckptBase, ckptBytesBase := p.CheckpointCount, p.CheckpointBytes
+	stackBytesBase := p.Counters.Get("proc.stack_ckpt_bytes")
+	stackCyclesBase := p.Counters.Get("proc.stack_ckpt_cycles")
+	stackMetaBase := p.Counters.Get("proc.stack_ckpt_meta")
+	heapBytesBase := p.Counters.Get("proc.heap_ckpt_bytes")
+	heapCyclesBase := p.Counters.Get("proc.heap_ckpt_cycles")
+	trBase := trackerSnapshot(k)
+	wfBase := uint64(p.AS.WriteFaults())
+	start := k.Eng.Now()
 
-// collect computes the measured window's RunStats as deltas from base.
-func (sp Spec) collect(k *kernel.Kernel, p *kernel.Process, prof *sim.Profile, base baselines) RunStats {
-	res := RunStats{Name: sp.Name, Elapsed: k.Eng.Now() - base.start}
+	measured := sp.Tracer.Begin(runTrack, "measured")
+	k.RunFor(sp.Interval * sim.Time(sp.Checkpoints))
+	measured.End()
+
+	res := RunStats{Name: sp.Name, Elapsed: k.Eng.Now() - start}
 	for _, t := range p.Threads {
 		res.UserOps += t.UserOps
 		res.UserCycles += t.UserCycles
 	}
-	res.UserOps -= base.opsBase
-	res.UserCycles -= base.cyclesBase
-	res.Checkpoints = p.CheckpointCount - base.ckptBase
-	res.CheckpointBytes = p.CheckpointBytes - base.ckptBytesBase
-	res.StackCkptBytes = p.Counters.Get("proc.stack_ckpt_bytes") - base.stackBytesBase
-	res.StackCkptCycles = p.Counters.Get("proc.stack_ckpt_cycles") - base.stackCyclesBase
-	res.StackCkptMeta = p.Counters.Get("proc.stack_ckpt_meta") - base.stackMetaBase
-	res.HeapCkptBytes = p.Counters.Get("proc.heap_ckpt_bytes") - base.heapBytesBase
-	res.HeapCkptCycles = p.Counters.Get("proc.heap_ckpt_cycles") - base.heapCyclesBase
+	res.UserOps -= opsBase
+	res.UserCycles -= cyclesBase
+	res.Checkpoints = p.CheckpointCount - ckptBase
+	res.CheckpointBytes = p.CheckpointBytes - ckptBytesBase
+	res.StackCkptBytes = p.Counters.Get("proc.stack_ckpt_bytes") - stackBytesBase
+	res.StackCkptCycles = p.Counters.Get("proc.stack_ckpt_cycles") - stackCyclesBase
+	res.StackCkptMeta = p.Counters.Get("proc.stack_ckpt_meta") - stackMetaBase
+	res.HeapCkptBytes = p.Counters.Get("proc.heap_ckpt_bytes") - heapBytesBase
+	res.HeapCkptCycles = p.Counters.Get("proc.heap_ckpt_cycles") - heapCyclesBase
 	trEnd := trackerSnapshot(k)
-	res.TrackerBitmapLoads = trEnd.loads - base.tr.loads
-	res.TrackerBitmapStores = trEnd.stores - base.tr.stores
-	res.TrackerSOIs = trEnd.sois - base.tr.sois
-	res.TrackerWritebacks = trEnd.writebacks - base.tr.writebacks
+	res.TrackerBitmapLoads = trEnd.loads - trBase.loads
+	res.TrackerBitmapStores = trEnd.stores - trBase.stores
+	res.TrackerSOIs = trEnd.sois - trBase.sois
+	res.TrackerWritebacks = trEnd.writebacks - trBase.writebacks
 	res.TrackerUpdates = res.TrackerSOIs // one table update per SOI granule (approx.)
-	res.WriteFaults = uint64(p.AS.WriteFaults()) - base.wfBase
+	res.WriteFaults = uint64(p.AS.WriteFaults()) - wfBase
 	// Pause decomposition: only epochs committed inside the measured
 	// window (sequence numbers past the warmup-end count).
 	pauseHist := stats.NewHistogram()
 	for _, ep := range p.EpochPauses {
-		if ep.Seq <= base.ckptBase {
+		if ep.Seq <= ckptBase {
 			continue
 		}
 		pauseHist.Observe(uint64(ep.Pause))
@@ -337,31 +338,6 @@ func (sp Spec) collect(k *kernel.Kernel, p *kernel.Process, prof *sim.Profile, b
 		res.EventCounts = snap.Counts
 		res.EventNanos = snap.Nanos
 	}
-	return res
-}
-
-// Run executes the spec on a freshly built kernel and machine and
-// collects stats over the measured window. Every call builds a private
-// sim.Engine, so concurrent Runs of distinct Spec values never share
-// state and each run's results depend only on the spec itself.
-func (sp Spec) Run() RunStats {
-	sp = sp.withDefaults()
-	k, prof := sp.boot()
-	runTrack := sp.Tracer.Track("run")
-	runSpan := sp.Tracer.Begin(runTrack, "run:"+sp.DisplayLabel())
-	p := sp.spawn(k)
-	defer p.Shutdown()
-
-	warmupSpan := sp.Tracer.Begin(runTrack, "warmup")
-	k.RunFor(sp.Warmup)
-	warmupSpan.End()
-	base := captureBaselines(k, p)
-
-	measured := sp.Tracer.Begin(runTrack, "measured")
-	k.RunFor(sp.Interval * sim.Time(sp.Checkpoints))
-	measured.End()
-
-	res := sp.collect(k, p, prof, base)
 	runSpan.End(
 		telemetry.U("user_ops", res.UserOps),
 		telemetry.U("checkpoints", res.Checkpoints),
