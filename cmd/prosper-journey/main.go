@@ -15,9 +15,12 @@
 // slow access", EXPERIMENTS.md). -stage-table suppresses everything but
 // the stage tables; -json emits the full analysis as one JSON document.
 //
-// Every journal is re-validated on load: each journey's per-stage
-// attribution vector must sum exactly to its measured latency, and every
-// stage span must lie inside the journey's [start, end] window.
+// Every journal is re-validated on load (journey.Parse): the recorder's
+// own attribution sweep re-derives each journey's per-stage vector from
+// its spans, and the stored vector must match it exactly; every span must
+// lie inside its journey's [start, end] window; JIDs must strictly
+// increase within the run's sampled count; and the run header's counts
+// must match its lines.
 //
 // Output is deterministic for identical input. Exit status: 0 success,
 // 2 usage error, malformed journal, or invariant violation.
@@ -59,16 +62,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: prosper-journey [-json] [-top k] [-stage-table] [journal.jsonl]")
 		return 2
 	}
-	p, err := journey.Parse(in)
+	jl, err := journey.Parse(in)
 	if err != nil {
 		fmt.Fprintln(stderr, "prosper-journey:", err)
 		return 2
 	}
-	if err := p.CheckInvariants(); err != nil {
-		fmt.Fprintln(stderr, "prosper-journey:", err)
-		return 2
-	}
-	a := journey.Analyze(p, *topK)
+	a := journey.Analyze(jl, *topK)
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")

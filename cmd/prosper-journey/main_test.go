@@ -13,7 +13,8 @@ import (
 // sampleJournal builds a two-journey journal on disk and returns its path.
 func sampleJournal(t *testing.T) string {
 	t.Helper()
-	r := journey.NewRecorder("unit", 1, 1)
+	jl := journey.NewJournal()
+	r := jl.NewRecorder("unit", 1, 1)
 	jid := r.Start(0, false, 0x1000, 8, 1)
 	r.Span(jid, journey.StageL1, journey.CauseMiss, 0, 60)
 	r.Span(jid, journey.StageDevService, journey.CauseDRAM, 20, 50)
@@ -23,7 +24,7 @@ func sampleJournal(t *testing.T) string {
 	r.SegDone(jid, 103)
 
 	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
+	if err := jl.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "journal.jsonl")

@@ -486,10 +486,6 @@ func (c *Cache) retryBlocked() {
 // misses right now; telemetry samples it against cfg.MSHRs.
 func (c *Cache) MSHRsInUse() int { return len(c.mshrs) }
 
-// BlockedAccesses returns how many accesses are stalled on MSHR
-// exhaustion right now.
-func (c *Cache) BlockedAccesses() int { return len(c.blocked) }
-
 // Contains reports whether the line holding addr is resident (test hook).
 func (c *Cache) Contains(addr uint64) bool {
 	line := mem.LineOf(addr)
@@ -534,14 +530,3 @@ func NewHierarchy(eng *sim.Engine, cores int, memory Port) *Hierarchy {
 
 // CorePort returns the L1D port for the given core.
 func (h *Hierarchy) CorePort(core int) *Cache { return h.L1D[core] }
-
-// FlushAll flushes every level, L1 outward, modelling a full cache sweep.
-func (h *Hierarchy) FlushAll() {
-	for _, c := range h.L1D {
-		c.Flush()
-	}
-	for _, c := range h.L2 {
-		c.Flush()
-	}
-	h.L3.Flush()
-}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"prosper/internal/sim"
 )
 
 // StageTotal is one row of a run's aggregate stage table.
@@ -60,7 +62,7 @@ func pct(part, total int64) string {
 	return fmt.Sprintf("%d.%d%%", tenths/10, tenths%10)
 }
 
-func vecRows(vec *[NumStages]int64, total int64) []StageTotal {
+func vecRows(vec *[NumStages]sim.Time, total int64) []StageTotal {
 	rows := make([]StageTotal, 0, NumStages)
 	for s := 0; s < NumStages; s++ {
 		if vec[s] == 0 {
@@ -71,37 +73,39 @@ func vecRows(vec *[NumStages]int64, total int64) []StageTotal {
 	return rows
 }
 
-// Analyze aggregates a parsed journal: per-run stage-cycle totals and
-// the top-K slowest journeys (latency descending, ties broken by access
-// sequence number ascending — fully deterministic).
-func Analyze(p *Parsed, topK int) *Analysis {
-	a := &Analysis{Version: p.Version}
-	for _, run := range p.Runs {
+// Analyze aggregates a journal's finished journeys: per-run stage-cycle
+// totals and the top-K slowest journeys (latency descending, ties
+// broken by access sequence number ascending — fully deterministic).
+func Analyze(jl *Journal, topK int) *Analysis {
+	a := &Analysis{Version: FormatVersion}
+	for _, r := range jl.Recorders() {
+		accesses, sampled, finished := r.Counts()
 		rs := &RunSummary{
-			Run: run.Name, Rate: run.Rate, Seed: run.Seed,
-			Accesses: run.Accesses, Sampled: run.Sampled, Finished: run.Finished,
-			Journeys: len(run.Journeys),
+			Run: r.name, Rate: r.rate, Seed: r.seed,
+			Accesses: accesses, Sampled: sampled, Finished: finished,
 		}
-		var vec [NumStages]int64
-		for _, j := range run.Journeys {
+		var vec [NumStages]sim.Time
+		var order []*Journey
+		for _, j := range r.journeys {
+			if !j.finished {
+				continue
+			}
+			order = append(order, j)
 			for s := 0; s < NumStages; s++ {
 				vec[s] += j.Vec[s]
 			}
-			rs.TotalCycles += j.Latency
-			if j.Latency > rs.MaxLatency {
-				rs.MaxLatency = j.Latency
-			}
+			rs.TotalCycles += j.Latency()
+			rs.MaxLatency = max(rs.MaxLatency, j.Latency())
 		}
-		if len(run.Journeys) > 0 {
-			rs.MeanLatency = rs.TotalCycles / int64(len(run.Journeys))
+		rs.Journeys = len(order)
+		if len(order) > 0 {
+			rs.MeanLatency = rs.TotalCycles / int64(len(order))
 		}
 		rs.Stages = vecRows(&vec, rs.TotalCycles)
 
-		order := make([]*ParsedJourney, len(run.Journeys))
-		copy(order, run.Journeys)
 		sort.SliceStable(order, func(i, k int) bool {
-			if order[i].Latency != order[k].Latency {
-				return order[i].Latency > order[k].Latency
+			if order[i].Latency() != order[k].Latency() {
+				return order[i].Latency() > order[k].Latency()
 			}
 			return order[i].Seq < order[k].Seq
 		})
@@ -116,9 +120,9 @@ func Analyze(p *Parsed, topK int) *Analysis {
 			}
 			rs.Top = append(rs.Top, TopEntry{
 				Rank: i + 1, JID: j.JID, Seq: j.Seq, Kind: kind,
-				VAddr: fmt.Sprintf("0x%x", j.VAddr), Latency: j.Latency,
+				VAddr: fmt.Sprintf("0x%x", j.VAddr), Latency: j.Latency(),
 				Dominant: j.DominantStage().String(),
-				Vec:      vecRows(&j.Vec, j.Latency),
+				Vec:      vecRows(&j.Vec, j.Latency()),
 			})
 		}
 		a.Runs = append(a.Runs, rs)

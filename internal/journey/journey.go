@@ -274,14 +274,6 @@ func (r *Recorder) Name() string {
 // Enabled reports whether the recorder actually records (false for nil).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Accesses returns how many accesses the recorder has observed.
-func (r *Recorder) Accesses() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.seq
-}
-
 // splitmix64 is the SplitMix64 finalizer: a seeded, stateless hash of
 // the access sequence number. Sampling with it spreads samples evenly
 // without any periodic-aliasing risk a plain modulo would have.

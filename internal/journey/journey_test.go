@@ -2,6 +2,7 @@ package journey
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	if a, s, f := r.Counts(); a != 0 || s != 0 || f != 0 {
 		t.Fatalf("nil recorder counts = %d/%d/%d", a, s, f)
 	}
-	if r.Journeys() != nil || r.Name() != "" || r.Accesses() != 0 {
+	if r.Journeys() != nil || r.Name() != "" {
 		t.Fatal("nil recorder returned live state")
 	}
 	if NewRecorder("off", 0, 1) != nil {
@@ -64,7 +65,7 @@ func TestSamplingDeterministic(t *testing.T) {
 		var sampled []uint64
 		for i := 0; i < 10_000; i++ {
 			if jid := r.Start(sim.Time(i), false, uint64(i), 8, 1); jid != 0 {
-				sampled = append(sampled, r.Accesses())
+				sampled = append(sampled, r.Journeys()[jid-1].Seq)
 				r.SegDone(jid, sim.Time(i+3))
 			}
 		}
@@ -215,8 +216,31 @@ func TestLateSpansDropped(t *testing.T) {
 	r.SegDone(99, 1)
 }
 
-// TestJournalRoundTrip pins the full serialize -> parse -> invariants
-// path, including an unfinished journey being counted but not emitted.
+// roundTrip serializes jl, parses it back, and requires the parsed
+// journal to serialize to the same bytes; it returns the parsed journal.
+func roundTrip(t *testing.T, jl *Journal) *Journal {
+	t.Helper()
+	var want, got bytes.Buffer
+	if err := jl.WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Parse(bytes.NewReader(want.Bytes()))
+	if err != nil {
+		t.Fatalf("parse: %v\n%s", err, want.String())
+	}
+	if err := p.WriteJSONL(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatalf("journal does not round-trip:\n--- written ---\n%s--- re-written ---\n%s", want.String(), got.String())
+	}
+	return p
+}
+
+// TestJournalRoundTrip pins serialize -> parse -> serialize: the parsed
+// journal holds the recorder's own journeys (attribution recomputed,
+// the in-flight journey back as an unfinished slot) and re-serializes
+// byte for byte.
 func TestJournalRoundTrip(t *testing.T) {
 	jl := NewJournal()
 	r := jl.NewRecorder("run-a", 1, 3)
@@ -227,77 +251,66 @@ func TestJournalRoundTrip(t *testing.T) {
 	r.SegDone(jid, 40)
 	r.Start(11, false, 0xdef0, 8, 1) // never finishes: in flight at run end
 
-	var buf bytes.Buffer
-	if err := jl.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
+	p := roundTrip(t, jl)
+	if len(p.Recorders()) != 1 {
+		t.Fatalf("parsed %d runs, want 1", len(p.Recorders()))
 	}
-	p, err := Parse(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, buf.String())
+	pr := p.Recorders()[0]
+	if pr.name != "run-a" || pr.rate != 1 || pr.seed != 3 {
+		t.Fatalf("run header = %q/%d/%d", pr.name, pr.rate, pr.seed)
 	}
-	if err := p.CheckInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
+	if a, s, f := pr.Counts(); a != 2 || s != 2 || f != 1 {
+		t.Fatalf("counters = %d/%d/%d, want 2/2/1", a, s, f)
 	}
-	if len(p.Runs) != 1 {
-		t.Fatalf("parsed %d runs, want 1", len(p.Runs))
+	js := pr.Journeys()
+	if js[1].Finished() || js[1].JID != 2 {
+		t.Fatalf("in-flight journey came back as %+v, want an unfinished slot at jid 2", js[1])
 	}
-	run := p.Runs[0]
-	if run.Name != "run-a" || run.Rate != 1 || run.Seed != 3 {
-		t.Fatalf("run header = %+v", run)
-	}
-	if run.Accesses != 2 || run.Sampled != 2 || run.Finished != 1 {
-		t.Fatalf("counters = %d/%d/%d, want 2/2/1", run.Accesses, run.Sampled, run.Finished)
-	}
-	if len(run.Journeys) != 1 {
-		t.Fatalf("parsed %d journeys, want 1 (unfinished one suppressed)", len(run.Journeys))
-	}
-	j := run.Journeys[0]
+	j, live := js[0], r.Journeys()[0]
 	if j.JID != 1 || j.Seq != 1 || !j.Write || j.VAddr != 0xabc0 || j.Size != 16 {
 		t.Fatalf("journey identity = %+v", j)
 	}
-	if j.Latency != 30 || len(j.Spans) != 3 {
-		t.Fatalf("latency=%d spans=%d, want 30/3", j.Latency, len(j.Spans))
-	}
-	var sum int64
-	for s := 0; s < NumStages; s++ {
-		sum += j.Vec[s]
-	}
-	if sum != j.Latency {
-		t.Fatalf("parsed vector sums to %d, latency %d", sum, j.Latency)
-	}
-
-	// Serialization is deterministic: a second write is byte-identical.
-	var buf2 bytes.Buffer
-	if err := jl.WriteJSONL(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("two serializations of the same journal differ")
+	if j.Latency() != 30 || len(j.Spans) != 3 || j.Vec != live.Vec {
+		t.Fatalf("latency=%d spans=%d vec=%v, want 30/3/%v", j.Latency(), len(j.Spans), j.Vec, live.Vec)
 	}
 }
 
-// TestParseRejectsMalformed pins the typed failure modes of the parser:
-// each malformed input errors instead of yielding a half-read journal.
+// TestParseRejectsMalformed pins the parser's refusals: each input is
+// something no recorder writes, and each errors instead of yielding a
+// half-read or inconsistent journal.
 func TestParseRejectsMalformed(t *testing.T) {
+	const (
+		hdr = "{\"journey_journal\":1}\n"
+		run = `{"run":"x","rate":1,"seed":1,"accesses":1,"sampled":1,"finished":1}` + "\n"
+	)
+	line := func(jid int, stages, vec string) string {
+		return fmt.Sprintf(`{"jid":%d,"seq":1,"kind":"load","vaddr":1,"size":8,"start":0,"end":10,"latency":10,"stages":[%s],"vec":{%s}}`+"\n",
+			jid, stages, vec)
+	}
+	l1 := `{"stage":"l1","cause":"hit","enter":0,"exit":10}`
 	cases := []struct {
 		name string
 		in   string
 	}{
 		{"garbage", "not json\n"},
-		{"missing header", `{"run":"x","rate":1,"seed":1,"accesses":0,"sampled":0,"finished":0}` + "\n"},
+		{"missing header", run},
 		{"unsupported version", `{"journey_journal":99}` + "\n"},
-		{"duplicate header", "{\"journey_journal\":1}\n{\"journey_journal\":1}\n"},
-		{"journey before run", "{\"journey_journal\":1}\n" +
-			`{"jid":1,"seq":1,"kind":"load","vaddr":1,"size":8,"start":0,"end":3,"latency":3,"stages":[],"vec":{"l1":3}}` + "\n"},
-		{"unknown stage", "{\"journey_journal\":1}\n" +
-			`{"run":"x","rate":1,"seed":1,"accesses":1,"sampled":1,"finished":1}` + "\n" +
-			`{"jid":1,"seq":1,"kind":"load","vaddr":1,"size":8,"start":0,"end":3,"latency":3,"stages":[{"stage":"warp","cause":"hit","enter":0,"exit":3}],"vec":{"l1":3}}` + "\n"},
-		{"latency mismatch", "{\"journey_journal\":1}\n" +
-			`{"run":"x","rate":1,"seed":1,"accesses":1,"sampled":1,"finished":1}` + "\n" +
-			`{"jid":1,"seq":1,"kind":"load","vaddr":1,"size":8,"start":0,"end":3,"latency":9,"stages":[],"vec":{"l1":9}}` + "\n"},
-		{"unknown vec stage", "{\"journey_journal\":1}\n" +
-			`{"run":"x","rate":1,"seed":1,"accesses":1,"sampled":1,"finished":1}` + "\n" +
-			`{"jid":1,"seq":1,"kind":"load","vaddr":1,"size":8,"start":0,"end":3,"latency":3,"stages":[],"vec":{"warp":3}}` + "\n"},
+		{"duplicate header", hdr + hdr},
+		{"journey before run", hdr + line(1, l1, `"l1":10`)},
+		{"unknown stage", hdr + run + line(1, `{"stage":"warp","cause":"hit","enter":0,"exit":10}`, `"l1":10`)},
+		{"latency mismatch", hdr + run + strings.Replace(line(1, l1, `"l1":10`), `"latency":10`, `"latency":9`, 1)},
+		{"unknown vec stage", hdr + run + line(1, l1, `"l1":10,"warp":0`)},
+		{"vector short of latency", hdr + run + line(1, "", `"l1":3`)},
+		{"vector on an uncovered stage", hdr + run + line(1, l1, `"l2":10`)},
+		{"span outside journey", hdr + run + line(1, `{"stage":"l1","cause":"hit","enter":0,"exit":11}`, `"l1":10`)},
+		{"jid beyond sampled", hdr + run + line(2, l1, `"l1":10`)},
+		{"jid not increasing", hdr + strings.Replace(run, `"sampled":1,"finished":1`, `"sampled":2,"finished":2`, 1) +
+			line(1, l1, `"l1":10`) + line(1, l1, `"l1":10`)},
+		{"finished line beyond header", hdr + strings.Replace(run, `"finished":1`, `"finished":0`, 1) + line(1, l1, `"l1":10`)},
+		{"finished line missing", hdr + strings.Replace(run, `"sampled":1,"finished":1`, `"sampled":2,"finished":2`, 1) + line(1, l1, `"l1":10`)},
+		{"finished beyond sampled", hdr + strings.Replace(run, `"finished":1`, `"finished":2`, 1)},
+		{"in flight beyond bound", hdr + strings.Replace(run, `"sampled":1,"finished":1`, `"sampled":1099511627776,"finished":0`, 1)},
+		{"rate zero", hdr + strings.Replace(run, `"rate":1`, `"rate":0`, 1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -306,27 +319,16 @@ func TestParseRejectsMalformed(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestCheckInvariantsCatchesBadVector pins that a journal whose vector
-// does not sum to its latency fails validation even when well-formed.
-func TestCheckInvariantsCatchesBadVector(t *testing.T) {
-	in := "{\"journey_journal\":1}\n" +
-		`{"run":"x","rate":1,"seed":1,"accesses":1,"sampled":1,"finished":1}` + "\n" +
-		`{"jid":1,"seq":1,"kind":"load","vaddr":1,"size":8,"start":0,"end":10,"latency":10,"stages":[],"vec":{"l1":3}}` + "\n"
-	p, err := Parse(strings.NewReader(in))
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if err := p.CheckInvariants(); err == nil {
-		t.Fatal("CheckInvariants accepted a vector that does not sum to the latency")
+	if _, err := Parse(strings.NewReader(hdr + run + line(1, l1, `"l1":10`))); err != nil {
+		t.Fatalf("parser refused the well-formed baseline: %v", err)
 	}
 }
 
 // TestAnalyzeTopK pins the analyzer's deterministic ordering: latency
 // descending, ties by sequence number ascending, truncated to K.
 func TestAnalyzeTopK(t *testing.T) {
-	r := NewRecorder("run", 1, 1)
+	jl := NewJournal()
+	r := jl.NewRecorder("run", 1, 1)
 	mk := func(lat sim.Time) {
 		jid := r.Start(0, false, uint64(0x1000*lat), 8, 1)
 		r.Span(jid, StageL2, CauseMiss, 0, lat)
@@ -337,15 +339,7 @@ func TestAnalyzeTopK(t *testing.T) {
 	mk(90)
 	mk(10)
 
-	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	p, err := Parse(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := Analyze(p, 3)
+	a := Analyze(roundTrip(t, jl), 3)
 	if len(a.Runs) != 1 || len(a.Runs[0].Top) != 3 {
 		t.Fatalf("analysis shape wrong: %+v", a.Runs)
 	}

@@ -6,51 +6,9 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"prosper/internal/sim"
 )
-
-// Parsed is a journey journal read back from its JSONL form, preserving
-// run order and per-run journey order exactly as written.
-type Parsed struct {
-	Version int
-	Runs    []*ParsedRun
-}
-
-// ParsedRun is one run's header plus its finished journeys.
-type ParsedRun struct {
-	Name     string
-	Rate     uint64
-	Seed     uint64
-	Accesses uint64
-	Sampled  uint64
-	Finished uint64
-	Journeys []*ParsedJourney
-}
-
-// ParsedJourney is one journey line. Vec is indexed by Stage.
-type ParsedJourney struct {
-	JID     uint32
-	Seq     uint64
-	Write   bool
-	VAddr   uint64
-	Size    int
-	Start   int64
-	End     int64
-	Latency int64
-	Spans   []Span
-	Vec     [NumStages]int64
-}
-
-// DominantStage returns the stage charged the most cycles (ties to the
-// shallower stage).
-func (j *ParsedJourney) DominantStage() Stage {
-	best := Stage(0)
-	for s := 1; s < NumStages; s++ {
-		if j.Vec[s] > j.Vec[best] {
-			best = Stage(s)
-		}
-	}
-	return best
-}
 
 // rawLine is the union of the three journal line shapes; the pointer
 // fields discriminate which shape a line is.
@@ -69,29 +27,53 @@ type rawLine struct {
 	Kind    string           `json:"kind"`
 	VAddr   uint64           `json:"vaddr"`
 	Size    int              `json:"size"`
-	Start   int64            `json:"start"`
-	End     int64            `json:"end"`
-	Latency int64            `json:"latency"`
+	Start   sim.Time         `json:"start"`
+	End     sim.Time         `json:"end"`
+	Latency sim.Time         `json:"latency"`
 	Stages  []rawSpan        `json:"stages"`
 	Vec     map[string]int64 `json:"vec"`
 }
 
 type rawSpan struct {
-	Stage string `json:"stage"`
-	Cause string `json:"cause"`
-	Enter int64  `json:"enter"`
-	Exit  int64  `json:"exit"`
+	Stage string   `json:"stage"`
+	Cause string   `json:"cause"`
+	Enter sim.Time `json:"enter"`
+	Exit  sim.Time `json:"exit"`
 }
 
-// Parse reads a journal written by WriteJSONL. Any structural problem —
-// bad JSON, missing or unsupported format header, unknown stage or
-// cause names, a journey line before any run header — is an error
-// (prosper-journey maps these to exit status 2).
-func Parse(r io.Reader) (*Parsed, error) {
+// Parse reads a journal written by WriteJSONL back into the recorder's
+// own types: one *Recorder per run, each finished journey at its JID
+// with its spans in journal order and its Vec recomputed by the same
+// attribute sweep a live run uses. A journey still in flight when the
+// run ended was never written; it returns as an empty unfinished slot,
+// so Counts and WriteJSONL give back exactly what the writer wrote.
+//
+// Parse accepts only what a recorder could have written. Bad JSON, a
+// missing or unsupported format header, unknown stage, cause or kind
+// names, a journey line before any run header, a span outside its
+// journey's [start, end], a stored vec that differs from the recomputed
+// one, JIDs that do not strictly increase or exceed the run's sampled
+// count, header counts that disagree with the run's lines, and more
+// than maxInFlight unfinished journeys in a run are all errors
+// (prosper-journey maps them to exit status 2).
+func Parse(r io.Reader) (*Journal, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	out := &Parsed{Version: -1}
-	var cur *ParsedRun
+	var jl *Journal
+	var cur *Recorder
+	var hdr rawLine // cur's run header
+	closeRun := func() error {
+		if cur == nil {
+			return nil
+		}
+		if err := cur.pad(hdr.Sampled, &hdr); err != nil {
+			return fmt.Errorf("journey: run %q: %v", cur.name, err)
+		}
+		if _, _, got := cur.Counts(); got != hdr.Finished {
+			return fmt.Errorf("journey: run %q: header says %d finished, journal has %d", cur.name, hdr.Finished, got)
+		}
+		return nil
+	}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -105,32 +87,35 @@ func Parse(r io.Reader) (*Parsed, error) {
 		}
 		switch {
 		case raw.Version != nil:
-			if out.Version != -1 {
+			if jl != nil {
 				return nil, fmt.Errorf("journey: line %d: duplicate format header", lineNo)
 			}
 			if *raw.Version != FormatVersion {
 				return nil, fmt.Errorf("journey: line %d: unsupported journal version %d (tool supports %d)",
 					lineNo, *raw.Version, FormatVersion)
 			}
-			out.Version = *raw.Version
+			jl = NewJournal()
 		case raw.Run != nil:
-			if out.Version == -1 {
+			if jl == nil {
 				return nil, fmt.Errorf("journey: line %d: run header before format header", lineNo)
 			}
-			cur = &ParsedRun{
-				Name: *raw.Run, Rate: raw.Rate, Seed: raw.Seed,
-				Accesses: raw.Accesses, Sampled: raw.Sampled, Finished: raw.Finished,
+			if err := closeRun(); err != nil {
+				return nil, err
 			}
-			out.Runs = append(out.Runs, cur)
+			if raw.Rate == 0 || raw.Finished > raw.Sampled || raw.Sampled-raw.Finished > maxInFlight {
+				return nil, fmt.Errorf("journey: line %d: run %q: no recorder writes rate %d, sampled %d, finished %d",
+					lineNo, *raw.Run, raw.Rate, raw.Sampled, raw.Finished)
+			}
+			cur = jl.NewRecorder(*raw.Run, raw.Rate, raw.Seed)
+			cur.seq = raw.Accesses
+			hdr = raw
 		case raw.JID != nil:
 			if cur == nil {
 				return nil, fmt.Errorf("journey: line %d: journey line before any run header", lineNo)
 			}
-			j, err := parseJourney(&raw)
-			if err != nil {
+			if err := cur.load(&raw, &hdr); err != nil {
 				return nil, fmt.Errorf("journey: line %d: %v", lineNo, err)
 			}
-			cur.Journeys = append(cur.Journeys, j)
 		default:
 			return nil, fmt.Errorf("journey: line %d: unrecognized line shape", lineNo)
 		}
@@ -138,78 +123,90 @@ func Parse(r io.Reader) (*Parsed, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("journey: read: %v", err)
 	}
-	if out.Version == -1 {
+	if jl == nil {
 		return nil, fmt.Errorf("journey: missing format header (not a journey journal?)")
 	}
-	return out, nil
+	if err := closeRun(); err != nil {
+		return nil, err
+	}
+	return jl, nil
 }
 
-func parseJourney(raw *rawLine) (*ParsedJourney, error) {
-	j := &ParsedJourney{
-		JID: *raw.JID, Seq: raw.Seq, VAddr: raw.VAddr, Size: raw.Size,
-		Start: raw.Start, End: raw.End, Latency: raw.Latency,
+// maxInFlight bounds the journeys a run header may leave unfinished
+// (sampled - finished). A run ends with at most one journey per access
+// the machine holds in flight — a few dozen per core — so a larger
+// count is a corrupt header, refused before it sizes any allocation.
+const maxInFlight = 1 << 16
+
+// load rebuilds one finished journey line into its JID slot and checks
+// it against what SegDone would have produced.
+func (r *Recorder) load(raw, hdr *rawLine) error {
+	jid := *raw.JID
+	if int(jid) <= len(r.journeys) || uint64(jid) > hdr.Sampled {
+		return fmt.Errorf("jid %d out of order or beyond the run's %d sampled", jid, hdr.Sampled)
+	}
+	j := &Journey{
+		JID: jid, Seq: raw.Seq, VAddr: raw.VAddr, Size: raw.Size,
+		Start: raw.Start, End: raw.End, finished: true,
 	}
 	switch raw.Kind {
 	case "load":
 	case "store":
 		j.Write = true
 	default:
-		return nil, fmt.Errorf("jid %d: unknown kind %q", j.JID, raw.Kind)
+		return fmt.Errorf("jid %d: unknown kind %q", jid, raw.Kind)
 	}
-	if j.Latency != j.End-j.Start {
-		return nil, fmt.Errorf("jid %d: latency %d != end-start %d", j.JID, j.Latency, j.End-j.Start)
+	if j.End < j.Start || raw.Latency != j.Latency() {
+		return fmt.Errorf("jid %d: latency %d for [%d, %d]", jid, raw.Latency, j.Start, j.End)
 	}
 	for _, rs := range raw.Stages {
 		st, ok := StageFromName(rs.Stage)
 		if !ok {
-			return nil, fmt.Errorf("jid %d: unknown stage %q", j.JID, rs.Stage)
+			return fmt.Errorf("jid %d: unknown stage %q", jid, rs.Stage)
 		}
 		ca, ok := CauseFromName(rs.Cause)
 		if !ok {
-			return nil, fmt.Errorf("jid %d: unknown cause %q", j.JID, rs.Cause)
+			return fmt.Errorf("jid %d: unknown cause %q", jid, rs.Cause)
 		}
-		if rs.Exit < rs.Enter {
-			return nil, fmt.Errorf("jid %d: span %s exits (%d) before it enters (%d)", j.JID, rs.Stage, rs.Exit, rs.Enter)
+		if rs.Exit < rs.Enter || rs.Enter < j.Start || rs.Exit > j.End {
+			return fmt.Errorf("jid %d: span %s [%d,%d] outside journey [%d,%d]",
+				jid, rs.Stage, rs.Enter, rs.Exit, j.Start, j.End)
 		}
 		j.Spans = append(j.Spans, Span{Stage: st, Cause: ca, Enter: rs.Enter, Exit: rs.Exit})
 	}
-	// Rehydrate the vec by probing known stage names (never ranging the
-	// map, which would be nondeterministic); every key must be a known
-	// stage, which the matched-count check enforces.
+	j.attribute()
+	// Compare by probing known stage names (never ranging the map, which
+	// would be nondeterministic); the count catches unknown keys.
 	matched := 0
 	for s := 0; s < NumStages; s++ {
-		if v, ok := raw.Vec[stageNames[s]]; ok {
-			j.Vec[s] = v
+		v, ok := raw.Vec[stageNames[s]]
+		if ok {
 			matched++
+		}
+		if v != j.Vec[s] {
+			return fmt.Errorf("jid %d: vec charges %s %d cycles, its spans attribute %d", jid, Stage(s), v, j.Vec[s])
 		}
 	}
 	if matched != len(raw.Vec) {
-		return nil, fmt.Errorf("jid %d: vec contains %d unknown stage keys", j.JID, len(raw.Vec)-matched)
+		return fmt.Errorf("jid %d: vec contains %d unknown stage keys", jid, len(raw.Vec)-matched)
 	}
-	return j, nil
+	if err := r.pad(uint64(jid)-1, hdr); err != nil {
+		return err
+	}
+	r.journeys = append(r.journeys, j)
+	return nil
 }
 
-// CheckInvariants asserts the journal's core guarantees: every
-// journey's stage vector sums exactly to its measured latency, and
-// every span lies within [Start, End]. It returns the first violation.
-func (p *Parsed) CheckInvariants() error {
-	for _, run := range p.Runs {
-		for _, j := range run.Journeys {
-			var sum int64
-			for s := 0; s < NumStages; s++ {
-				sum += j.Vec[s]
-			}
-			if sum != j.Latency {
-				return fmt.Errorf("journey: run %q jid %d: stage vector sums to %d, measured latency %d",
-					run.Name, j.JID, sum, j.Latency)
-			}
-			for _, sp := range j.Spans {
-				if sp.Enter < j.Start || sp.Exit > j.End {
-					return fmt.Errorf("journey: run %q jid %d: span %s [%d,%d) outside journey [%d,%d)",
-						run.Name, j.JID, sp.Stage, sp.Enter, sp.Exit, j.Start, j.End)
-				}
-			}
-		}
+// pad fills the JIDs up to n that the journal skipped with empty
+// unfinished slots: journeys still in flight when the run ended, of
+// which the header allows sampled - finished.
+func (r *Recorder) pad(n uint64, hdr *rawLine) error {
+	if n-uint64(len(r.journeys)) > hdr.Sampled-hdr.Finished-uint64(r.open) {
+		return fmt.Errorf("more journeys in flight than the header's %d sampled, %d finished", hdr.Sampled, hdr.Finished)
+	}
+	for uint64(len(r.journeys)) < n {
+		r.journeys = append(r.journeys, &Journey{JID: uint32(len(r.journeys) + 1)})
+		r.open++
 	}
 	return nil
 }

@@ -423,24 +423,6 @@ func (p *Process) Done() bool {
 	return true
 }
 
-// StackMechName returns the name of the stack persistence mechanism
-// (thread 0's; all threads share a factory). Snapshot fingerprints use
-// it to verify a resume boots the same mechanism the save ran.
-func (p *Process) StackMechName() string {
-	if len(p.Threads) == 0 {
-		return ""
-	}
-	return p.Threads[0].mech.Name()
-}
-
-// HeapMechName returns the heap persistence mechanism's name, or "".
-func (p *Process) HeapMechName() string {
-	if p.heapMech == nil {
-		return ""
-	}
-	return p.heapMech.Name()
-}
-
 // StopCheckpoints cancels the periodic checkpoint ticker.
 func (p *Process) StopCheckpoints() {
 	if p.ckptTicker != nil {

@@ -149,9 +149,9 @@ func (as *AddressSpace) LoadSnap(r *snapbuf.Reader) error {
 	return as.PT.LoadSnap(r)
 }
 
-// SaveSnap encodes the TLB's entries, LRU clock, and statistics.
+// SaveSnap encodes the TLB's entries, its LRU list head to tail, and
+// its statistics.
 func (t *TLB) SaveSnap(w *snapbuf.Writer) {
-	w.U64(t.lruClock)
 	w.U64(uint64(len(t.entries)))
 	for i := range t.entries {
 		e := &t.entries[i]
@@ -160,22 +160,25 @@ func (t *TLB) SaveSnap(w *snapbuf.Writer) {
 		w.Bool(e.Write)
 		w.Bool(e.Dirty)
 		w.Bool(e.valid)
-		w.U64(e.lru)
+	}
+	for s := t.head; s >= 0; s = t.next[s] {
+		w.U32(uint32(s))
 	}
 	t.Counters.SaveSnap(w)
 	t.Histograms.SaveSnap(w)
 }
 
-// LoadSnap restores a TLB of identical geometry.
+// LoadSnap restores a TLB of identical geometry. The LRU list must name
+// every valid slot exactly once and no invalid one.
 func (t *TLB) LoadSnap(r *snapbuf.Reader) error {
-	t.lruClock = r.U64()
-	n := r.Count(27)
+	n := r.Count(19)
 	if r.Err() != nil {
 		return r.Err()
 	}
 	if n != len(t.entries) {
 		return fmt.Errorf("vm: TLB size mismatch: snapshot %d, machine %d", n, len(t.entries))
 	}
+	valid := 0
 	for i := range t.entries {
 		e := &t.entries[i]
 		e.VPN = r.U64()
@@ -183,9 +186,23 @@ func (t *TLB) LoadSnap(r *snapbuf.Reader) error {
 		e.Write = r.Bool()
 		e.Dirty = r.Bool()
 		e.valid = r.Bool()
-		e.lru = r.U64()
+		if e.valid {
+			valid++
+		}
 	}
 	t.rebuild()
+	for ; valid > 0; valid-- {
+		s := int(r.U32())
+		if r.Err() != nil {
+			return r.Err()
+		}
+		// rebuild unlinked every slot, so a linked one is the head or
+		// has a predecessor.
+		if s >= n || !t.entries[s].valid || int32(s) == t.head || t.prev[s] >= 0 {
+			return fmt.Errorf("vm: TLB LRU list names slot %d twice, or an invalid one", s)
+		}
+		t.pushMRU(s)
+	}
 	if err := t.Counters.LoadSnap(r); err != nil {
 		return err
 	}

@@ -121,9 +121,6 @@ func (as *AddressSpace) FindVMA(addr uint64) *VMA {
 // stack expansion heuristics allow for large stack frames).
 const guardWindow = 128 << 10
 
-// VMAs returns the areas in ascending address order.
-func (as *AddressSpace) VMAs() []*VMA { return as.vmas }
-
 // StackVMA returns the stack area of the given thread, or nil.
 func (as *AddressSpace) StackVMA(threadID int) *VMA {
 	for _, v := range as.vmas {

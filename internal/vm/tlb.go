@@ -17,21 +17,21 @@ type TLBEntry struct {
 	Write bool
 	Dirty bool
 	valid bool
-	lru   uint64
 }
 
 // TLB is a fully associative translation cache with LRU replacement.
 //
-// The slots hold the architectural state (and are what snapshots save);
-// three derived structures make both a hit and a replacement O(1) while
-// placing entries exactly where a linear scan of the slots would:
+// The slots and the recency order of the valid ones are the
+// architectural state (and are what snapshots save). The order is kept
+// as one record, an intrusive LRU list of the valid slots whose head is
+// the victim, so a hit and a replacement are O(1). Two structures
+// derived from the slots place entries exactly where a linear scan
+// would:
 //
 //   - index, an open-addressed VPN→slot hash holding, for every cached
 //     VPN, the lowest valid slot that caches it (what a scan would hit);
 //   - free, a bitmap of invalid slots, whose lowest set bit is the first
-//     invalid slot a scan would fill;
-//   - an intrusive LRU list of the valid slots ordered by lru, whose head
-//     is the victim a scan for the minimum lru would pick.
+//     invalid slot a scan would fill.
 //
 // Insert fills the first slot that is invalid or already holds the VPN,
 // so a VPN cached behind an earlier invalid slot is cached twice; Lookup
@@ -41,7 +41,6 @@ type TLBEntry struct {
 // the upper copy first and the index never has to find it.
 type TLB struct {
 	entries  []TLBEntry
-	lruClock uint64
 	Counters *stats.Counters
 
 	// Histograms holds the TLB's distributions; WalkLatency aliases its
@@ -58,9 +57,12 @@ type TLB struct {
 	index      []int32  //prosperlint:ignore snapshot derived from entries; LoadSnap rebuilds it
 	indexShift uint     //prosperlint:ignore snapshot derived from the slot count at construction
 	free       []uint64 //prosperlint:ignore snapshot derived from entries; LoadSnap rebuilds it
-	//prosperlint:ignore snapshot derived from entries' lru order; LoadSnap rebuilds it
-	prev, next []int32
-	head, tail int32 //prosperlint:ignore snapshot derived LRU list ends; LoadSnap rebuilds them
+	// The LRU list, least recently used first. SaveSnap writes it head
+	// to tail, and LoadSnap relinks it from that order.
+	next []int32
+	head int32
+	prev []int32 //prosperlint:ignore snapshot derived from the saved LRU order; LoadSnap relinks it
+	tail int32   //prosperlint:ignore snapshot derived from the saved LRU order; LoadSnap relinks it
 }
 
 // NewTLB returns a TLB with the given number of entries. Counter keys
@@ -94,8 +96,6 @@ func (t *TLB) Lookup(vaddr uint64) *TLBEntry {
 		return nil
 	}
 	e := &t.entries[s]
-	t.lruClock++
-	e.lru = t.lruClock
 	if int32(s) != t.tail {
 		t.unlink(s)
 		t.pushMRU(s)
@@ -125,8 +125,7 @@ func (t *TLB) Insert(vaddr, frame uint64, write, dirty bool) {
 		t.indexDrop(victim)
 		t.index[t.probe(vpn)] = int32(victim) + 1
 	}
-	t.lruClock++
-	t.entries[victim] = TLBEntry{VPN: vpn, Frame: frame, Write: write, Dirty: dirty, valid: true, lru: t.lruClock}
+	t.entries[victim] = TLBEntry{VPN: vpn, Frame: frame, Write: write, Dirty: dirty, valid: true}
 	t.pushMRU(victim)
 }
 
@@ -154,8 +153,7 @@ func (t *TLB) InvalidateRange(lo, hi uint64) {
 }
 
 // drop invalidates one valid slot in place. Every copy of a page goes
-// at once, so the index never has to point at a surviving upper copy,
-// and the LRU list stays in lru order with the slot unlinked.
+// at once, so the index never has to point at a surviving upper copy.
 func (t *TLB) drop(slot int) {
 	t.indexDrop(slot)
 	t.unlink(slot)
@@ -259,43 +257,20 @@ func (t *TLB) pushMRU(s int) {
 	t.tail = int32(s)
 }
 
-// rebuild recomputes the index, the free bitmap and the LRU list from
-// the slots (LoadSnap, Flush). It allocates nothing.
+// rebuild recomputes the index and the free bitmap from the slots and
+// empties the LRU list, unlinking every slot (LoadSnap then relinks the
+// valid ones). It allocates nothing.
 func (t *TLB) rebuild() {
 	clear(t.index)
 	clear(t.free)
 	t.head, t.tail = -1, -1
 	for i := range t.entries {
 		e := &t.entries[i]
+		t.prev[i] = -1
 		if !e.valid {
 			t.setFree(i, true)
-			continue
-		}
-		if h := t.probe(e.VPN); t.index[h] == 0 {
+		} else if h := t.probe(e.VPN); t.index[h] == 0 {
 			t.index[h] = int32(i) + 1 // the lowest copy of the page
 		}
-		// Insertion sort into the list by (lru, slot), the order in
-		// which a scan for the minimum lru would pick victims.
-		at := t.tail
-		for at >= 0 && t.entries[at].lru > e.lru {
-			at = t.prev[at]
-		}
-		if at < 0 {
-			t.prev[i], t.next[i] = -1, t.head
-			if t.head >= 0 {
-				t.prev[t.head] = int32(i)
-			} else {
-				t.tail = int32(i)
-			}
-			t.head = int32(i)
-			continue
-		}
-		t.prev[i], t.next[i] = at, t.next[at]
-		if n := t.next[at]; n >= 0 {
-			t.prev[n] = int32(i)
-		} else {
-			t.tail = int32(i)
-		}
-		t.next[at] = int32(i)
 	}
 }

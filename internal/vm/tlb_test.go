@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -8,9 +9,11 @@ import (
 )
 
 // linearTLB is the reference TLB: the slot array and linear scans the
-// indexed TLB must reproduce exactly, placement quirks included.
+// indexed TLB must reproduce exactly, placement quirks included. It
+// orders slots by use stamps, which the indexed TLB's LRU list replaces.
 type linearTLB struct {
 	entries  []TLBEntry
+	lru      []uint64
 	lruClock uint64
 }
 
@@ -20,7 +23,7 @@ func (t *linearTLB) Lookup(vaddr uint64) *TLBEntry {
 		e := &t.entries[i]
 		if e.valid && e.VPN == vpn {
 			t.lruClock++
-			e.lru = t.lruClock
+			t.lru[i] = t.lruClock
 			return e
 		}
 	}
@@ -29,23 +32,20 @@ func (t *linearTLB) Lookup(vaddr uint64) *TLBEntry {
 
 func (t *linearTLB) Insert(vaddr, frame uint64, write, dirty bool) {
 	vpn := vaddr >> pageShift
-	victim := &t.entries[0]
+	victim := 0
 	for i := range t.entries {
 		e := &t.entries[i]
-		if e.valid && e.VPN == vpn {
-			victim = e
+		if !e.valid || e.VPN == vpn {
+			victim = i
 			break
 		}
-		if !e.valid {
-			victim = e
-			break
-		}
-		if e.lru < victim.lru {
-			victim = e
+		if t.lru[i] < t.lru[victim] {
+			victim = i
 		}
 	}
 	t.lruClock++
-	*victim = TLBEntry{VPN: vpn, Frame: frame, Write: write, Dirty: dirty, valid: true, lru: t.lruClock}
+	t.lru[victim] = t.lruClock
+	t.entries[victim] = TLBEntry{VPN: vpn, Frame: frame, Write: write, Dirty: dirty, valid: true}
 }
 
 func (t *linearTLB) Invalidate(vaddr uint64) {
@@ -74,8 +74,9 @@ func (t *linearTLB) Flush() {
 
 // TestTLBMatchesLinearReference drives the indexed TLB and the linear
 // reference with the same random operation streams and compares every
-// slot (VPN, frame, flags, valid, lru), the LRU clock and each lookup's
-// result after every operation, with snapshot round trips mixed in.
+// slot (VPN, frame, flags, valid), the LRU list against the reference's
+// use stamps, and each lookup's result after every operation, with
+// snapshot round trips mixed in.
 // Pages come from a pool a little larger
 // than the TLB, so hits, LRU evictions and invalid holes all occur; an
 // invalidation followed by re-inserting a page cached at a later slot
@@ -84,7 +85,7 @@ func TestTLBMatchesLinearReference(t *testing.T) {
 	for _, size := range []int{4, 8, 64, 13} {
 		rng := rand.New(rand.NewSource(int64(size)))
 		got := NewTLB("tlb", size)
-		want := &linearTLB{entries: make([]TLBEntry, size)}
+		want := &linearTLB{entries: make([]TLBEntry, size), lru: make([]uint64, size)}
 		pages := uint64(size + size/2 + 2)
 		dups := 0
 		for step := 0; step < 20000; step++ {
@@ -128,13 +129,26 @@ func TestTLBMatchesLinearReference(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got.lruClock != want.lruClock {
-				t.Fatalf("size %d step %d (%s): lruClock %d, want %d", size, step, op, got.lruClock, want.lruClock)
-			}
+			valid := 0
 			for i := range want.entries {
 				if got.entries[i] != want.entries[i] {
 					t.Fatalf("size %d step %d (%s): slot %d = %+v, want %+v", size, step, op, i, got.entries[i], want.entries[i])
 				}
+				if want.entries[i].valid {
+					valid++
+				}
+			}
+			// The list holds every valid slot, least recently used first.
+			var last uint64
+			for s := got.head; s >= 0; s = got.next[s] {
+				if !got.entries[s].valid || want.lru[s] <= last {
+					t.Fatalf("size %d step %d (%s): LRU list out of use order at slot %d", size, step, op, s)
+				}
+				last = want.lru[s]
+				valid--
+			}
+			if valid != 0 {
+				t.Fatalf("size %d step %d (%s): LRU list misses %d valid slots", size, step, op, valid)
 			}
 			if hasDuplicate(want.entries) {
 				dups++
@@ -143,6 +157,30 @@ func TestTLBMatchesLinearReference(t *testing.T) {
 		if dups == 0 {
 			t.Fatalf("size %d: no step held a duplicate VPN", size)
 		}
+	}
+}
+
+// TestTLBLoadSnapRefusesBadLRUList pins that a snapshot's LRU list must
+// name each valid slot once: a repeated, invalid or out-of-range slot
+// (which, at a fixed list length, is also how a missing one shows) is
+// refused instead of leaving a TLB whose victims no run would pick.
+func TestTLBLoadSnapRefusesBadLRUList(t *testing.T) {
+	tlb := NewTLB("tlb", 4)
+	for i := uint64(0); i < 3; i++ {
+		tlb.Insert(i<<pageShift, 0, false, false) // slots 0-2 valid, slot 3 free
+	}
+	w := snapbuf.NewWriter()
+	tlb.SaveSnap(w)
+	const list = 8 + 4*19 // slot count, then four 19-byte slots
+	for name, slot := range map[string]uint32{"repeated": 0, "invalid": 3, "out of range": 9} {
+		bad := append([]byte(nil), w.Bytes()...)
+		binary.LittleEndian.PutUint32(bad[list+4:], slot)
+		if err := NewTLB("tlb", 4).LoadSnap(snapbuf.NewReader(bad)); err == nil {
+			t.Errorf("%s slot in the LRU list accepted", name)
+		}
+	}
+	if err := NewTLB("tlb", 4).LoadSnap(snapbuf.NewReader(w.Bytes())); err != nil {
+		t.Fatalf("untampered snapshot refused: %v", err)
 	}
 }
 
