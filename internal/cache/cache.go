@@ -150,11 +150,9 @@ type Cache struct {
 	// The sets, one record each. A tag word is tagOf the line address
 	// with tagValid and tagDirty in its low bits; an invalid line keeps
 	// its stale address. SaveSnap writes each set's recency order as
-	// per-line stamps counting up from lruClock; the clock itself only
-	// changes when LoadSnap restores one.
-	sets     []set
-	setMask  uint64
-	lruClock uint64
+	// per-line stamps.
+	sets    []set
+	setMask uint64
 
 	// mshrs holds the in-flight misses, at most cfg.MSHRs of them;
 	// mshrLines[i] is the line mshrs[i] fetches, searched linearly.

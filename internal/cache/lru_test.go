@@ -94,7 +94,6 @@ func (r *stampLRU) snapshot(c *Cache) []byte {
 	w.String(c.cfg.Name)
 	w.U64(r.setMask + 1)
 	w.U64(uint64(r.ways))
-	w.U64(r.clock)
 	for i, l := range r.lines {
 		w.U64(l &^ (refValid | refDirty))
 		w.Bool(l&refValid != 0)

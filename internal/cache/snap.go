@@ -7,10 +7,10 @@ import (
 	"prosper/internal/snapbuf"
 )
 
-// SaveSnap encodes the level's tag arrays, LRU clock, and statistics.
-// Each line's record is (tag, valid, dirty, lru stamp); the level keeps
-// no per-line stamps, so the way at recency k of its set gets stamp
-// lruClock + ways - k, which orders exactly as the set's recency does.
+// SaveSnap encodes the level's tag arrays and statistics. Each line's
+// record is (tag, valid, dirty, lru stamp); the level keeps no per-line
+// stamps, so the way at recency k of its set gets stamp ways - k, which
+// orders exactly as the set's recency does.
 // Snapshots are taken at checkpoint-commit quiescent points where no
 // miss is in flight; a level with live MSHRs or stalled accesses rejects
 // the snapshot point rather than serializing continuations.
@@ -22,13 +22,12 @@ func (c *Cache) SaveSnap(w *snapbuf.Writer) error {
 	w.String(c.cfg.Name)
 	w.U64(c.setMask + 1)
 	w.U64(uint64(c.cfg.Ways))
-	w.U64(c.lruClock)
 	ways := c.cfg.Ways
 	var stamps [maxWays]uint64
 	for s := range c.sets {
 		st := &c.sets[s]
 		for k := range ways {
-			stamps[st.order>>(4*k)&0xF] = c.lruClock + uint64(ways-k)
+			stamps[st.order>>(4*k)&0xF] = uint64(ways - k)
 		}
 		for way, tag := range st.tags[:ways] {
 			w.U64(addrOf(tag))
@@ -57,7 +56,6 @@ func (c *Cache) LoadSnap(r *snapbuf.Reader) error {
 		return fmt.Errorf("cache: geometry mismatch: snapshot %s %dx%d, machine %s %dx%d",
 			name, sets, ways, c.cfg.Name, c.setMask+1, c.cfg.Ways)
 	}
-	c.lruClock = r.U64()
 	n := c.cfg.Ways
 	var stamps [maxWays]uint64
 	for s := range c.sets {

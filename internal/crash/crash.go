@@ -1,17 +1,21 @@
-// Package crash injects power failures into running simulations and
-// sweeps recovery across many crash points.
+// Package crash sweeps power failures and recovery across many crash
+// points of a running simulation.
+//
+// A power failure has one model in this repository: run the engine to
+// the crash cycle (sim.Engine.RunUntil), take machine.Machine.CrashImage
+// (only NVM writes whose timed device access completed, plus admitted
+// writes under ADR, are in it; DRAM and the caches are gone), boot a
+// fresh kernel on that image and recover the process with one
+// kernel.Kernel.RecoverProcess call.
 //
 // The harness is differential: a golden run of the same deterministic
 // spec records, at every checkpoint commit, the committed execution
 // position and the full functional stack image, plus the cycle of every
 // stack store. A second run of the identical simulation then cuts power
-// at every sampled engine cycle in ascending order via Injector: each
-// cut takes the surviving NVM image from the machine's persistence
-// domain (only writes whose timed device access completed, plus
-// admitted writes under ADR, are in it) without disturbing the run,
-// which goes on to the next cycle. Each image is then booted on a fresh
-// kernel, and the recovered process is checked against the golden
-// history:
+// at every sampled engine cycle in ascending order: taking each image
+// leaves the run undisturbed, so it goes on to the next cycle. Each image
+// is then booted on a fresh kernel, and the recovered process is checked
+// against the golden history:
 //
 //   - fsck of the surviving image must be clean at every crash point;
 //   - the epoch S the thread recovers to must be P or P+1, where P is
@@ -36,6 +40,7 @@ package crash
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -48,22 +53,6 @@ import (
 	"prosper/internal/sim"
 	"prosper/internal/workload"
 )
-
-// Injector schedules a power failure at an arbitrary engine cycle: it
-// runs the kernel's simulation up to (and including) cycle At and
-// returns the NVM image that survives a failure there. Taking the image
-// leaves the running machine untouched, so the same kernel can run on
-// to a later cut. Boot the image with a fresh
-// kernel.New(Config{Machine: machine.Config{Storage: img}}).
-type Injector struct {
-	At sim.Time
-}
-
-// Inject cuts power at in.At and returns the surviving NVM image.
-func (in Injector) Inject(k *kernel.Kernel) *mem.Storage {
-	k.Eng.RunUntil(in.At)
-	return k.Mach.CrashImage()
-}
 
 // Mechanisms lists the stack persistence mechanisms the sweep covers by
 // default (the planted-bug fixture "brokenfence" is resolvable but
@@ -399,13 +388,16 @@ func (cfg Config) images(pts []sim.Time) []*mem.Storage {
 	}
 	if cfg.Legacy {
 		runner.ForEach(cfg.Workers, len(pts), func(i int) {
-			imgs[i] = Injector{At: pts[i]}.Inject(run())
+			k := run()
+			k.Eng.RunUntil(pts[i])
+			imgs[i] = k.Mach.CrashImage()
 		})
 		return imgs
 	}
 	k := run()
 	for i, c := range pts {
-		imgs[i] = Injector{At: c}.Inject(k)
+		k.Eng.RunUntil(c)
+		imgs[i] = k.Mach.CrashImage()
 	}
 	return imgs
 }
@@ -427,17 +419,16 @@ func (cfg Config) check(g *golden, c sim.Time, img *mem.Storage) PointResult {
 		return res
 	}
 	prog := workload.NewCounter(cfg.Iterations)
-	recovered := false
-	var rp *kernel.Process
-	err = k2.RecoverProcess(kernel.ProcessConfig{
+	rp, err := k2.RecoverProcess(kernel.ProcessConfig{
 		Name:         "sweep",
 		StackMech:    fac,
 		StackReserve: cfg.StackReserve,
 		HeapSize:     cfg.HeapSize,
-	}, []workload.Program{prog}, func(p *kernel.Process) {
-		recovered = true
-		rp = p
-	})
+	}, []workload.Program{prog})
+	if errors.Is(err, kernel.ErrRecoveryDrained) {
+		res.Violation = err.Error()
+		return res
+	}
 	if err != nil {
 		res.Err = err.Error()
 		// Failing to recover is legitimate only before anything durable
@@ -445,11 +436,6 @@ func (cfg Config) check(g *golden, c sim.Time, img *mem.Storage) PointResult {
 		if res.Commit >= 1 {
 			res.Violation = "recovery failed after a durable commit: " + err.Error()
 		}
-		return res
-	}
-	k2.Eng.RunWhile(func() bool { return !recovered })
-	if !recovered {
-		res.Violation = "recovery never completed (engine drained)"
 		return res
 	}
 	defer rp.Shutdown()

@@ -80,7 +80,8 @@ func TestCrashBeforeFirstCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Well inside the first 50 µs interval: no checkpoint has started.
-	img := Injector{At: 20_000}.Inject(k)
+	k.Eng.RunUntil(20_000)
+	img := k.Mach.CrashImage()
 	if rep := kernel.Fsck(img); !rep.OK() {
 		t.Fatalf("fsck before first commit: %v", rep.Problems)
 	}
@@ -89,12 +90,12 @@ func TestCrashBeforeFirstCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	k2 := kernel.New(kernel.Config{Machine: machine.Config{Cores: 1, Storage: img}})
-	err = k2.RecoverProcess(kernel.ProcessConfig{
+	_, err = k2.RecoverProcess(kernel.ProcessConfig{
 		Name:         "sweep",
 		StackMech:    fac,
 		StackReserve: cfg.StackReserve,
 		HeapSize:     cfg.HeapSize,
-	}, []workload.Program{workload.NewCounter(cfg.Iterations)}, nil)
+	}, []workload.Program{workload.NewCounter(cfg.Iterations)})
 	if err == nil {
 		t.Fatal("recovery fabricated a process with no durable checkpoint")
 	}
@@ -104,8 +105,8 @@ func TestCrashBeforeFirstCommit(t *testing.T) {
 }
 
 // TestInjectorDeterministicAndPure pins the assumption the shared-run
-// sweep rests on: taking crash images does not perturb the run they are
-// taken from. A run imaged at many cycles, including the same cycle
+// sweep rests on: injecting crashes (RunUntil, then CrashImage) does not
+// perturb the run the images are taken from. A run imaged at many cycles, including the same cycle
 // twice, must end with the same stats dump and the same crash image as
 // a run imaged only at the end, under both persistence domains (the ADR
 // image also reads the domain's in-flight lines). Equal final images
@@ -122,9 +123,11 @@ func TestInjectorDeterministicAndPure(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, c := range cuts {
-					Injector{At: c}.Inject(k)
+					k.Eng.RunUntil(c)
+					k.Mach.CrashImage()
 				}
-				img := Injector{At: end}.Inject(k)
+				k.Eng.RunUntil(end)
+				img := k.Mach.CrashImage()
 				var buf bytes.Buffer
 				k.DumpStats(&buf)
 				return buf.Bytes(), img

@@ -109,10 +109,7 @@ func Analyze(jl *Journal, topK int) *Analysis {
 			}
 			return order[i].Seq < order[k].Seq
 		})
-		if topK > len(order) {
-			topK = len(order)
-		}
-		for i := 0; i < topK; i++ {
+		for i := 0; i < min(topK, len(order)); i++ {
 			j := order[i]
 			kind := "load"
 			if j.Write {

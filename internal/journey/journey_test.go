@@ -363,3 +363,21 @@ func TestAnalyzeTopK(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeTopKPerRun: K bounds each run's table on its own, so a run
+// with fewer finished journeys than K does not shorten the next run's.
+func TestAnalyzeTopKPerRun(t *testing.T) {
+	jl := NewJournal()
+	for i, n := range []int{2, 5} {
+		r := jl.NewRecorder(fmt.Sprintf("run-%d", i), 1, 1)
+		for lat := sim.Time(1); lat <= sim.Time(n); lat++ {
+			jid := r.Start(0, false, uint64(0x1000*lat), 8, 1)
+			r.Span(jid, StageL1, CauseHit, 0, lat)
+			r.SegDone(jid, lat)
+		}
+	}
+	a := Analyze(roundTrip(t, jl), 4)
+	if got := []int{len(a.Runs[0].Top), len(a.Runs[1].Top)}; got[0] != 2 || got[1] != 4 {
+		t.Fatalf("top table lengths = %v, want [2 4]", got)
+	}
+}

@@ -59,17 +59,14 @@ func TestCrashConsistencyProperty(t *testing.T) {
 		// Run past the last commit (dirtying more stack), then crash.
 		k.RunFor(sim.Time(10+int(phaseSeeds[0])%50) * sim.Microsecond)
 		p.Shutdown()
-		k.Mach.Crash()
 
-		k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k.Mach.Storage}})
-		var rec *Process
-		err := k2.RecoverProcess(cfg, []workload.Program{
+		k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k.Mach.CrashImage()}})
+		rec, err := k2.RecoverProcess(cfg, []workload.Program{
 			workload.NewRandom(workload.MicroParams{ArrayBytes: 16 << 10, WritesPerRun: 64}),
-		}, func(pr *Process) { rec = pr })
+		})
 		if err != nil {
 			return false
 		}
-		k2.Eng.RunWhile(func() bool { return rec == nil })
 		got := readStack(k2, rec, 0)
 		rec.Shutdown()
 		return bytes.Equal(got, lastCommit)
@@ -118,17 +115,14 @@ func TestCrashMidCheckpointIsAtomic(t *testing.T) {
 			atCommit = readStack(k, p, 0)
 		}
 		p.Shutdown()
-		k.Mach.Crash()
 
-		k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k.Mach.Storage}})
-		var rec *Process
-		err := k2.RecoverProcess(cfg, []workload.Program{
+		k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k.Mach.CrashImage()}})
+		rec, err := k2.RecoverProcess(cfg, []workload.Program{
 			workload.NewRandom(workload.MicroParams{ArrayBytes: 8 << 10, WritesPerRun: 64}),
-		}, func(pr *Process) { rec = pr })
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		k2.Eng.RunWhile(func() bool { return rec == nil })
 		got := readStack(k2, rec, 0)
 		rec.Shutdown()
 

@@ -44,8 +44,7 @@ func TestFsckCleanImage(t *testing.T) {
 
 func TestFsckCleanAfterCrash(t *testing.T) {
 	k := buildCheckpointedState(t)
-	k.Mach.Crash()
-	rep := Fsck(k.Mach.Storage)
+	rep := Fsck(k.Mach.CrashImage())
 	if !rep.OK() {
 		t.Fatalf("post-crash NVM reported problems: %v", rep.Problems)
 	}

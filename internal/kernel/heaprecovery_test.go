@@ -42,15 +42,12 @@ func TestFullMemoryStateRecovery(t *testing.T) {
 	// Keep running past the checkpoint (more dirt), then crash.
 	k.RunFor(150 * sim.Microsecond)
 	p.Shutdown()
-	k.Mach.Crash()
 
-	k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k.Mach.Storage}})
-	var rec *Process
-	if err := k2.RecoverProcess(cfg, []workload.Program{workload.NewCounter(10_000_000)},
-		func(pr *Process) { rec = pr }); err != nil {
+	k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k.Mach.CrashImage()}})
+	rec, err := k2.RecoverProcess(cfg, []workload.Program{workload.NewCounter(10_000_000)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	k2.Eng.RunWhile(func() bool { return rec == nil })
 
 	gotHeap := readSegment(k2, rec, rec.HeapSeg.Lo, rec.HeapSeg.Hi)
 	gotStack := readStack(k2, rec, 0)

@@ -173,24 +173,15 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatal("program made no progress")
 	}
 
-	// Power failure.
-	k1.Mach.Crash()
-	storage := k1.Mach.Storage
-
-	// Reboot on the same NVM.
+	// Power failure, then reboot on the surviving NVM.
 	k2 := New(Config{
-		Machine: machine.Config{Cores: 1, Storage: storage},
+		Machine: machine.Config{Cores: 1, Storage: k1.Mach.CrashImage()},
 		Quantum: 200 * sim.Microsecond,
 	})
-	var recovered *Process
 	prog2 := workload.NewCounter(100000)
-	err := k2.RecoverProcess(cfg, []workload.Program{prog2}, func(p *Process) { recovered = p })
+	recovered, err := k2.RecoverProcess(cfg, []workload.Program{prog2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	k2.Eng.RunWhile(func() bool { return recovered == nil })
-	if recovered == nil {
-		t.Fatal("recovery never completed")
 	}
 	// The program resumed from the last checkpoint: progress is > 0 (not
 	// restarted) and <= the crash progress (no time travel).
@@ -233,15 +224,12 @@ func TestRecoveredStackMatchesCheckpoint(t *testing.T) {
 	}
 	// Keep running (dirtying the stack beyond the checkpoint), then crash.
 	k1.RunFor(1 * sim.Millisecond)
-	k1.Mach.Crash()
 
-	k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k1.Mach.Storage}})
-	var rec *Process
-	err := k2.RecoverProcess(cfg, []workload.Program{workload.NewCounter(100000)}, func(p *Process) { rec = p })
+	k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k1.Mach.CrashImage()}})
+	rec, err := k2.RecoverProcess(cfg, []workload.Program{workload.NewCounter(100000)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2.Eng.RunWhile(func() bool { return rec == nil })
 
 	got := make([]byte, 8192)
 	thr2 := rec.Threads[0]
@@ -260,7 +248,7 @@ func TestRecoveredStackMatchesCheckpoint(t *testing.T) {
 
 func TestRecoverUnknownProcessFails(t *testing.T) {
 	k := testKernel(1)
-	err := k.RecoverProcess(ProcessConfig{Name: "ghost"}, []workload.Program{workload.NewCounter(1)}, nil)
+	_, err := k.RecoverProcess(ProcessConfig{Name: "ghost"}, []workload.Program{workload.NewCounter(1)})
 	if err == nil {
 		t.Fatal("recovering unknown process should fail")
 	}
@@ -316,7 +304,7 @@ func TestSuperblockSurvivesReboot(t *testing.T) {
 	k1.Spawn(ProcessConfig{Name: "a"}, workload.NewCounter(1))
 	k1.Spawn(ProcessConfig{Name: "b"}, workload.NewCounter(1))
 	k1.RunUntilDone(sim.Second)
-	k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k1.Mach.Storage}})
+	k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k1.Mach.CrashImage()}})
 	if _, ok := k2.super.findProc("a"); !ok {
 		t.Fatal("proc a lost across reboot")
 	}

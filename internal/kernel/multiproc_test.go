@@ -79,18 +79,18 @@ func TestCrashRecoveryWithTwoProcesses(t *testing.T) {
 	k1.Spawn(cfgA, a1)
 	k1.Spawn(cfgB, b1)
 	k1.RunFor(1 * sim.Millisecond)
-	k1.Mach.Crash()
 
-	k2 := New(Config{Machine: machine.Config{Cores: 2, Storage: k1.Mach.Storage}})
+	// Recover the two processes one after the other.
+	k2 := New(Config{Machine: machine.Config{Cores: 2, Storage: k1.Mach.CrashImage()}})
 	a2, b2 := workload.NewCounter(10_000_000), workload.NewCounter(10_000_000)
-	var recA, recB *Process
-	if err := k2.RecoverProcess(cfgA, []workload.Program{a2}, func(p *Process) { recA = p }); err != nil {
+	recA, err := k2.RecoverProcess(cfgA, []workload.Program{a2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k2.RecoverProcess(cfgB, []workload.Program{b2}, func(p *Process) { recB = p }); err != nil {
+	recB, err := k2.RecoverProcess(cfgB, []workload.Program{b2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	k2.Eng.RunWhile(func() bool { return recA == nil || recB == nil })
 	if a2.Progress() == 0 || b2.Progress() == 0 {
 		t.Fatalf("recovery positions: a=%d b=%d", a2.Progress(), b2.Progress())
 	}

@@ -91,7 +91,7 @@ func TestNVMResidentStackSurvivesCrash(t *testing.T) {
 
 // Prosper/Dirtybit place the stack in DRAM: the working pages must be in
 // DRAM (that is their performance advantage) and must NOT survive the
-// crash in place — recovery must come from the NVM image instead.
+// crash — recovery must come from the NVM image instead.
 func TestDRAMResidentStackDropsAtCrash(t *testing.T) {
 	k := New(Config{Machine: machine.Config{Cores: 1}})
 	p := k.Spawn(ProcessConfig{
@@ -127,9 +127,8 @@ func TestDRAMResidentStackDropsAtCrash(t *testing.T) {
 		t.Fatal("no written stack page found before crash")
 	}
 	p.Shutdown()
-	k.Mach.Crash()
 	after := make([]byte, mem.PageSize)
-	k.Mach.Storage.Read(dirtyPage, after)
+	k.Mach.CrashImage().Read(dirtyPage, after)
 	for _, b := range after {
 		if b != 0 {
 			t.Fatal("DRAM stack bytes survived the crash")

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 
 	"prosper/internal/mem"
@@ -11,25 +12,31 @@ import (
 	"prosper/internal/workload"
 )
 
-// RecoverProcess rebuilds a crashed process from its NVM checkpoint area.
+// ErrRecoveryDrained reports that the engine ran out of events before a
+// recovering process became runnable.
+var ErrRecoveryDrained = errors.New("recovery never completed (engine drained)")
+
+// RecoverProcess rebuilds a crashed process from its NVM checkpoint area
+// on a kernel booted from a crash image (machine.Machine.CrashImage).
 // The caller provides the same ProcessConfig and fresh program instances
 // (like an init script relaunching services); the kernel re-binds them to
 // the persisted segments, runs each mechanism's recovery path to restore
 // DRAM contents (and repair torn applies), restores the register state
 // and, for checkpointable programs, the execution position of the last
-// committed checkpoint. done fires when the process is runnable again.
+// committed checkpoint. It runs the engine until the process is runnable
+// again and returns it, or ErrRecoveryDrained if the engine drains first.
 // Like Spawn, it panics when the stack and the heap both use a Prosper
 // tracker.
-func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program, done func(*Process)) error {
+func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program) (*Process, error) {
 	cfg = cfg.withDefaults()
 	checkTrackerUse(cfg)
 	headerAddr, ok := k.super.findProc(cfg.Name)
 	if !ok {
-		return fmt.Errorf("kernel: no checkpoint area for process %q", cfg.Name)
+		return nil, fmt.Errorf("kernel: no checkpoint area for process %q", cfg.Name)
 	}
 	for _, q := range k.procs {
 		if q.Name == cfg.Name {
-			return fmt.Errorf("kernel: process %q is already running", cfg.Name)
+			return nil, fmt.Errorf("kernel: process %q is already running", cfg.Name)
 		}
 	}
 	st := k.Mach.Storage
@@ -40,10 +47,10 @@ func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program, don
 	stackReserve := mustU64(hdr, 16)
 	heapSize := mustU64(hdr, 24)
 	if nThreads != len(progs) {
-		return fmt.Errorf("kernel: %d programs supplied for %d persisted threads", len(progs), nThreads)
+		return nil, fmt.Errorf("kernel: %d programs supplied for %d persisted threads", len(progs), nThreads)
 	}
 	if stackReserve != cfg.StackReserve || heapSize != cfg.HeapSize {
-		return fmt.Errorf("kernel: recovery config mismatch (reserve %d vs %d, heap %d vs %d)",
+		return nil, fmt.Errorf("kernel: recovery config mismatch (reserve %d vs %d, heap %d vs %d)",
 			cfg.StackReserve, stackReserve, cfg.HeapSize, heapSize)
 	}
 
@@ -121,7 +128,7 @@ func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program, don
 			}
 		}
 		if !found {
-			return fmt.Errorf("kernel: thread %d has no register checkpoint", i)
+			return nil, fmt.Errorf("kernel: thread %d has no register checkpoint", i)
 		}
 		sp := mustU64(reg, 0)
 		storeSeq := mustU64(reg, 8)
@@ -175,6 +182,7 @@ func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program, don
 
 	// Run every mechanism's recovery path, then make threads runnable.
 	pending := len(p.Threads) + 1
+	runnable := false
 	complete := func() {
 		pending--
 		if pending > 0 {
@@ -186,9 +194,7 @@ func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program, don
 		if cfg.CheckpointInterval > 0 {
 			p.ckptTicker = k.Eng.NewTicker(sim.CompKernel, cfg.CheckpointInterval, func() { k.checkpointProcess(p, nil) })
 		}
-		if done != nil {
-			done(p)
-		}
+		runnable = true
 	}
 	for _, t := range p.Threads {
 		t.mech.Recover(complete)
@@ -198,5 +204,9 @@ func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program, don
 	} else {
 		k.Eng.Schedule(sim.CompKernel, 0, func() { complete() })
 	}
-	return nil
+	k.Eng.RunWhile(func() bool { return !runnable })
+	if !runnable {
+		return nil, ErrRecoveryDrained
+	}
+	return p, nil
 }

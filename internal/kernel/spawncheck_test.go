@@ -67,20 +67,17 @@ func TestMaxLengthNameRecovers(t *testing.T) {
 	if p1.CheckpointCount == 0 {
 		t.Fatal("no checkpoints before crash")
 	}
-	k1.Mach.Crash()
-
-	k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k1.Mach.Storage}})
-	var rec *Process
+	k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k1.Mach.CrashImage()}})
 	prog := workload.NewCounter(100000)
-	if err := k2.RecoverProcess(cfg, []workload.Program{prog}, func(p *Process) { rec = p }); err != nil {
+	rec, err := k2.RecoverProcess(cfg, []workload.Program{prog})
+	if err != nil {
 		t.Fatal(err)
 	}
-	k2.Eng.RunWhile(func() bool { return rec == nil })
-	if rec == nil || rec.Name != cfg.Name || prog.Progress() == 0 {
+	if rec.Name != cfg.Name || prog.Progress() == 0 {
 		t.Fatalf("recovery of a %d-byte name did not restore the process", len(cfg.Name))
 	}
 	// A second recovery of the running process would duplicate it.
-	if err := k2.RecoverProcess(cfg, []workload.Program{workload.NewCounter(100000)}, nil); err == nil {
+	if _, err := k2.RecoverProcess(cfg, []workload.Program{workload.NewCounter(100000)}); err == nil {
 		t.Fatal("recovering an already running process should fail")
 	}
 	rec.Shutdown()
@@ -99,7 +96,7 @@ func TestTrackerOnStackAndHeapPanics(t *testing.T) {
 			k.Spawn(cfg, workload.NewCounter(10))
 		})
 		mustPanic(t, "both use a Prosper tracker", func() {
-			k.RecoverProcess(cfg, []workload.Program{workload.NewCounter(10)}, nil)
+			k.RecoverProcess(cfg, []workload.Program{workload.NewCounter(10)})
 		})
 	}
 	k := testKernel(1)

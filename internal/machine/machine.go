@@ -26,10 +26,10 @@ type Config struct {
 	Cores int
 
 	// Storage, when non-nil, backs the machine with an existing
-	// functional store — the post-crash reboot path: NVM contents
-	// survive in the shared Storage while the new machine starts with
-	// cold caches and TLBs. The surviving NVM content seeds the new
-	// machine's persistence domain as already-durable.
+	// functional store — the post-crash reboot path, which passes a
+	// CrashImage: the surviving NVM content seeds the new machine's
+	// persistence domain as already-durable, while the new machine
+	// starts with cold caches and TLBs.
 	Storage *mem.Storage
 
 	// ADR enables asynchronous-DRAM-refresh-style flush-on-fail
@@ -139,24 +139,14 @@ func (m *Machine) AttachJourneys(r *journey.Recorder) {
 	m.Ctl.NVM.AttachJourneys(r, true)
 }
 
-// Crash models a power failure in place on the shared Storage: all
-// caches and DRAM contents are lost, and NVM reverts to the persistence
-// domain's durable shadow — only writes whose timed device access had
-// completed (plus, in ADR mode, writes already admitted to the device)
-// survive; everything else, including functional-only NVM updates that
-// never went through the controller, is rolled back. Pending simulation
-// events are abandoned by the caller constructing a fresh Machine for
-// the post-crash boot (see CrashImage for the non-mutating variant).
-func (m *Machine) Crash() {
-	m.Domain.Crash()
-	m.Storage.DropRange(mem.DRAMBase, mem.DRAMSize)
-	m.Counters.Inc("machine.crashes")
-}
-
-// CrashImage returns the Storage a power failure at this instant would
-// leave behind — the durable NVM shadow only, with DRAM absent — without
-// disturbing the running machine. Handing it to a fresh Machine (via
-// Config.Storage) boots the post-crash survivor.
+// CrashImage models a power failure at this instant: it returns the
+// Storage the failure leaves behind, without disturbing the running
+// machine. All caches and DRAM contents are lost; NVM holds only writes
+// whose timed device access had completed (plus, in ADR mode, writes
+// already admitted to the device), so functional-only NVM updates that
+// never went through the controller are lost too. Handing the image to
+// a fresh Machine (via Config.Storage) boots the post-crash survivor;
+// the crashed machine's pending events are simply never run again.
 func (m *Machine) CrashImage() *mem.Storage {
 	return m.Domain.CrashImage()
 }

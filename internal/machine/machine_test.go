@@ -309,29 +309,31 @@ func TestWriteReadPhys(t *testing.T) {
 	}
 }
 
+// TestCrashDropsDRAMKeepsNVM: the image a power failure leaves holds no
+// DRAM, keeps every NVM write whose timed device access completed, and
+// loses a functional-only NVM update, under both persistence domains.
 func TestCrashDropsDRAMKeepsNVM(t *testing.T) {
-	m, core, _ := testEnv(t)
-	core.Write(0x10000, []byte{7}, nil)
-	m.Eng.Run()
-	// A write whose timed device access completed is inside the
-	// persistence domain and survives.
-	m.WritePhys(mem.NVMBase+0x100, []byte{0xed, 0xfe}, nil)
-	m.Eng.Run()
-	// A functional-only NVM update never went through the device: it is
-	// still on the volatile side of the domain and must NOT survive.
-	m.Storage.WriteU64(mem.NVMBase+0x200, 0xdead)
-	m.Crash()
-	buf := make([]byte, 1)
-	// All DRAM pages are zero after crash.
-	m.Storage.Read(0x10000, buf)
-	if buf[0] != 0 {
-		t.Fatal("DRAM survived crash")
-	}
-	if got := m.Storage.ReadU64(mem.NVMBase + 0x100); got&0xffff != 0xfeed {
-		t.Fatalf("durable NVM lost at crash: %#x", got)
-	}
-	if m.Storage.ReadU64(mem.NVMBase+0x200) != 0 {
-		t.Fatal("volatile NVM write survived crash")
+	for _, adr := range []bool{false, true} {
+		m := New(Config{Cores: 1, ADR: adr})
+		// Even a DRAM write that reached the device is volatile.
+		m.WritePhys(0x10000, []byte{7}, nil)
+		// A write whose timed device access completed is inside the
+		// persistence domain and survives.
+		m.WritePhys(mem.NVMBase+0x100, []byte{0xed, 0xfe}, nil)
+		m.Eng.Run()
+		// A functional-only NVM update never went through the device: it is
+		// still on the volatile side of the domain and must NOT survive.
+		m.Storage.WriteU64(mem.NVMBase+0x200, 0xdead)
+		img := m.CrashImage()
+		if img.Backed(0x10000) || img.ReadU64(0x10000) != 0 {
+			t.Fatalf("ADR %v: DRAM survived crash", adr)
+		}
+		if got := img.ReadU64(mem.NVMBase + 0x100); got&0xffff != 0xfeed {
+			t.Fatalf("ADR %v: durable NVM lost at crash: %#x", adr, got)
+		}
+		if img.ReadU64(mem.NVMBase+0x200) != 0 {
+			t.Fatalf("ADR %v: volatile NVM write survived crash", adr)
+		}
 	}
 }
 

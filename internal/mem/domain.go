@@ -43,10 +43,6 @@ type Domain struct {
 	// in-flight write per line, so without the pool every first admission
 	// of a line allocates a fresh single-snapshot slice.
 	snapPool [][]lineSnap //prosperlint:ignore snapshot allocation recycling only; LoadSnap resets it and contents never affect behavior
-	// stale counts completion events that will still fire for writes
-	// whose snapshots a Crash already discarded (the in-place crash path
-	// keeps the engine alive); they must not consume post-crash entries.
-	stale map[uint64]int
 }
 
 type lineSnap [LineSize]byte
@@ -61,7 +57,6 @@ func NewDomain(live *Storage, adr bool) *Domain {
 		durable: live.CloneRange(NVMBase, NVMSize),
 		adr:     adr,
 		pending: make(map[uint64][]lineSnap),
-		stale:   make(map[uint64]int),
 	}
 }
 
@@ -94,15 +89,6 @@ func (d *Domain) WriteCompleted(addr uint64) {
 		return
 	}
 	line := LineOf(addr)
-	if n := d.stale[line]; n > 0 {
-		// Completion of a write whose power was cut mid-flight.
-		if n == 1 {
-			delete(d.stale, line)
-		} else {
-			d.stale[line] = n - 1
-		}
-		return
-	}
 	q := d.pending[line]
 	if len(q) == 0 {
 		return
@@ -169,23 +155,4 @@ func (d *Domain) pendingLinesSorted() []uint64 {
 	}
 	slices.Sort(lines)
 	return lines
-}
-
-// Crash applies power-failure semantics to the live Storage in place:
-// in ADR mode admitted writes drain into the durable shadow first, then
-// every in-flight snapshot is discarded and the live NVM range is
-// replaced by the durable shadow. The caller separately drops DRAM.
-// Completion events already scheduled for the discarded writes are
-// remembered so they cannot consume post-crash admissions.
-func (d *Domain) Crash() {
-	for _, line := range d.pendingLinesSorted() {
-		q := d.pending[line]
-		if d.adr {
-			snap := q[len(q)-1]
-			d.durable.Write(line, snap[:])
-		}
-		d.stale[line] += len(q)
-	}
-	d.pending = make(map[uint64][]lineSnap)
-	d.live.ReplaceRange(NVMBase, NVMSize, d.durable)
 }

@@ -143,28 +143,3 @@ func TestDomainCrashImagePure(t *testing.T) {
 		t.Fatalf("in-flight write lost after imaging: %#x", got)
 	}
 }
-
-// Crash applies power-failure semantics in place and keeps the engine
-// reusable: completions for discarded pre-crash writes must not consume
-// post-crash admissions.
-func TestDomainCrashInPlaceStaleCompletions(t *testing.T) {
-	eng, st, dom, dev := domainRig(false)
-	st.WriteU64(NVMBase, 0xA1)
-	dev.Access(true, NVMBase, sim.Done{})
-	eng.RunUntil(100) // crash with the write still in flight
-	dom.Crash()
-	if got := st.ReadU64(NVMBase); got != 0 {
-		t.Fatalf("live NVM kept lost bytes after crash: %#x", got)
-	}
-	// The rebooted software writes the line again; the stale completion
-	// event from before the crash fires first and must be ignored.
-	st.WriteU64(NVMBase, 0xB2)
-	dev.Access(true, NVMBase, sim.Done{})
-	eng.Run()
-	if got := dom.CrashImage().ReadU64(NVMBase); got != 0xB2 {
-		t.Fatalf("durable value after reboot = %#x, want 0xB2", got)
-	}
-	if dom.PendingLines() != 0 {
-		t.Fatalf("PendingLines = %d, want 0", dom.PendingLines())
-	}
-}

@@ -147,59 +147,31 @@ func TestStorageCopyDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestStorageDropRange(t *testing.T) {
-	s := NewStorage()
-	s.WriteU64(0x2000, 1)           // DRAM
-	s.WriteU64(NVMBase+0x2000, 2)   // NVM
-	s.DropRange(DRAMBase, DRAMSize) // power failure: DRAM vanishes
-	if got := s.ReadU64(0x2000); got != 0 {
-		t.Fatalf("DRAM survived drop: %d", got)
-	}
-	if got := s.ReadU64(NVMBase + 0x2000); got != 2 {
-		t.Fatalf("NVM lost after DRAM drop: %d", got)
-	}
-}
-
 // TestStoragePageMemoInvalidation reads pages through the page memo,
-// then removes or replaces them with DropRange, ReplaceRange and
-// LoadSnap: each must read back as zero or the new contents, never the
-// memoized page.
+// then replaces them with LoadSnap: each must read back as zero or the
+// new contents, never the memoized page.
 func TestStoragePageMemoInvalidation(t *testing.T) {
 	const addr = 0x3008
 	s := NewStorage()
 	s.ReadU64(addr) // a nil lookup must not be memoized
-	s.WriteU64(addr, 1)
-	if got := s.ReadU64(addr); got != 1 { // memoized
-		t.Fatalf("read = %d, want 1", got)
+	if n := s.MaterializedPages(); n != 0 {
+		t.Fatalf("a read materialized %d pages", n)
 	}
-	s.WriteU64(addr+PageSize, 5) // memoized in another slot
-	s.DropRange(DRAMBase, DRAMSize)
-	if got, next := s.ReadU64(addr), s.ReadU64(addr+PageSize); got != 0 || next != 0 {
-		t.Fatalf("dropped pages read %d and %d through the memo, want 0", got, next)
-	}
-	s.WriteU64(addr, 2)
-	if got, n := s.ReadU64(addr), s.MaterializedPages(); got != 2 || n != 1 {
-		t.Fatalf("rewrite after drop: read %d with %d pages, want 2 with 1", got, n)
+	s.WriteU64(addr, 3)
+	s.WriteU64(addr+PageSize, 5)
+	if got, next := s.ReadU64(addr), s.ReadU64(addr+PageSize); got != 3 || next != 5 { // memoized
+		t.Fatalf("read %d and %d, want 3 and 5", got, next)
 	}
 
 	from := NewStorage()
-	from.WriteU64(addr, 3)
-	s.ReplaceRange(DRAMBase, DRAMSize, from)
-	if got := s.ReadU64(addr); got != 3 {
-		t.Fatalf("replaced page read %d, want 3", got)
-	}
-
-	w := snapbuf.NewWriter()
 	from.WriteU64(addr, 4)
+	w := snapbuf.NewWriter()
 	from.SaveSnap(w)
-	if got := s.ReadU64(addr); got != 3 { // memoize the page LoadSnap replaces
-		t.Fatalf("read = %d, want 3", got)
-	}
 	if err := s.LoadSnap(snapbuf.NewReader(w.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ReadU64(addr); got != 4 {
-		t.Fatalf("loaded page read %d, want 4", got)
+	if got, next := s.ReadU64(addr), s.ReadU64(addr+PageSize); got != 4 || next != 0 {
+		t.Fatalf("loaded pages read %d and %d through the memo, want 4 and 0", got, next)
 	}
 }
 

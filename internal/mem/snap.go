@@ -78,8 +78,8 @@ func (a *FrameAllocator) LoadSnap(r *snapbuf.Reader) error {
 }
 
 // SaveSnap encodes the persistence domain: the durable shadow plus every
-// in-flight (admitted, not yet completed) line snapshot and the stale
-// completion counts, in sorted line order.
+// in-flight (admitted, not yet completed) line snapshot, in sorted line
+// order.
 func (d *Domain) SaveSnap(w *snapbuf.Writer) {
 	w.Bool(d.adr)
 	d.durable.SaveSnap(w)
@@ -92,16 +92,6 @@ func (d *Domain) SaveSnap(w *snapbuf.Writer) {
 		for i := range q {
 			w.Bytes8(q[i][:])
 		}
-	}
-	stale := make([]uint64, 0, len(d.stale))
-	for line := range d.stale {
-		stale = append(stale, line)
-	}
-	slices.Sort(stale)
-	w.U64(uint64(len(stale)))
-	for _, line := range stale {
-		w.U64(line)
-		w.Int(d.stale[line])
 	}
 }
 
@@ -138,12 +128,6 @@ func (d *Domain) LoadSnap(r *snapbuf.Reader) error {
 			q = append(q, snap)
 		}
 		d.pending[line] = q
-	}
-	sn := r.Count(16)
-	d.stale = make(map[uint64]int, sn)
-	for i := 0; i < sn; i++ {
-		line := r.U64()
-		d.stale[line] = r.Int()
 	}
 	return r.Err()
 }

@@ -112,8 +112,6 @@ func TestDomainSnapRoundTripAndMismatch(t *testing.T) {
 	var snap lineSnap
 	copy(snap[:], "in flight")
 	d.pending[128] = []lineSnap{snap, snap}
-	d.stale[192] = 2
-	d.stale[64] = 1
 	w := snapbuf.NewWriter()
 	d.SaveSnap(w)
 	data := w.Bytes()

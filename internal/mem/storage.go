@@ -14,8 +14,8 @@ type Storage struct {
 	// memo is a direct-mapped cache of recent non-nil page lookups,
 	// indexed by page number, so pages touched in turn (a stack page and
 	// its tracker's bitmap page) do not evict each other. A derived
-	// cache of pages: DropRange and LoadSnap clear it, and a nil lookup
-	// never fills it.
+	// cache of pages: pages are never removed, only replaced wholesale
+	// by LoadSnap, which clears it; a nil lookup never fills it.
 	memo [memoSlots]memoSlot //prosperlint:ignore snapshot derived cache of pages; LoadSnap clears it and SaveSnap has nothing to save
 }
 
@@ -149,21 +149,6 @@ func (s *Storage) copyChunk(dst, src, n uint64) {
 	}
 }
 
-// DropRange discards all pages fully contained in [base, base+size),
-// emulating loss of a volatile device's content at power failure. The
-// range must be page-aligned.
-func (s *Storage) DropRange(base, size uint64) {
-	if base%PageSize != 0 || size%PageSize != 0 {
-		panic(fmt.Sprintf("mem: DropRange not page aligned: %#x+%#x", base, size))
-	}
-	s.memo = [memoSlots]memoSlot{}
-	for pageBase := range s.pages {
-		if pageBase >= base && pageBase < base+size {
-			delete(s.pages, pageBase)
-		}
-	}
-}
-
 // MaterializedPages returns how many pages are currently backed, a proxy
 // for simulator memory footprint.
 func (s *Storage) MaterializedPages() int { return len(s.pages) }
@@ -187,18 +172,4 @@ func (s *Storage) CloneRange(base, size uint64) *Storage {
 		}
 	}
 	return out
-}
-
-// ReplaceRange makes s's content in [base, base+size) an exact deep copy
-// of from's content in the same range: pages materialized only in s are
-// dropped, pages in from are copied. The range must be page-aligned.
-func (s *Storage) ReplaceRange(base, size uint64, from *Storage) {
-	s.DropRange(base, size)
-	for pageBase, p := range from.pages {
-		if pageBase >= base && pageBase < base+size {
-			cp := new([PageSize]byte)
-			*cp = *p
-			s.pages[pageBase] = cp
-		}
-	}
 }

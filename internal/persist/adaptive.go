@@ -9,29 +9,25 @@ package persist
 // cost) and refine it when they are sparse.
 type AdaptiveConfig struct {
 	Prosper ProsperConfig
-	// MinGran..MaxGran bound the granularity (defaults 8..4096; 4096
-	// makes dense phases behave like the page-level Dirtybit scheme).
+	// MinGran is the finest granularity (default 8); the coarsest is
+	// maxGran.
 	MinGran uint64
-	MaxGran uint64
-	// DenseFrac and SparseFrac are the dirty-density thresholds that
-	// trigger escalation and refinement (defaults 0.5 and 0.125).
-	DenseFrac  float64
-	SparseFrac float64
 }
+
+// Fixed adaptation parameters. maxGran bounds escalation (4096 makes
+// dense phases behave like the page-level Dirtybit scheme); denseFrac
+// and sparseFrac are the dirty-density thresholds that trigger
+// escalation and refinement.
+const (
+	maxGran    = uint64(4096)
+	denseFrac  = 0.5
+	sparseFrac = 0.125
+)
 
 func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	c.Prosper = c.Prosper.withDefaults()
 	if c.MinGran == 0 {
 		c.MinGran = 8
-	}
-	if c.MaxGran == 0 {
-		c.MaxGran = 4096
-	}
-	if c.DenseFrac == 0 {
-		c.DenseFrac = 0.5
-	}
-	if c.SparseFrac == 0 {
-		c.SparseFrac = 0.125
 	}
 	return c
 }
@@ -81,10 +77,10 @@ func (a *AdaptiveProsper) adjust(r Result, winLo, winHi uint64, any bool) {
 	density := float64(r.BytesCopied) / float64(winHi-winLo)
 	gran := a.state.MSRs.Gran
 	switch {
-	case density > a.acfg.DenseFrac && gran < a.acfg.MaxGran:
+	case density > denseFrac && gran < maxGran:
 		gran *= 2
 		a.Counters.Inc("adaptive.escalations")
-	case density < a.acfg.SparseFrac && gran > a.acfg.MinGran:
+	case density < sparseFrac && gran > a.acfg.MinGran:
 		gran /= 2
 		a.Counters.Inc("adaptive.refinements")
 	default:

@@ -87,7 +87,7 @@ func TestAdaptiveRespectsBounds(t *testing.T) {
 		adaptiveCheckpoint(t, env, mech)
 	}
 	if mech.Gran() > 4096 {
-		t.Fatalf("gran = %d beyond MaxGran", mech.Gran())
+		t.Fatalf("gran = %d beyond maxGran", mech.Gran())
 	}
 }
 

@@ -18,13 +18,20 @@ const (
 	segHi = uint64(0x7008_0000) // 512 KiB segment
 )
 
-// testEnv builds a machine, an address space with the segment mapped
+// newEnv builds a machine, an address space with the segment mapped
 // on-demand, per-core trackers, and NVM areas for a mechanism under test.
 func newEnv(t *testing.T) (*Env, Segment, *machine.Core) {
 	if t != nil {
 		t.Helper()
 	}
-	m := machine.New(machine.Config{Cores: 1})
+	return bootEnv(nil)
+}
+
+// bootEnv is newEnv on a machine booted from st (nil: empty memory).
+// The segment's NVM areas come from a fresh frame allocator, so a
+// machine booted from a crash image finds them where they were.
+func bootEnv(st *mem.Storage) (*Env, Segment, *machine.Core) {
+	m := machine.New(machine.Config{Cores: 1, Storage: st})
 	as := vm.NewAddressSpace(m.DRAMFrames, m.NVMFrames)
 	core := m.Cores[0]
 	core.AS = as
@@ -336,11 +343,18 @@ func TestSSPConsolidationRuns(t *testing.T) {
 	ssp.Detach()
 }
 
-// unmapForBoot gives [lo, hi) the empty mappings of a fresh boot.
-func unmapForBoot(env *Env, lo, hi uint64) {
-	for va := lo; va < hi; va += mem.PageSize {
-		env.AS.PT.Unmap(va)
-	}
+// recoverProsper boots a fresh machine on a crash image, attaches a
+// fresh Prosper to the crashed run's segment seg, and runs its recovery
+// path, as the kernel's RecoverProcess does.
+func recoverProsper(img *mem.Storage, seg Segment) *Env {
+	env, _, core := bootEnv(img)
+	mech := NewProsper(ProsperConfig{})()
+	mech.Attach(env, seg)
+	attachVMA(env, seg, core, mech)
+	done := false
+	mech.Recover(func() { done = true })
+	runUntilFlag(env, &done)
+	return env
 }
 
 func TestProsperRecoveryRestoresCheckpointedState(t *testing.T) {
@@ -357,17 +371,8 @@ func TestProsperRecoveryRestoresCheckpointedState(t *testing.T) {
 	// Post-checkpoint write that must NOT survive the crash.
 	writeSeg(env, core, segLo+0x5000, []byte("VOLATILE!!!!"))
 
-	// Crash: drop DRAM (and the mapping state of a fresh boot).
-	env.Mach.Crash()
-	unmapForBoot(env, seg.Lo, seg.Hi)
-	for _, c := range env.Mach.Cores {
-		c.TLB.Flush()
-	}
-
-	recovered := false
-	mech.Recover(func() { recovered = true })
-	runUntilFlag(env, &recovered)
-	got := readRange(env, segLo+0x5000, segLo+0x5000+16)
+	// Crash: DRAM is lost; reboot on what NVM kept.
+	got := readRange(recoverProsper(env.Mach.CrashImage(), seg), segLo+0x5000, segLo+0x5000+16)
 	if !bytes.Equal(got[:12], []byte("durable data")) {
 		t.Fatalf("recovered %q", got[:12])
 	}
@@ -376,7 +381,6 @@ func TestProsperRecoveryRestoresCheckpointedState(t *testing.T) {
 func TestProsperRecoveryReappliesTornApply(t *testing.T) {
 	env, seg, core := newEnv(t)
 	mech := NewProsper(ProsperConfig{})()
-	p := mech.(*Prosper)
 	mech.Attach(env, seg)
 	attachVMA(env, seg, core, mech)
 	mech.OnScheduleIn(core, func() {})
@@ -385,17 +389,13 @@ func TestProsperRecoveryReappliesTornApply(t *testing.T) {
 	writeSeg(env, core, segLo+0x6000, []byte("checkpoint-2"))
 	checkpointSync(env, core, mech)
 
-	// Simulate a crash mid-apply: corrupt the image and rewind the phase
-	// to TempValid; the temp buffer still holds the payload.
-	env.Mach.Storage.Write(seg.ImageBase+0x6000, []byte("GARBAGEGARBA"))
-	env.Mach.Storage.WriteU64(seg.MetaBase+metaPhase, phaseTempValid)
-	env.Mach.Crash()
-	unmapForBoot(env, seg.Lo, seg.Hi)
-
-	done := false
-	p.Recover(func() { done = true })
-	runUntilFlag(env, &done)
-	got := readRange(env, segLo+0x6000, segLo+0x6000+12)
+	// Simulate a crash mid-apply: in the surviving image, corrupt the
+	// image and rewind the phase to TempValid; the temp buffer still
+	// holds the payload.
+	img := env.Mach.CrashImage()
+	img.Write(seg.ImageBase+0x6000, []byte("GARBAGEGARBA"))
+	img.WriteU64(seg.MetaBase+metaPhase, phaseTempValid)
+	got := readRange(recoverProsper(img, seg), segLo+0x6000, segLo+0x6000+12)
 	if !bytes.Equal(got, []byte("checkpoint-2")) {
 		t.Fatalf("torn apply not repaired: %q", got)
 	}
@@ -424,12 +424,7 @@ func TestProsperCheckpointRecoveryProperty(t *testing.T) {
 		want := readRange(env, segLo, segLo+0x10008)
 		checkpointSync(env, core, mech)
 
-		env.Mach.Crash()
-		unmapForBoot(env, seg.Lo, seg.Hi)
-		ok := false
-		mech.Recover(func() { ok = true })
-		runUntilFlag(env, &ok)
-		got := readRange(env, segLo, segLo+0x10008)
+		got := readRange(recoverProsper(env.Mach.CrashImage(), seg), segLo, segLo+0x10008)
 		return bytes.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {

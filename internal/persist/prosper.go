@@ -10,17 +10,15 @@ import (
 // ProsperConfig parameterizes the Prosper checkpoint mechanism.
 type ProsperConfig struct {
 	Granularity uint64 // tracking granularity, multiple of 8 (default 8)
-	// ScanPerWord is the OS cost of examining one bitmap word during
-	// inspection (coalescing within every eight bytes of bitmap).
-	ScanPerWord sim.Time
 }
+
+// scanPerWord is the OS cost of examining one bitmap word during
+// inspection (coalescing within every eight bytes of bitmap).
+const scanPerWord = sim.Time(2)
 
 func (c ProsperConfig) withDefaults() ProsperConfig {
 	if c.Granularity == 0 {
 		c.Granularity = 8
-	}
-	if c.ScanPerWord == 0 {
-		c.ScanPerWord = 2
 	}
 	return c
 }
@@ -195,7 +193,7 @@ func (p *Prosper) Checkpoint(done func(Result)) {
 	// hardware-reported max active region), then clear the set words and
 	// run the two-step copy.
 	scanBase, scanBytes := p.scanWindow(msrs, winLo, winHi, any)
-	timedScan(p.env.Mach, scanBase, scanBytes, res.WordsRead, p.cfg.ScanPerWord, func() {
+	timedScan(p.env.Mach, scanBase, scanBytes, res.WordsRead, scanPerWord, func() {
 		cleared := prosper.Clear(p.env.Mach.Storage, msrs, winLo, winHi, any)
 		p.Counters.Add("prosper.ckpt_words_cleared", cleared)
 		clearDone := func() {

@@ -41,7 +41,7 @@ const Magic = uint64(0x3150414e534f5250)
 // other version: the encoding has no compatibility shims — a snapshot is
 // a same-binary, same-configuration artifact, and silent cross-version
 // decoding would corrupt state instead of failing loudly.
-const Version = uint32(4)
+const Version = uint32(5)
 
 // Section ids, in their required file order.
 const (

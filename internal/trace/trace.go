@@ -30,18 +30,18 @@ type Trace struct {
 
 // CaptureConfig bounds a capture run.
 type CaptureConfig struct {
-	MaxOps  int      // stop after this many memory operations
-	MaxTime sim.Time // or after this much virtual time (0 = no bound)
-	OpCost  sim.Time // charged per memory op in virtual time
-	Ctx     workload.Context
+	MaxOps int // stop after this many memory operations
+	Ctx    workload.Context
 }
 
-// DefaultCaptureConfig captures 200k memory operations with a 1-cycle
-// nominal op cost on a standard context.
+// opCost is the nominal virtual time charged per memory op.
+const opCost = sim.Time(1)
+
+// DefaultCaptureConfig captures 200k memory operations on a standard
+// context.
 func DefaultCaptureConfig() CaptureConfig {
 	return CaptureConfig{
 		MaxOps: 200_000,
-		OpCost: 1,
 		Ctx: workload.Context{
 			StackHi:      0x7fff_f000,
 			StackReserve: 8 << 20,
@@ -56,18 +56,12 @@ func DefaultCaptureConfig() CaptureConfig {
 // operations, modelling virtual time from compute cycles and a nominal
 // per-op cost — the same role Pin/SniP tracing plays for the paper.
 func Capture(p workload.Program, cfg CaptureConfig) *Trace {
-	if cfg.OpCost <= 0 {
-		cfg.OpCost = 1
-	}
 	p.Start(cfg.Ctx)
 	defer p.Close()
 	tr := &Trace{StackHi: cfg.Ctx.StackHi, StackLo: cfg.Ctx.StackHi}
 	var now sim.Time
 	stackLo := cfg.Ctx.StackHi - cfg.Ctx.StackReserve
 	for len(tr.Records) < cfg.MaxOps {
-		if cfg.MaxTime > 0 && now >= cfg.MaxTime {
-			break
-		}
 		op := p.Next()
 		switch op.Kind {
 		case workload.End:
@@ -75,7 +69,7 @@ func Capture(p workload.Program, cfg CaptureConfig) *Trace {
 		case workload.Compute:
 			now += op.Cycles
 		case workload.Load, workload.Store:
-			now += cfg.OpCost
+			now += opCost
 			isStack := op.Addr >= stackLo && op.Addr < cfg.Ctx.StackHi
 			if op.SP != 0 && op.SP < tr.StackLo {
 				tr.StackLo = op.SP

@@ -30,19 +30,6 @@ func TestCaptureBasics(t *testing.T) {
 	}
 }
 
-func TestCaptureRespectsMaxTime(t *testing.T) {
-	cfg := DefaultCaptureConfig()
-	cfg.MaxTime = 5000
-	cfg.MaxOps = 1 << 30
-	tr := Capture(workload.NewApp(workload.YcsbMem()), cfg)
-	if tr.Duration() > 6000 {
-		t.Fatalf("duration = %d beyond bound", tr.Duration())
-	}
-	if len(tr.Records) == 0 {
-		t.Fatal("no records")
-	}
-}
-
 func TestBreakdownFig1Shape(t *testing.T) {
 	// The Fig 1 headline: Gapbs_pr is stack-dominated (~70%), Ycsb_mem is
 	// heap-dominated (~15% stack).

@@ -23,10 +23,9 @@
 package prosper
 
 import (
-	"fmt"
-
 	"prosper/internal/kernel"
 	"prosper/internal/machine"
+	"prosper/internal/mem"
 	"prosper/internal/persist"
 	"prosper/internal/prosper"
 	"prosper/internal/sim"
@@ -125,6 +124,8 @@ type SystemConfig struct {
 type System struct {
 	cfg  SystemConfig
 	kern *kernel.Kernel
+	// image is the NVM that survived Crash, which Reboot boots on.
+	image *mem.Storage
 }
 
 // NewSystem boots a fresh system with empty memory.
@@ -153,14 +154,20 @@ func (s *System) Run(d Time) { s.kern.RunFor(d) }
 // RunUntilDone runs until all processes finish or the deadline elapses.
 func (s *System) RunUntilDone(deadline Time) bool { return s.kern.RunUntilDone(deadline) }
 
-// Crash models a power failure: caches and DRAM are lost; NVM survives.
-// After Crash, use Reboot to construct the successor system.
-func (s *System) Crash() { s.kern.Mach.Crash() }
+// Crash models a power failure: caches and DRAM are lost; NVM keeps only
+// what reached the persistence domain. After Crash, use Reboot to
+// construct the successor system.
+func (s *System) Crash() { s.image = s.kern.Mach.CrashImage() }
 
-// Reboot builds a fresh system over the surviving NVM contents.
+// Reboot builds a fresh system over the NVM contents that survived
+// Crash (or that a power failure now would leave, if Crash was not
+// called).
 func (s *System) Reboot() *System {
+	if s.image == nil {
+		s.Crash()
+	}
 	kcfg := kernel.Config{
-		Machine: machine.Config{Cores: s.cfg.Cores, Storage: s.kern.Mach.Storage},
+		Machine: machine.Config{Cores: s.cfg.Cores, Storage: s.image},
 		Quantum: 100 * Microsecond,
 		TrackerCfg: prosper.Config{
 			TableSize: s.cfg.TrackerTableSize,
@@ -230,16 +237,11 @@ func (s *System) Recover(spec ProcessSpec, workloads ...Workload) (*Process, err
 	for i, w := range workloads {
 		progs[i] = w
 	}
-	var recovered *kernel.Process
-	err := s.kern.RecoverProcess(spec.kernelConfig(), progs, func(p *kernel.Process) { recovered = p })
+	p, err := s.kern.RecoverProcess(spec.kernelConfig(), progs)
 	if err != nil {
 		return nil, err
 	}
-	s.kern.Eng.RunWhile(func() bool { return recovered == nil })
-	if recovered == nil {
-		return nil, fmt.Errorf("prosper: recovery did not complete")
-	}
-	return &Process{inner: recovered}, nil
+	return &Process{inner: p}, nil
 }
 
 // Checkpoint takes one synchronous checkpoint of the process.
