@@ -150,7 +150,9 @@ type Cache struct {
 	// The sets, one record each. A tag word is tagOf the line address
 	// with tagValid and tagDirty in its low bits; an invalid line keeps
 	// its stale address. SaveSnap writes each set's recency order as
-	// per-line stamps.
+	// per-line stamps. sets is nil until the level's first fill (or
+	// snapshot): a machine booted only to recover a process never
+	// touches most levels, so it need not allocate them.
 	sets    []set
 	setMask uint64
 
@@ -217,15 +219,11 @@ func New(eng *sim.Engine, cfg Config, next Port) *Cache {
 		eng:        eng,
 		cfg:        cfg,
 		next:       next,
-		sets:       make([]set, numSets),
 		setMask:    uint64(numSets - 1),
 		mshrs:      make([]*mshr, 0, cfg.MSHRs),
 		mshrLines:  make([]uint64, 0, cfg.MSHRs),
 		Counters:   stats.NewCounters(),
 		Histograms: stats.NewHistograms(),
-	}
-	for i := range c.sets {
-		c.sets[i].order = identityOrder
 	}
 	if nc, ok := next.(*Cache); ok {
 		c.nextCache = nc
@@ -253,6 +251,15 @@ func New(eng *sim.Engine, cfg Config, next Port) *Cache {
 	return c
 }
 
+// allocSets allocates the level's sets, every one empty and in
+// identity recency order.
+func (c *Cache) allocSets() {
+	c.sets = make([]set, c.setMask+1)
+	for i := range c.sets {
+		c.sets[i].order = identityOrder
+	}
+}
+
 // Name returns the level's configured name.
 func (c *Cache) Name() string { return c.cfg.Name }
 
@@ -268,8 +275,13 @@ func (c *Cache) setFor(lineAddr uint64) int {
 	return int((lineAddr >> mem.LineShift) & c.setMask)
 }
 
-// lookup returns the way of set s holding lineAddr, or -1.
+// lookup returns the way of set s holding lineAddr, or -1. Before the
+// level's first fill there are no sets, and nothing is resident; the
+// length test is the bounds check the set index needs anyway.
 func (c *Cache) lookup(s int, lineAddr uint64) int {
+	if uint(s) >= uint(len(c.sets)) {
+		return -1
+	}
 	want := tagOf(lineAddr) | tagValid
 	for w, tag := range c.sets[s].tags[:c.cfg.Ways] {
 		if tag&^tagDirty == want {
@@ -393,6 +405,9 @@ func (c *Cache) fill(lineAddr uint64) {
 	c.mshrs, c.mshrLines = c.mshrs[:last], c.mshrLines[:last]
 	c.hMissLatency.Observe(uint64(c.eng.Now() - m.issued))
 
+	if c.sets == nil {
+		c.allocSets()
+	}
 	s := c.setFor(lineAddr)
 	way := c.victimFor(s)
 	st := &c.sets[s]

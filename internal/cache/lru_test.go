@@ -292,3 +292,51 @@ func TestTagLimit(t *testing.T) {
 		t.Fatalf("LoadSnap of a line at the limit: err = %v, want one naming the tag", err)
 	}
 }
+
+// TestUntouchedLevelAllocatesNoSets: a level that was never accessed
+// holds no sets, Contains on it finds nothing without allocating them,
+// and its snapshot is still the encoding of empty sets in identity
+// recency order (way w at recency w, so stamp ways - w), the bytes an
+// eagerly allocated level writes. The first fill allocates the sets.
+func TestUntouchedLevelAllocatesNoSets(t *testing.T) {
+	eng := sim.NewEngine()
+	c, _ := testCache(eng, 4)
+	if c.sets != nil {
+		t.Fatal("New allocated the sets of an untouched level")
+	}
+	if c.Contains(0x1000) {
+		t.Fatal("an untouched level contains a line")
+	}
+	if c.sets != nil {
+		t.Fatal("Contains allocated the sets of an untouched level")
+	}
+
+	want := snapbuf.NewWriter()
+	want.String(c.cfg.Name)
+	want.U64(c.setMask + 1)
+	want.U64(uint64(c.cfg.Ways))
+	for range c.setMask + 1 {
+		for w := range c.cfg.Ways {
+			want.U64(0)
+			want.Bool(false)
+			want.Bool(false)
+			want.U64(uint64(c.cfg.Ways - w))
+		}
+	}
+	c.Counters.SaveSnap(want)
+	c.Histograms.SaveSnap(want)
+	got := snapbuf.NewWriter()
+	if err := c.SaveSnap(got); err != nil {
+		t.Fatal(err)
+	}
+	if string(got.Bytes()) != string(want.Bytes()) {
+		t.Fatal("an untouched level's snapshot differs from the encoding of empty sets")
+	}
+
+	fresh, _ := testCache(eng, 4)
+	fresh.Access(false, 0x1000, sim.Done{})
+	eng.Run()
+	if fresh.sets == nil || !fresh.Contains(0x1000) {
+		t.Fatal("the first fill did not allocate the sets and install the line")
+	}
+}

@@ -19,6 +19,9 @@ func (c *Cache) SaveSnap(w *snapbuf.Writer) error {
 		return fmt.Errorf("cache: %s has %d in-flight misses and %d blocked accesses at snapshot point",
 			c.cfg.Name, len(c.mshrs), len(c.blocked))
 	}
+	if c.sets == nil {
+		c.allocSets()
+	}
 	w.String(c.cfg.Name)
 	w.U64(c.setMask + 1)
 	w.U64(uint64(c.cfg.Ways))
@@ -58,6 +61,7 @@ func (c *Cache) LoadSnap(r *snapbuf.Reader) error {
 	}
 	n := c.cfg.Ways
 	var stamps [maxWays]uint64
+	c.sets = make([]set, c.setMask+1)
 	for s := range c.sets {
 		st := set{}
 		for way := range n {

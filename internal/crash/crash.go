@@ -8,14 +8,16 @@
 // fresh kernel on that image and recover the process with one
 // kernel.Kernel.RecoverProcess call.
 //
-// The harness is differential: a golden run of the same deterministic
-// spec records, at every checkpoint commit, the committed execution
+// The harness is differential, and simulates the spec once: a golden
+// run records, at every checkpoint commit, the committed execution
 // position and the full functional stack image, plus the cycle of every
-// stack store. A second run of the identical simulation then cuts power
-// at every sampled engine cycle in ascending order: taking each image
-// leaves the run undisturbed, so it goes on to the next cycle. Each image
-// is then booted on a fresh kernel, and the recovered process is checked
-// against the golden history:
+// stack store and a journal of every input to the persistence domain
+// (mem.Domain.Record). The crash image at each sampled engine cycle is
+// then replayed from that journal (mem.Journal.Images): the domain's
+// state is a pure function of its inputs, so the replayed image is the
+// one RunUntil followed by CrashImage would leave. Each image is booted
+// on a fresh kernel, and the recovered process is checked against the
+// golden history:
 //
 //   - fsck of the surviving image must be clean at every crash point;
 //   - the epoch S the thread recovers to must be P or P+1, where P is
@@ -43,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"prosper/internal/kernel"
@@ -103,11 +106,11 @@ type Config struct {
 	// Workers bounds the parallel recovery checks, and the Legacy
 	// replays (<= 0: GOMAXPROCS).
 	Workers int
-	// Legacy forces every crash point to replay the whole run from cycle
-	// zero on its own kernel. By default one run cuts power at every
-	// point in turn; the two modes produce identical verdicts (taking a
-	// crash image does not disturb the run) and the equivalence test
-	// pins it.
+	// Legacy forces every crash point to simulate the whole run from
+	// cycle zero on its own kernel and take its image with RunUntil and
+	// CrashImage. By default every image is replayed from the golden
+	// run's persistence-domain journal; the two modes produce identical
+	// verdicts, and the equivalence test pins it.
 	Legacy bool
 }
 
@@ -155,8 +158,9 @@ type Result struct {
 	ADR       bool
 	Commits   int // golden commits recorded
 	Points    []PointResult
-	// Forked counts the crash points imaged from the shared run instead
-	// of replayed from cycle zero: all of them, or zero in Legacy mode.
+	// Forked counts the crash points imaged without simulating the run
+	// again: all of them (replayed from the golden run's journal), or
+	// zero in Legacy mode.
 	Forked int
 }
 
@@ -192,16 +196,18 @@ type storeRec struct {
 }
 
 // golden is the reference history of one deterministic run: per-commit
-// cycles, execution positions, and stack images, plus the store log the
-// in-place invariants need. Because every run of the same Config is
-// cycle-identical, it describes the crash runs too.
+// cycles, execution positions, and stack images, the store log the
+// in-place invariants need, and the persistence-domain journal the crash
+// images are replayed from. Because every run of the same Config is
+// cycle-identical, it describes the Legacy crash runs too.
 type golden struct {
 	lo, hi      uint64
 	commitCycle []sim.Time // commitCycle[k-1] = cycle commit k became durable
 	snaps       [][]byte   // golden execution position per commit
 	stacks      [][]byte   // golden [lo,hi) stack bytes per commit
 	sps         []uint64   // golden stack pointer per commit
-	stores      []storeRec
+	stores      []storeRec // in cycle order
+	journal     *mem.Journal
 }
 
 // commitsBy returns P: how many commits were durable by cycle c.
@@ -211,16 +217,23 @@ func (g *golden) commitsBy(c sim.Time) uint64 {
 	}))
 }
 
-// excluded returns the virtual line addresses stored to after commit s
-// and up to the crash cycle c — lines whose in-place durable copy may
-// legitimately be newer than epoch s.
-func (g *golden) excluded(s uint64, c sim.Time) map[uint64]bool {
-	out := make(map[uint64]bool)
+// excluded returns a bitset over the stack's lines, bit i standing for
+// line lo + i×LineSize: the lines stored to after commit s and up to the
+// crash cycle c, whose in-place durable copy may legitimately be newer
+// than epoch s.
+func (g *golden) excluded(s uint64, c sim.Time) []uint64 {
+	out := make([]uint64, ((g.hi-g.lo)/mem.LineSize+63)/64)
 	cs := g.commitCycle[s-1]
-	for _, r := range g.stores {
-		if r.cycle > cs && r.cycle <= c {
-			for i := 0; i < r.n; i++ {
-				out[r.line+uint64(i)*mem.LineSize] = true
+	// The log is in cycle order, so the window (cs, c] is one run of it.
+	i := sort.Search(len(g.stores), func(i int) bool { return g.stores[i].cycle > cs })
+	for _, r := range g.stores[i:] {
+		if r.cycle > c {
+			break
+		}
+		for k := 0; k < r.n; k++ {
+			if line := r.line + uint64(k)*mem.LineSize; line >= g.lo && line < g.hi {
+				bit := (line - g.lo) / mem.LineSize
+				out[bit/64] |= 1 << (bit % 64)
 			}
 		}
 	}
@@ -268,29 +281,39 @@ func (cfg Config) machineConfig() machine.Config {
 	return machine.Config{Cores: 1, ADR: cfg.ADR}
 }
 
-// readStack reads the functional bytes of seg through the page table;
-// unmapped pages read as zero, like the hardware's zero-fill.
+// readPage reads the page of p at virtual address va into buf through
+// the page table; an unmapped page reads as zero, like the hardware's
+// zero-fill.
+func readPage(st *mem.Storage, p *kernel.Process, va uint64, buf []byte) {
+	if paddr, _, ok := p.AS.PT.Translate(va); ok {
+		st.Read(paddr, buf)
+	} else {
+		clear(buf)
+	}
+}
+
+// readStack reads the functional bytes of seg.
 func readStack(st *mem.Storage, p *kernel.Process, seg persist.Segment) []byte {
 	out := make([]byte, seg.Hi-seg.Lo)
 	for va := seg.Lo; va < seg.Hi; va += mem.PageSize {
-		if paddr, _, ok := p.AS.PT.Translate(va); ok {
-			st.Read(paddr, out[va-seg.Lo:va-seg.Lo+mem.PageSize])
-		}
+		readPage(st, p, va, out[va-seg.Lo:][:mem.PageSize])
 	}
 	return out
 }
 
 // capture performs the golden run: no crash, observers on, recording the
-// committed history for Epochs+2 commits.
+// committed history for Epochs+2 commits and journaling the persistence
+// domain from boot.
 func (cfg Config) capture() (*golden, error) {
 	k := kernel.New(kernel.Config{Machine: cfg.machineConfig()})
+	journal := k.Mach.Domain.Record(k.Eng)
 	p, prog, err := cfg.spawn(k)
 	if err != nil {
 		return nil, err
 	}
 	defer p.Shutdown()
 	th := p.Threads[0]
-	g := &golden{lo: th.StackSeg.Lo, hi: th.StackSeg.Hi}
+	g := &golden{lo: th.StackSeg.Lo, hi: th.StackSeg.Hi, journal: journal}
 	obs := &stackObserver{eng: k.Eng, g: g}
 	for _, c := range k.Mach.Cores {
 		c.Observer = obs
@@ -374,31 +397,22 @@ func (cfg Config) stackCheck() stackCheck {
 }
 
 // images returns the surviving NVM image at each of the ascending crash
-// cycles pts. By default one run of the spec cuts power at every cycle
-// in turn; in Legacy mode each image comes from its own run replayed
-// from cycle zero.
-func (cfg Config) images(pts []sim.Time) []*mem.Storage {
+// cycles pts. By default each is replayed from the golden run's
+// persistence-domain journal; in Legacy mode each comes from its own run
+// simulated from cycle zero.
+func (cfg Config) images(g *golden, pts []sim.Time) []*mem.Storage {
+	if !cfg.Legacy {
+		return g.journal.Images(pts)
+	}
 	imgs := make([]*mem.Storage, len(pts))
-	run := func() *kernel.Kernel {
+	runner.ForEach(cfg.Workers, len(pts), func(i int) {
 		k := kernel.New(kernel.Config{Machine: cfg.machineConfig()})
 		if _, _, err := cfg.spawn(k); err != nil {
 			panic(err) // capture already resolved this mechanism
 		}
-		return k
-	}
-	if cfg.Legacy {
-		runner.ForEach(cfg.Workers, len(pts), func(i int) {
-			k := run()
-			k.Eng.RunUntil(pts[i])
-			imgs[i] = k.Mach.CrashImage()
-		})
-		return imgs
-	}
-	k := run()
-	for i, c := range pts {
-		k.Eng.RunUntil(c)
+		k.Eng.RunUntil(pts[i])
 		imgs[i] = k.Mach.CrashImage()
-	}
+	})
 	return imgs
 }
 
@@ -456,42 +470,65 @@ func (cfg Config) check(g *golden, c sim.Time, img *mem.Storage) PointResult {
 		return res
 	}
 
-	rec := readStack(k2.Mach.Storage, rp, th.StackSeg)
-	want := g.stacks[s-1]
-	switch cfg.stackCheck() {
-	case checkZero:
-		for i, b := range rec {
-			if b != 0 {
-				res.Violation = fmt.Sprintf("unpersisted stack holds nonzero byte at %#x", g.lo+uint64(i))
-				return res
-			}
-		}
-	case checkFullImage:
-		for i := range rec {
-			if rec[i] != want[i] {
-				res.Violation = fmt.Sprintf("stack byte %#x = %#02x differs from epoch %d image byte %#02x",
-					g.lo+uint64(i), rec[i], s, want[i])
-				return res
-			}
-		}
-	case checkLines:
-		ex := g.excluded(s, c)
-		for off := uint64(0); off < uint64(len(rec)); off += mem.LineSize {
-			if ex[g.lo+off] {
-				continue
-			}
-			if !bytes.Equal(rec[off:off+mem.LineSize], want[off:off+mem.LineSize]) {
-				res.Violation = fmt.Sprintf("unmodified stack line %#x differs from epoch %d image", g.lo+off, s)
-				return res
-			}
-		}
-	}
+	res.Violation = cfg.checkStack(g, s, c, k2.Mach.Storage, rp, th.StackSeg)
 	return res
 }
 
+// checkStack compares the recovered stack seg of p, read page by page,
+// against the golden stack of epoch s, and returns the first violation
+// or "".
+func (cfg Config) checkStack(g *golden, s uint64, c sim.Time, st *mem.Storage, p *kernel.Process, seg persist.Segment) string {
+	want := g.stacks[s-1]
+	check := cfg.stackCheck()
+	var ex []uint64
+	if check == checkLines {
+		ex = g.excluded(s, c)
+	}
+	var page [mem.PageSize]byte
+	rec := page[:]
+	for off := uint64(0); off < seg.Hi-seg.Lo; off += mem.PageSize {
+		readPage(st, p, seg.Lo+off, rec)
+		w := want[off : off+mem.PageSize]
+		switch check {
+		case checkZero:
+			if bytes.Count(rec, []byte{0}) != len(rec) {
+				i := slices.IndexFunc(rec, func(b byte) bool { return b != 0 })
+				return fmt.Sprintf("unpersisted stack holds nonzero byte at %#x", g.lo+off+uint64(i))
+			}
+		case checkFullImage:
+			if !bytes.Equal(rec, w) {
+				i := firstDiff(rec, w)
+				return fmt.Sprintf("stack byte %#x = %#02x differs from epoch %d image byte %#02x",
+					g.lo+off+uint64(i), rec[i], s, w[i])
+			}
+		case checkLines:
+			for l := uint64(0); l < mem.PageSize; l += mem.LineSize {
+				bit := (off + l) / mem.LineSize
+				if ex[bit/64]&(1<<(bit%64)) != 0 {
+					continue
+				}
+				if !bytes.Equal(rec[l:l+mem.LineSize], w[l:l+mem.LineSize]) {
+					return fmt.Sprintf("unmodified stack line %#x differs from epoch %d image", g.lo+off+l, s)
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// firstDiff returns the index of the first byte where a and b differ.
+func firstDiff(a, b []byte) int {
+	i := 0
+	for i < len(a) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
 // Sweep runs the full crash-point sweep for cfg.Mechanism: one golden
-// run, one run imaged at every crash point, then Points independent
-// recovery checks in parallel on runner's worker pool.
+// run, its journal replayed into an image at every crash point, then
+// Points independent recovery checks in parallel on runner's worker
+// pool.
 func Sweep(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	g, err := cfg.capture()
@@ -510,7 +547,8 @@ func Sweep(cfg Config) (Result, error) {
 	if !cfg.Legacy {
 		res.Forked = len(pts)
 	}
-	imgs := cfg.images(pts)
+	imgs := cfg.images(g, pts)
+	g.journal = nil // replayed: let the collector have it
 	runner.ForEach(cfg.Workers, len(pts), func(i int) {
 		res.Points[i] = cfg.check(g, pts[i], imgs[i])
 		imgs[i] = nil // checked: let the collector have it

@@ -9,6 +9,7 @@ import (
 	"prosper/internal/machine"
 	"prosper/internal/mem"
 	"prosper/internal/sim"
+	"prosper/internal/snapbuf"
 	"prosper/internal/workload"
 )
 
@@ -104,9 +105,10 @@ func TestCrashBeforeFirstCommit(t *testing.T) {
 	}
 }
 
-// TestInjectorDeterministicAndPure pins the assumption the shared-run
-// sweep rests on: injecting crashes (RunUntil, then CrashImage) does not
-// perturb the run the images are taken from. A run imaged at many cycles, including the same cycle
+// TestInjectorDeterministicAndPure pins the assumption the journal
+// comparison in TestJournalImagesMatchCrashImage rests on: injecting
+// crashes (RunUntil, then CrashImage) does not perturb the run the
+// images are taken from. A run imaged at many cycles, including the same cycle
 // twice, must end with the same stats dump and the same crash image as
 // a run imaged only at the end, under both persistence domains (the ADR
 // image also reads the domain's in-flight lines). Equal final images
@@ -153,8 +155,16 @@ func TestInjectorDeterministicAndPure(t *testing.T) {
 // imageDiff walks the physical address space page by page and returns
 // the first page that one image backs and the other does not, or that
 // both back with different bytes. Images that also materialize different
-// page counts differ at PhysTop.
+// page counts differ at PhysTop. Images whose snapshot encodings (every
+// backed page, in address order) are equal are equal, so only a
+// mismatch pays for the walk.
 func imageDiff(a, b *mem.Storage) (uint64, bool) {
+	wa, wb := snapbuf.NewWriter(), snapbuf.NewWriter()
+	a.SaveSnap(wa)
+	b.SaveSnap(wb)
+	if bytes.Equal(wa.Bytes(), wb.Bytes()) {
+		return 0, false
+	}
 	var pa, pb [mem.PageSize]byte
 	for addr := uint64(0); addr < mem.PhysTop; addr += mem.PageSize {
 		if a.Backed(addr) != b.Backed(addr) {

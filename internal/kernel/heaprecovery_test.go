@@ -69,3 +69,30 @@ func readSegment(k *Kernel, p *Process, lo, hi uint64) []byte {
 	}
 	return buf
 }
+
+// TestFailedRecoveryAttachesNothing: a process with an SSP heap crashed
+// before its first commit has no register checkpoint, so recovery must
+// fail, and it must fail before the heap mechanism is attached. An
+// attached SSP heap would leave its consolidation ticker firing on the
+// rebooted engine with no process behind it.
+func TestFailedRecoveryAttachesNothing(t *testing.T) {
+	cfg := ProcessConfig{
+		Name:               "sspheap",
+		HeapMech:           persist.NewSSP(persist.SSPConfig{}),
+		HeapSize:           1 << 20,
+		CheckpointInterval: 50 * sim.Microsecond,
+	}
+	k := New(Config{Machine: machine.Config{Cores: 1}})
+	k.Spawn(cfg, workload.NewCounter(10_000_000))
+	k.Eng.RunUntil(20 * sim.Microsecond)
+
+	k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k.Mach.CrashImage()}})
+	if _, err := k2.RecoverProcess(cfg, []workload.Program{workload.NewCounter(10_000_000)}); err == nil {
+		t.Fatal("recovery fabricated a process with no durable checkpoint")
+	}
+	before := k2.Eng.Fired()
+	k2.Eng.RunUntil(k2.Eng.Now() + 100*sim.Microsecond)
+	if n := k2.Eng.Fired() - before; n != 0 {
+		t.Fatalf("the failed recovery left work behind: %d events fired in the next 100 µs", n)
+	}
+}

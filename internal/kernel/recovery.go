@@ -54,6 +54,32 @@ func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program) (*P
 			cfg.StackReserve, stackReserve, cfg.HeapSize, heapSize)
 	}
 
+	// Find every thread's register checkpoint before anything is
+	// attached: a heap mechanism's Attach starts work on the engine (an
+	// SSP heap's consolidation ticker), so a recovery that fails here
+	// must not have attached one.
+	regs := make([][]byte, nThreads)
+	regEpochs := make([]uint64, nThreads)
+	for i := range nThreads {
+		off := 64 + i*64
+		// Per-thread recovery epoch. A power failure inside the commit
+		// window leaves the stack segment's step-1 commit record durable
+		// at seq+1 while the process header still reads seq; the image may
+		// already be partially applied and can only be rolled forward, so
+		// the durable stack sequence — not the header — dictates this
+		// thread's epoch. Mechanisms without a durable sequence fall back
+		// to the committed header epoch.
+		epoch := seq
+		if ms, ok := persist.DurableSegmentSeq(st, mustU64(hdr, off+8)); ok {
+			epoch = ms
+		}
+		reg, regEpoch, ok := registerSlot(st, mustU64(hdr, off+24), epoch)
+		if !ok {
+			return nil, fmt.Errorf("kernel: thread %d has no register checkpoint", i)
+		}
+		regs[i], regEpochs[i] = reg, regEpoch
+	}
+
 	p := &Process{
 		PID:        k.nextPID,
 		Name:       cfg.Name,
@@ -95,41 +121,7 @@ func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program) (*P
 		// every checkpoint; here we derive it from the recorded reserve
 		// and the register save.
 		regArea := mustU64(hdr, off+24)
-		metaBase := mustU64(hdr, off+8)
-
-		// Per-thread recovery epoch. A power failure inside the commit
-		// window leaves the stack segment's step-1 commit record durable
-		// at seq+1 while the process header still reads seq; the image may
-		// already be partially applied and can only be rolled forward, so
-		// the durable stack sequence — not the header — dictates this
-		// thread's epoch. Mechanisms without a durable sequence fall back
-		// to the committed header epoch.
-		epoch := seq
-		if ms, ok := persist.DurableSegmentSeq(st, metaBase); ok {
-			epoch = ms
-		}
-		// Pick the register slot stamped with that epoch; fall back to the
-		// newest older stamp (threads that finish early stop saving
-		// registers, so their stamp can lag). Slots stamped past the epoch
-		// belong to a persist whose stack never became durable.
-		reg := make([]byte, mem.PageSize)
-		slot := make([]byte, mem.PageSize)
-		found := false
-		var regEpoch uint64
-		for s := uint64(0); s < 2; s++ {
-			st.Read(regArea+s*mem.PageSize, slot)
-			stamp := mustU64(slot, 16)
-			if mustU64(slot, 0) == 0 || stamp > epoch {
-				continue
-			}
-			if !found || stamp > regEpoch {
-				found, regEpoch = true, stamp
-				copy(reg, slot)
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("kernel: thread %d has no register checkpoint", i)
-		}
+		reg, regEpoch := regs[i], regEpochs[i]
 		sp := mustU64(reg, 0)
 		storeSeq := mustU64(reg, 8)
 		snapLen := mustU64(reg, 24)
@@ -164,7 +156,7 @@ func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program) (*P
 		t.StackSeg = persist.Segment{
 			Lo: stackLo, Hi: stackHi, Kind: vm.KindStack,
 			ImageBase: mustU64(hdr, off),
-			MetaBase:  metaBase,
+			MetaBase:  mustU64(hdr, off+8),
 			MetaSize:  mustU64(hdr, off+16),
 		}
 		t.regArea = regArea
@@ -209,4 +201,24 @@ func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program) (*P
 		return nil, ErrRecoveryDrained
 	}
 	return p, nil
+}
+
+// registerSlot returns the slot of the register area at regArea stamped
+// with epoch, falling back to the newest older stamp (threads that finish
+// early stop saving registers, so their stamp can lag). Slots stamped
+// past the epoch belong to a persist whose stack never became durable.
+// ok is false when no slot qualifies.
+func registerSlot(st *mem.Storage, regArea, epoch uint64) (reg []byte, regEpoch uint64, ok bool) {
+	for s := uint64(0); s < 2; s++ {
+		slot := make([]byte, mem.PageSize)
+		st.Read(regArea+s*mem.PageSize, slot)
+		stamp := mustU64(slot, 16)
+		if mustU64(slot, 0) == 0 || stamp > epoch {
+			continue
+		}
+		if reg == nil || stamp > regEpoch {
+			reg, regEpoch = slot, stamp
+		}
+	}
+	return reg, regEpoch, reg != nil
 }

@@ -423,11 +423,16 @@ func (d *Device) drainWaiting() {
 		p := d.waiting[d.waitHead]
 		d.waiting[d.waitHead] = pendingAccess{}
 		d.waitHead++
-		if d.waitHead == len(d.waiting) {
-			d.waiting = d.waiting[:0]
-			d.waitHead = 0
-		}
 		d.start(p)
+	}
+	// Under sustained backpressure the queue never drains, so slide the
+	// live waiters to the front once the popped prefix is half the
+	// backing; otherwise appends would grow it without bound.
+	if d.waitHead > 0 && 2*d.waitHead >= len(d.waiting) {
+		n := copy(d.waiting, d.waiting[d.waitHead:])
+		clear(d.waiting[n:])
+		d.waiting = d.waiting[:n]
+		d.waitHead = 0
 	}
 }
 

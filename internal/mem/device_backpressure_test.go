@@ -162,3 +162,55 @@ func TestDeviceLatencyHistograms(t *testing.T) {
 		t.Fatalf("uncontended write must record zero wait")
 	}
 }
+
+// TestDeviceWaitQueueStaysCompact: under sustained backpressure the
+// admission queue never drains, yet its backing must stay near the peak
+// queue depth rather than grow with every access ever parked, and the
+// waiters must still be served first in, first out. Every completion
+// issues one more write, so depth writes stay queued behind the single
+// write-buffer slot for the whole run; each write then starts when the
+// one before it completes and finishes WriteLatency later.
+func TestDeviceWaitQueueStaysCompact(t *testing.T) {
+	const depth, total = 16, 2000
+	cfg := toyConfig()
+	eng := sim.NewEngine()
+	d := NewDevice(eng, cfg)
+	issued, peak, maxBacking := 0, 0, 0
+	var order []uint64
+	var cycles []sim.Time
+	var issue func()
+	issue = func() {
+		addr := uint64(issued) * LineSize
+		issued++
+		d.Access(true, addr, sim.Thunk(sim.CompMem, func() {
+			order = append(order, addr)
+			cycles = append(cycles, eng.Now())
+			if issued < total {
+				issue()
+			}
+			peak = max(peak, len(d.waiting)-d.waitHead)
+			maxBacking = max(maxBacking, len(d.waiting))
+		}))
+	}
+	for range depth + 1 {
+		issue()
+	}
+	eng.Run()
+	if len(order) != total {
+		t.Fatalf("completed %d writes, want %d", len(order), total)
+	}
+	for i, addr := range order {
+		if addr != uint64(i)*LineSize {
+			t.Fatalf("completion %d was write %d: not first in, first out", i, addr/LineSize)
+		}
+		if want := sim.Time(i+1) * cfg.WriteLatency; cycles[i] != want {
+			t.Fatalf("write %d completed at cycle %d, want %d", i, cycles[i], want)
+		}
+	}
+	if peak != depth {
+		t.Fatalf("peak queue depth %d, want %d", peak, depth)
+	}
+	if maxBacking > 2*peak+1 {
+		t.Fatalf("queue backing reached %d entries for a peak depth of %d", maxBacking, peak)
+	}
+}

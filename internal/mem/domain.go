@@ -1,6 +1,11 @@
 package mem
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+
+	"prosper/internal/sim"
+)
 
 // Domain models the NVM persistence domain: the boundary between data
 // that survives a power failure and data that does not.
@@ -43,6 +48,10 @@ type Domain struct {
 	// in-flight write per line, so without the pool every first admission
 	// of a line allocates a fresh single-snapshot slice.
 	snapPool [][]lineSnap //prosperlint:ignore snapshot allocation recycling only; LoadSnap resets it and contents never affect behavior
+
+	// journal, when set, receives every input the domain applies. It is
+	// an observer: snapshots neither save nor restore it.
+	journal *Journal
 }
 
 type lineSnap [LineSize]byte
@@ -72,6 +81,15 @@ func (d *Domain) WriteAdmitted(addr uint64) {
 	line := LineOf(addr)
 	var snap lineSnap
 	d.live.Read(line, snap[:])
+	if j := d.journal; j != nil {
+		j.recs = append(j.recs, journalRec{at: j.eng.Now(), kind: journalAdmit, addr: line})
+		j.lines = append(j.lines, snap)
+	}
+	d.admit(line, &snap)
+}
+
+// admit appends snap to the in-flight FIFO of line.
+func (d *Domain) admit(line uint64, snap *lineSnap) {
 	q, ok := d.pending[line]
 	if !ok {
 		if n := len(d.snapPool); n > 0 {
@@ -79,7 +97,7 @@ func (d *Domain) WriteAdmitted(addr uint64) {
 			d.snapPool = d.snapPool[:n-1]
 		}
 	}
-	d.pending[line] = append(q, snap)
+	d.pending[line] = append(q, *snap)
 }
 
 // WriteCompleted implements PersistSink: the oldest in-flight write of
@@ -89,6 +107,15 @@ func (d *Domain) WriteCompleted(addr uint64) {
 		return
 	}
 	line := LineOf(addr)
+	if j := d.journal; j != nil {
+		j.recs = append(j.recs, journalRec{at: j.eng.Now(), kind: journalComplete, addr: line})
+	}
+	d.complete(line)
+}
+
+// complete merges the oldest in-flight snapshot of line, if any, into
+// the durable shadow.
+func (d *Domain) complete(line uint64) {
 	q := d.pending[line]
 	if len(q) == 0 {
 		return
@@ -123,6 +150,10 @@ func (d *Domain) Persist(addr uint64, size uint64) {
 	}
 	buf := make([]byte, hi-lo)
 	d.live.Read(lo, buf)
+	if j := d.journal; j != nil {
+		j.recs = append(j.recs, journalRec{at: j.eng.Now(), kind: journalPersist, addr: lo, n: hi - lo})
+		j.bytes = append(j.bytes, buf...)
+	}
 	d.durable.Write(lo, buf)
 }
 
@@ -137,7 +168,7 @@ func (d *Domain) PendingLines() int { return len(d.pending) }
 func (d *Domain) CrashImage() *Storage {
 	img := d.durable.CloneRange(NVMBase, NVMSize)
 	if d.adr {
-		for _, line := range d.pendingLinesSorted() {
+		for _, line := range sortedLines(d.pending) {
 			q := d.pending[line]
 			snap := q[len(q)-1]
 			img.Write(line, snap[:])
@@ -146,13 +177,102 @@ func (d *Domain) CrashImage() *Storage {
 	return img
 }
 
-// pendingLinesSorted returns the in-flight line addresses in ascending
-// order so crash handling never depends on map iteration order.
-func (d *Domain) pendingLinesSorted() []uint64 {
-	lines := make([]uint64, 0, len(d.pending))
-	for line := range d.pending {
+// sortedLines returns the in-flight line addresses of pending in
+// ascending order so crash handling never depends on map iteration order.
+func sortedLines(pending map[uint64][]lineSnap) []uint64 {
+	lines := make([]uint64, 0, len(pending))
+	for line := range pending {
 		lines = append(lines, line)
 	}
 	slices.Sort(lines)
 	return lines
+}
+
+// clone returns a copy of the domain's durable shadow and in-flight
+// writes, attached to no live view.
+func (d *Domain) clone() *Domain {
+	c := &Domain{
+		durable: d.durable.CloneRange(NVMBase, NVMSize),
+		adr:     d.adr,
+		pending: make(map[uint64][]lineSnap, len(d.pending)),
+	}
+	for _, line := range sortedLines(d.pending) {
+		c.pending[line] = slices.Clone(d.pending[line])
+	}
+	return c
+}
+
+// Journal is the input record of one Domain. The domain's state is a
+// pure function of the writes admitted (with the line bytes each one
+// snapshots), the writes completed and the ranges persisted, so the
+// record, each input stamped with the engine cycle it arrived at, is
+// enough to rebuild the domain's crash image at any recorded cycle
+// without running the simulation again.
+type Journal struct {
+	eng   *sim.Engine // the recording run's clock
+	start *Domain     // the domain's state when recording began
+	recs  []journalRec
+	lines []lineSnap // admitted payloads, one per journalAdmit record
+	bytes []byte     // persisted payloads, concatenated in record order
+}
+
+type journalKind uint8
+
+const (
+	journalAdmit journalKind = iota
+	journalComplete
+	journalPersist
+)
+
+// journalRec is one domain input: an admitted or completed write of the
+// line at addr, or n bytes persisted at addr.
+type journalRec struct {
+	at   sim.Time
+	addr uint64
+	n    uint64
+	kind journalKind
+}
+
+// Record starts a journal of the domain's inputs from its state now,
+// stamping each input with eng's clock, and returns it. Recording is a
+// pure observer: the domain behaves exactly as when it is off.
+func (d *Domain) Record(eng *sim.Engine) *Journal {
+	j := &Journal{eng: eng, start: d.clone()}
+	d.journal = j
+	return j
+}
+
+// Images returns the domain's CrashImage at each of the ascending cycles:
+// the image after every input recorded at or before that cycle. Because
+// sim.Engine.RunUntil(c) fires exactly the events due at or before c,
+// image i equals what RunUntil(cycles[i]) followed by CrashImage leaves
+// on the recording run. Every cycle must be one the recording has
+// reached.
+func (j *Journal) Images(cycles []sim.Time) []*Storage {
+	d := j.start.clone()
+	imgs := make([]*Storage, len(cycles))
+	next, li, off := 0, 0, uint64(0)
+	for i, c := range cycles {
+		if i > 0 && c < cycles[i-1] {
+			panic(fmt.Sprintf("mem: journal images at descending cycles %d, %d", cycles[i-1], c))
+		}
+		if now := j.eng.Now(); c > now {
+			panic(fmt.Sprintf("mem: journal image at cycle %d, past the recording's cycle %d", c, now))
+		}
+		for ; next < len(j.recs) && j.recs[next].at <= c; next++ {
+			r := &j.recs[next]
+			switch r.kind {
+			case journalAdmit:
+				d.admit(r.addr, &j.lines[li])
+				li++
+			case journalComplete:
+				d.complete(r.addr)
+			case journalPersist:
+				d.durable.Write(r.addr, j.bytes[off:off+r.n])
+				off += r.n
+			}
+		}
+		imgs[i] = d.CrashImage()
+	}
+	return imgs
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"prosper/internal/sim"
+	"prosper/internal/snapbuf"
 )
 
 // domainRig wires a Domain into a PCM device the way machine.New does:
@@ -142,4 +143,59 @@ func TestDomainCrashImagePure(t *testing.T) {
 	if got := dom.CrashImage().ReadU64(NVMBase); got != 0x77 {
 		t.Fatalf("in-flight write lost after imaging: %#x", got)
 	}
+}
+
+// TestDomainJournalImages: a journal started with a write already in
+// flight replays into the same image that RunUntil(c) then CrashImage
+// leaves, at cycles on both sides of a completion and exactly on it,
+// with several writes of one line in flight and a Persist in between,
+// under both persistence domains. Cycles out of order, or past the
+// recording's clock, panic.
+func TestDomainJournalImages(t *testing.T) {
+	for _, adr := range []bool{false, true} {
+		eng, st, dom, dev := domainRig(adr)
+		st.WriteU64(NVMBase, 1)
+		dev.Access(true, NVMBase, sim.Done{}) // in flight when recording starts
+		j := dom.Record(eng)
+		write := func(addr, v uint64) {
+			st.WriteU64(addr, v)
+			dev.Access(true, addr, sim.Done{})
+		}
+		eng.Schedule(sim.CompMem, 100, func() { write(NVMBase, 2); write(NVMBase+LineSize, 3) })
+		eng.Schedule(sim.CompMem, 700, func() {
+			st.WriteU64(NVMBase+PageSize, 4)
+			dom.Persist(NVMBase+PageSize, 8)
+			write(NVMBase, 5)
+		})
+		cycles := []sim.Time{50, 1499, 1500, 1500, 1601, 2300, 4000}
+		var want [][]byte
+		for _, c := range cycles {
+			eng.RunUntil(c)
+			want = append(want, encode(dom.CrashImage()))
+		}
+		for i, img := range j.Images(cycles) {
+			if string(encode(img)) != string(want[i]) {
+				t.Errorf("adr=%v: journal image at cycle %d differs from the crash image", adr, cycles[i])
+			}
+		}
+		mustPanic := func(what string, cycles []sim.Time) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("adr=%v: Images(%v) did not panic on %s", adr, cycles, what)
+				}
+			}()
+			j.Images(cycles)
+		}
+		mustPanic("descending cycles", []sim.Time{1500, 1499})
+		mustPanic("a cycle past the recording", []sim.Time{eng.Now() + 1})
+	}
+}
+
+// encode returns a Storage's snapshot encoding: every backed page in
+// address order, so equal encodings mean equal images.
+func encode(s *Storage) []byte {
+	w := snapbuf.NewWriter()
+	s.SaveSnap(w)
+	return w.Bytes()
 }

@@ -83,7 +83,7 @@ func (a *FrameAllocator) LoadSnap(r *snapbuf.Reader) error {
 func (d *Domain) SaveSnap(w *snapbuf.Writer) {
 	w.Bool(d.adr)
 	d.durable.SaveSnap(w)
-	lines := d.pendingLinesSorted()
+	lines := sortedLines(d.pending)
 	w.U64(uint64(len(lines)))
 	for _, line := range lines {
 		q := d.pending[line]
