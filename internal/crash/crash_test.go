@@ -105,15 +105,15 @@ func TestCrashBeforeFirstCommit(t *testing.T) {
 	}
 }
 
-// TestInjectorDeterministicAndPure pins the assumption the journal
-// comparison in TestJournalImagesMatchCrashImage rests on: injecting
-// crashes (RunUntil, then CrashImage) does not perturb the run the
-// images are taken from. A run imaged at many cycles, including the same cycle
+// TestImagingLeavesRunUnchanged pins the assumption the journal
+// comparison in TestJournalImagesMatchCrashImage rests on: imaging a
+// run (RunUntil, then CrashImage) does not perturb the run the images
+// are taken from. A run imaged at many cycles, including the same cycle
 // twice, must end with the same stats dump and the same crash image as
 // a run imaged only at the end, under both persistence domains (the ADR
 // image also reads the domain's in-flight lines). Equal final images
-// also show that two injections at the same cycle agree byte for byte.
-func TestInjectorDeterministicAndPure(t *testing.T) {
+// also show that two images at the same cycle agree byte for byte.
+func TestImagingLeavesRunUnchanged(t *testing.T) {
 	const end = 600_000 // four 50 µs intervals: several commits
 	for _, adr := range []bool{false, true} {
 		adr := adr

@@ -180,30 +180,40 @@ func (k *Kernel) commitEpilogue(p *Process) {
 	}
 }
 
-// saveRegisters persists the thread's architectural state and, for
-// checkpointable programs, the execution position snapshot, into the
-// register slot for the epoch being checkpointed. Double-buffering keeps
-// the previous committed epoch's registers intact until the new epoch
-// commits, and the embedded epoch stamp lets recovery pair registers
-// with the matching durable stack image.
+// regSlot is one thread's register checkpoint: its architectural state
+// and, for checkpointable programs, the execution position snapshot.
+// saveRegisters and registerSlot alone lay it out:
 //
-// Slot layout: sp(8) storeSeq(8) epoch(8) snapLen(8) snapshot bytes.
+//	0   sp
+//	8   storeSeq
+//	16  epoch stamp
+//	24  snapshot length
+//	32  snapshot bytes
+type regSlot struct {
+	sp, storeSeq, epoch uint64
+	snap                []byte
+}
+
+// saveRegisters persists the thread's register slot for the epoch being
+// checkpointed. Double-buffering keeps the previous committed epoch's
+// registers intact until the new epoch commits, and the embedded epoch
+// stamp lets recovery pair registers with the matching durable stack
+// image.
 func (k *Kernel) saveRegisters(t *Thread, done func()) {
-	var snap []byte
+	r := regSlot{sp: t.sp, storeSeq: t.storeSeq, epoch: t.ckptEpoch + 1}
 	if c, ok := t.Prog.(workload.Checkpointable); ok {
-		snap = c.Snapshot()
+		r.snap = c.Snapshot()
 	}
-	epoch := t.ckptEpoch + 1
-	buf := make([]byte, 32+len(snap))
-	putU64(buf, 0, t.sp)
-	putU64(buf, 8, t.storeSeq)
-	putU64(buf, 16, epoch)
-	putU64(buf, 24, uint64(len(snap)))
-	copy(buf[32:], snap)
+	buf := make([]byte, 32+len(r.snap))
+	putU64(buf, 0, r.sp)
+	putU64(buf, 8, r.storeSeq)
+	putU64(buf, 16, r.epoch)
+	putU64(buf, 24, uint64(len(r.snap)))
+	copy(buf[32:], r.snap)
 	if len(buf) > mem.PageSize {
 		panic("kernel: register snapshot exceeds a page")
 	}
-	k.Mach.WritePhys(t.regArea+(epoch%2)*mem.PageSize, buf, done)
+	k.Mach.WritePhys(t.regArea+(r.epoch%2)*mem.PageSize, buf, done)
 }
 
 // Checkpoint triggers one synchronous checkpoint of the process; done

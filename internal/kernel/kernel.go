@@ -171,11 +171,6 @@ func (k *Kernel) startTelemetry() {
 	m.Eng.NewTicker(sim.CompSim, every, func() { k.Trace.Sample(probes) })
 }
 
-// env builds the mechanism environment for a process.
-func (k *Kernel) env(p *Process) *persist.Env {
-	return &persist.Env{Mach: k.Mach, AS: p.AS, Trackers: k.Trackers, Attrib: p.attrib}
-}
-
 // timerTick preempts the core's current thread at its next op boundary.
 func (k *Kernel) timerTick(cs *coreState) {
 	if cs.cur == nil {
@@ -308,10 +303,8 @@ func (k *Kernel) RunUntilDone(deadline sim.Time) bool {
 
 func (k *Kernel) allDone() bool {
 	for _, p := range k.procs {
-		for _, t := range p.Threads {
-			if t.state != threadDone {
-				return false
-			}
+		if !p.Done() {
+			return false
 		}
 	}
 	return true
@@ -324,6 +317,8 @@ func (k *Kernel) allDone() bool {
 const (
 	superMagic  = uint64(0x50524f53504552) // "PROSPER"
 	superBase   = mem.NVMBase
+	superCount  = superBase + 8
+	superCursor = superBase + 16
 	maxProcRecs = 32
 )
 
@@ -333,8 +328,6 @@ type superblock struct {
 	// domain (the kernel fences its tiny directory updates
 	// synchronously); nil means no domain (read-only uses like Fsck).
 	persist func(addr, size uint64)
-	// nvmCursor is the bump pointer for NVM area allocation, persisted in
-	// the superblock so reboots do not re-hand-out used regions.
 }
 
 func (s *superblock) fence(addr, size uint64) {
@@ -345,16 +338,22 @@ func (s *superblock) fence(addr, size uint64) {
 
 func loadOrInitSuperblock(st *mem.Storage, persist func(addr, size uint64)) *superblock {
 	s := &superblock{storage: st, persist: persist}
-	if st.ReadU64(superBase) != superMagic {
+	if s.magic() != superMagic {
 		st.WriteU64(superBase, superMagic)
-		st.WriteU64(superBase+8, 0)                       // proc count
-		st.WriteU64(superBase+16, superBase+mem.PageSize) // NVM bump cursor
+		st.WriteU64(superCount, 0)
+		st.WriteU64(superCursor, superBase+mem.PageSize)
 		s.fence(superBase, 24)
 	}
 	return s
 }
 
-func (s *superblock) procCount() int { return int(s.storage.ReadU64(superBase + 8)) }
+func (s *superblock) magic() uint64 { return s.storage.ReadU64(superBase) }
+
+func (s *superblock) procCount() uint64 { return s.storage.ReadU64(superCount) }
+
+// cursor is the NVM bump pointer, persisted so reboots do not hand out
+// used regions again.
+func (s *superblock) cursor() uint64 { return s.storage.ReadU64(superCursor) }
 
 // procRecord is the fixed-size per-process directory entry: the name,
 // NUL-padded to procNameLen bytes, then the header address.
@@ -363,8 +362,16 @@ const (
 	procNameLen = 48
 )
 
-func (s *superblock) recAddr(i int) uint64 {
-	return superBase + 64 + uint64(i)*procRecSize
+func (s *superblock) recAddr(i uint64) uint64 {
+	return superBase + 64 + i*procRecSize
+}
+
+// proc reads directory record i.
+func (s *superblock) proc(i uint64) (name string, headerAddr uint64) {
+	rec := s.recAddr(i)
+	var nameBuf [procNameLen]byte
+	s.storage.Read(rec, nameBuf[:])
+	return cstr(nameBuf[:]), s.storage.ReadU64(rec + procNameLen)
 }
 
 // allocNVM reserves a byte range of the checkpoint half of NVM
@@ -372,16 +379,22 @@ func (s *superblock) recAddr(i int) uint64 {
 // the machine's NVM frame pool (shadow pages, NVM-placed segments).
 func (s *superblock) allocNVM(bytes uint64) uint64 {
 	bytes = (bytes + mem.PageSize - 1) &^ uint64(mem.PageSize-1)
-	cur := s.storage.ReadU64(superBase + 16)
+	cur := s.cursor()
 	if cur+bytes > mem.NVMBase+mem.NVMSize/2 {
 		panic("kernel: out of NVM checkpoint space")
 	}
-	s.storage.WriteU64(superBase+16, cur+bytes)
-	s.fence(superBase+16, 8)
+	s.storage.WriteU64(superCursor, cur+bytes)
+	s.fence(superCursor, 8)
 	return cur
 }
 
-func (s *superblock) addProc(name string, headerAddr uint64) int {
+// allocSegment reserves a segment's NVM image and meta areas, in that
+// order.
+func (s *superblock) allocSegment(imageSize, metaSize uint64) persist.Segment {
+	return persist.Segment{ImageBase: s.allocNVM(imageSize), MetaBase: s.allocNVM(metaSize), MetaSize: metaSize}
+}
+
+func (s *superblock) addProc(name string, headerAddr uint64) {
 	n := s.procCount()
 	if n >= maxProcRecs {
 		panic("kernel: superblock full")
@@ -392,18 +405,14 @@ func (s *superblock) addProc(name string, headerAddr uint64) int {
 	s.storage.Write(rec, nameBuf[:])
 	s.storage.WriteU64(rec+procNameLen, headerAddr)
 	s.fence(rec, 56)
-	s.storage.WriteU64(superBase+8, uint64(n+1))
-	s.fence(superBase+8, 8)
-	return n
+	s.storage.WriteU64(superCount, n+1)
+	s.fence(superCount, 8)
 }
 
 func (s *superblock) findProc(name string) (headerAddr uint64, ok bool) {
-	var nameBuf [procNameLen]byte
-	for i := 0; i < s.procCount(); i++ {
-		rec := s.recAddr(i)
-		s.storage.Read(rec, nameBuf[:])
-		if cstr(nameBuf[:]) == name {
-			return s.storage.ReadU64(rec + procNameLen), true
+	for i := uint64(0); i < s.procCount(); i++ {
+		if n, addr := s.proc(i); n == name {
+			return addr, true
 		}
 	}
 	return 0, false

@@ -46,6 +46,9 @@ type ProcessConfig struct {
 }
 
 func (c ProcessConfig) withDefaults() ProcessConfig {
+	if c.Name == "" {
+		c.Name = "proc"
+	}
 	if c.StackReserve == 0 {
 		c.StackReserve = 1 << 20
 	}
@@ -114,20 +117,6 @@ type Thread struct {
 	stepFn   func()
 	opDoneFn func()
 	storeBuf []byte
-}
-
-// State returns a printable thread state (tests and tools).
-func (t *Thread) State() string {
-	switch t.state {
-	case threadReady:
-		return "ready"
-	case threadRunning:
-		return "running"
-	case threadPaused:
-		return "paused"
-	default:
-		return "done"
-	}
 }
 
 // Mech exposes the thread's stack persistence mechanism.
@@ -199,37 +188,65 @@ type Process struct {
 
 // Spawn creates a process with one thread per program and makes its
 // threads runnable. An empty name defaults to "proc". Spawn panics on a
-// process it could not track or recover: a name already in the
-// superblock or longer than its record, or Prosper trackers on both the
-// stack and the heap.
+// process it could not track or recover: more threads than its header
+// holds, a name already in the superblock or longer than its record, or
+// Prosper trackers on both the stack and the heap.
 func (k *Kernel) Spawn(cfg ProcessConfig, progs ...workload.Program) *Process {
 	cfg = cfg.withDefaults()
-	if len(progs) == 0 {
-		panic("kernel: Spawn needs at least one program")
+	if len(progs) == 0 || len(progs) > maxThreads {
+		panic(fmt.Sprintf("kernel: Spawn needs 1 to %d programs, got %d", maxThreads, len(progs)))
 	}
-	name := cfg.Name
-	if name == "" {
-		name = "proc"
+	if len(cfg.Name) > procNameLen {
+		panic(fmt.Sprintf("kernel: process name %q is longer than %d bytes", cfg.Name, procNameLen))
 	}
-	if len(name) > procNameLen {
-		panic(fmt.Sprintf("kernel: process name %q is longer than %d bytes", name, procNameLen))
-	}
-	if _, dup := k.super.findProc(name); dup {
-		panic(fmt.Sprintf("kernel: a process named %q already exists", name))
+	if _, dup := k.super.findProc(cfg.Name); dup {
+		panic(fmt.Sprintf("kernel: a process named %q already exists", cfg.Name))
 	}
 	checkTrackerUse(cfg)
+
+	// NVM checkpoint areas: header page + heap areas + per-thread areas.
+	headerAddr := k.super.allocNVM(mem.PageSize)
+	h := procHeader{stackReserve: cfg.StackReserve, heapSize: cfg.HeapSize}
+	if cfg.HeapMech != nil {
+		h.heap = k.super.allocSegment(cfg.HeapSize, cfg.HeapSize+(1<<20))
+	}
+	for range progs {
+		h.threads = append(h.threads, threadAreas{
+			stack: k.super.allocSegment(cfg.StackReserve, cfg.StackReserve+(1<<18)),
+			// Two register slots, alternated by checkpoint epoch: the
+			// save for epoch E+1 must not overwrite the last committed
+			// epoch's registers before E+1 commits (power can fail in
+			// between).
+			regArea: k.super.allocNVM(2 * mem.PageSize),
+		})
+	}
+	p := k.build(cfg, headerAddr, h, progs, nil)
+	k.Mach.Storage.Write(headerAddr, h.encode())
+	k.Mach.PersistNVM(headerAddr, mem.PageSize)
+	k.super.addProc(p.Name, headerAddr)
+	k.start(p)
+	return p
+}
+
+// build creates a process on the NVM areas its header names, one thread
+// per program, and adds it to the kernel. Spawn passes freshly allocated
+// areas and no register slots; RecoverProcess passes the header it read
+// back and each thread's committed register slot, whose SP places the
+// thread's stack (the PID that laid it out is not persisted).
+func (k *Kernel) build(cfg ProcessConfig, headerAddr uint64, h procHeader, progs []workload.Program, regs []regSlot) *Process {
 	p := &Process{
-		PID:      k.nextPID,
-		Name:     name,
-		Cfg:      cfg,
-		AS:       vm.NewAddressSpace(k.Mach.DRAMFrames, k.Mach.NVMFrames),
-		kern:     k,
-		attrib:   persist.NewAttrib(k.Eng),
-		Counters: stats.NewCounters(),
+		PID:        k.nextPID,
+		Name:       cfg.Name,
+		Cfg:        cfg,
+		AS:         vm.NewAddressSpace(k.Mach.DRAMFrames, k.Mach.NVMFrames),
+		kern:       k,
+		headerAddr: headerAddr,
+		ckptSeq:    h.seq,
+		attrib:     persist.NewAttrib(k.Eng),
+		Counters:   stats.NewCounters(),
 	}
 	k.nextPID++
 
-	// Heap area + mechanism.
 	heapInNVM := false
 	if cfg.HeapMech != nil {
 		p.heapMech = cfg.HeapMech()
@@ -239,42 +256,45 @@ func (k *Kernel) Spawn(cfg ProcessConfig, progs ...workload.Program) *Process {
 		Lo: heapBase, Hi: heapBase + cfg.HeapSize, Kind: vm.KindHeap,
 		Writable: true, InNVM: heapInNVM, ThreadID: -1,
 	}))
-	if cfg.PremapHeap {
+	// A recovered heap is mapped by its mechanism's recovery instead.
+	if cfg.PremapHeap && regs == nil {
 		p.AS.EnsureRange(heapBase, heapBase+cfg.HeapSize)
 	}
-
-	// NVM checkpoint areas: header page + heap areas + per-thread areas.
-	p.headerAddr = k.super.allocNVM(mem.PageSize)
 	if p.heapMech != nil {
-		p.HeapSeg = persist.Segment{
-			Lo: heapBase, Hi: heapBase + cfg.HeapSize, Kind: vm.KindHeap,
-			ImageBase: k.super.allocNVM(cfg.HeapSize),
-			MetaBase:  k.super.allocNVM(cfg.HeapSize + (1 << 20)),
-			MetaSize:  cfg.HeapSize + (1 << 20),
-		}
-		p.heapMech.Attach(k.env(p), p.HeapSeg)
-		if s, ok := p.heapMech.(persist.Snapshotter); ok {
-			s.SetSnapshotID(p.PID, 0) // heap is snapshot segment 0
-		}
+		p.HeapSeg = h.heap
+		p.HeapSeg.Lo, p.HeapSeg.Hi, p.HeapSeg.Kind = heapBase, heapBase+cfg.HeapSize, vm.KindHeap
+		p.attach(p.heapMech, p.HeapSeg, 0) // heap is snapshot segment 0
 	}
-
 	for i, prog := range progs {
-		t := p.newThread(i, prog)
-		p.Threads = append(p.Threads, t)
+		var reg *regSlot
+		if regs != nil {
+			reg = &regs[i]
+		}
+		p.Threads = append(p.Threads, p.newThread(i, prog, h.threads[i], reg))
 	}
-	p.writeHeader()
-	k.super.addProc(p.Name, p.headerAddr)
 	k.procs = append(k.procs, p)
 	p.traceTrack = k.Trace.Track("ckpt:" + p.Name)
+	return p
+}
 
+// attach binds a mechanism to its segment in the process's environment
+// and gives its continuation tokens the segment's snapshot identity.
+func (p *Process) attach(m persist.Mechanism, seg persist.Segment, segIdx int) {
+	k := p.kern
+	m.Attach(&persist.Env{Mach: k.Mach, AS: p.AS, Trackers: k.Trackers, Attrib: p.attrib}, seg)
+	if s, ok := m.(persist.Snapshotter); ok {
+		s.SetSnapshotID(p.PID, segIdx)
+	}
+}
+
+// start makes every thread runnable and starts the periodic checkpoints.
+func (k *Kernel) start(p *Process) {
 	for _, t := range p.Threads {
-		t.Prog.Start(t.Ctx)
 		k.enqueue(t)
 	}
-	if cfg.CheckpointInterval > 0 {
-		p.ckptTicker = k.Eng.NewTicker(sim.CompKernel, cfg.CheckpointInterval, func() { k.checkpointProcess(p, nil) })
+	if p.Cfg.CheckpointInterval > 0 {
+		p.ckptTicker = k.Eng.NewTicker(sim.CompKernel, p.Cfg.CheckpointInterval, func() { k.checkpointProcess(p, nil) })
 	}
-	return p
 }
 
 // checkTrackerUse panics when both the stack and the heap use a
@@ -300,19 +320,26 @@ func usesTracker(f persist.Factory) bool {
 	return false
 }
 
-// newThread lays out one thread's stack, NVM areas, and mechanism.
-func (p *Process) newThread(i int, prog workload.Program) *Thread {
+// newThread lays out one thread's stack on its NVM areas, attaches its
+// mechanism and starts its program. On recovery reg, its committed
+// register slot, resumes the thread's SP, store sequence and checkpoint
+// epoch and restores a checkpointable program; on spawn it is nil.
+func (p *Process) newThread(i int, prog workload.Program, areas threadAreas, reg *regSlot) *Thread {
 	k := p.kern
 	cfg := p.Cfg
-	stackHi := stackTopBase - uint64(p.PID)*16*stackSpacing - uint64(i)*stackSpacing
-	stackLo := stackHi - cfg.StackReserve
 	t := &Thread{
-		TID:  i,
-		Proc: p,
-		Prog: prog,
-		sp:   stackHi,
-		home: k.leastLoadedCore(),
+		TID:     i,
+		Proc:    p,
+		Prog:    prog,
+		sp:      stackTopBase - uint64(p.PID)*16*stackSpacing - uint64(i)*stackSpacing,
+		home:    k.leastLoadedCore(),
+		regArea: areas.regArea,
 	}
+	if reg != nil {
+		t.sp, t.storeSeq, t.ckptEpoch = reg.sp, reg.storeSeq, reg.epoch
+	}
+	stackHi := (t.sp + stackSpacing - 1) / stackSpacing * stackSpacing
+	stackLo := stackHi - cfg.StackReserve
 	t.Ctx = workload.Context{
 		StackHi:      stackHi,
 		StackReserve: cfg.StackReserve,
@@ -330,19 +357,12 @@ func (p *Process) newThread(i int, prog workload.Program) *Thread {
 		Lo: stackLo, Hi: stackHi, Kind: vm.KindStack,
 		Writable: true, InNVM: t.mech.PlaceInNVM(), ThreadID: i,
 	}))
-	t.StackSeg = persist.Segment{
-		Lo: stackLo, Hi: stackHi, Kind: vm.KindStack,
-		ImageBase: k.super.allocNVM(cfg.StackReserve),
-		MetaBase:  k.super.allocNVM(cfg.StackReserve + (1 << 18)),
-		MetaSize:  cfg.StackReserve + (1 << 18),
-	}
-	// Two register slots, alternated by checkpoint epoch: the save for
-	// epoch E+1 must not overwrite the last committed epoch's registers
-	// before E+1 commits (power can fail in between).
-	t.regArea = k.super.allocNVM(2 * mem.PageSize)
-	t.mech.Attach(k.env(p), t.StackSeg)
-	if s, ok := t.mech.(persist.Snapshotter); ok {
-		s.SetSnapshotID(p.PID, i+1) // stacks are snapshot segments 1..n
+	t.StackSeg = areas.stack
+	t.StackSeg.Lo, t.StackSeg.Hi, t.StackSeg.Kind = stackLo, stackHi, vm.KindStack
+	p.attach(t.mech, t.StackSeg, i+1) // stacks are snapshot segments 1..n
+	t.Prog.Start(t.Ctx)
+	if c, ok := t.Prog.(workload.Checkpointable); ok && reg != nil && len(reg.snap) > 0 {
+		c.Restore(reg.snap)
 	}
 	return t
 }
@@ -382,9 +402,10 @@ func (p *Process) heapScheduleOut(core *machine.Core, done func()) {
 	p.heapMech.OnScheduleOut(core, done)
 }
 
-// Header layout (one NVM page per process):
+// procHeader is a process's checkpoint-area header, one NVM page that
+// encode and readProcHeader alone lay out:
 //
-//	0    ckpt seq (committed)
+//	0    ckpt seq (committed; the checkpoint commit rewrites this word)
 //	8    thread count
 //	16   stack reserve
 //	24   heap size
@@ -392,25 +413,68 @@ func (p *Process) heapScheduleOut(core *machine.Core, done func()) {
 //	40   heap meta base
 //	48   heap meta size
 //	64+  per thread (64 bytes): stack image, stack meta, meta size, reg area
-func (p *Process) writeHeader() {
-	st := p.kern.Mach.Storage
+type procHeader struct {
+	seq          uint64
+	stackReserve uint64
+	heapSize     uint64
+	heap         persist.Segment // NVM areas only; ImageBase 0: no heap mechanism
+	threads      []threadAreas
+}
+
+// threadAreas are one thread's NVM areas.
+type threadAreas struct {
+	stack   persist.Segment // NVM areas only
+	regArea uint64          // two page-sized register slots
+}
+
+// maxThreads is the most thread records the header page holds.
+const maxThreads = (mem.PageSize - 64) / 64
+
+// encode returns the header page.
+func (h procHeader) encode() []byte {
 	buf := make([]byte, mem.PageSize)
-	putU64(buf, 0, p.ckptSeq)
-	putU64(buf, 8, uint64(len(p.Threads)))
-	putU64(buf, 16, p.Cfg.StackReserve)
-	putU64(buf, 24, p.Cfg.HeapSize)
-	putU64(buf, 32, p.HeapSeg.ImageBase)
-	putU64(buf, 40, p.HeapSeg.MetaBase)
-	putU64(buf, 48, p.HeapSeg.MetaSize)
-	for i, t := range p.Threads {
+	putU64(buf, 0, h.seq)
+	putU64(buf, 8, uint64(len(h.threads)))
+	putU64(buf, 16, h.stackReserve)
+	putU64(buf, 24, h.heapSize)
+	putU64(buf, 32, h.heap.ImageBase)
+	putU64(buf, 40, h.heap.MetaBase)
+	putU64(buf, 48, h.heap.MetaSize)
+	for i, t := range h.threads {
 		off := 64 + i*64
-		putU64(buf, off, t.StackSeg.ImageBase)
-		putU64(buf, off+8, t.StackSeg.MetaBase)
-		putU64(buf, off+16, t.StackSeg.MetaSize)
+		putU64(buf, off, t.stack.ImageBase)
+		putU64(buf, off+8, t.stack.MetaBase)
+		putU64(buf, off+16, t.stack.MetaSize)
 		putU64(buf, off+24, t.regArea)
 	}
-	st.Write(p.headerAddr, buf)
-	p.kern.Mach.PersistNVM(p.headerAddr, mem.PageSize)
+	return buf
+}
+
+// readProcHeader decodes the header at addr, reading only the records
+// its thread count covers. It fails on a thread count the page cannot
+// hold.
+func readProcHeader(st *mem.Storage, addr uint64) (procHeader, error) {
+	n := st.ReadU64(addr + 8)
+	if n == 0 || n > maxThreads {
+		return procHeader{}, fmt.Errorf("implausible thread count %d", n)
+	}
+	buf := make([]byte, 64+n*64)
+	st.Read(addr, buf)
+	h := procHeader{
+		seq:          mustU64(buf, 0),
+		stackReserve: mustU64(buf, 16),
+		heapSize:     mustU64(buf, 24),
+		heap:         persist.Segment{ImageBase: mustU64(buf, 32), MetaBase: mustU64(buf, 40), MetaSize: mustU64(buf, 48)},
+		threads:      make([]threadAreas, n),
+	}
+	for i := range h.threads {
+		off := 64 + i*64
+		h.threads[i] = threadAreas{
+			stack:   persist.Segment{ImageBase: mustU64(buf, off), MetaBase: mustU64(buf, off+8), MetaSize: mustU64(buf, off+16)},
+			regArea: mustU64(buf, off+24),
+		}
+	}
+	return h, nil
 }
 
 // Done reports whether all threads have finished.

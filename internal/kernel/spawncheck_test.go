@@ -56,8 +56,24 @@ func TestSpawnLongNamePanics(t *testing.T) {
 // TestMaxLengthNameRecovers: a name that fills the whole record has no
 // NUL terminator, and must still round-trip through a crash.
 func TestMaxLengthNameRecovers(t *testing.T) {
+	name := strings.Repeat("n", 48)
+	checkNameRecovers(t, name, name)
+}
+
+// TestEmptyNameRecovers: Spawn files an unnamed process under the
+// default name, so recovery with the same empty name must find it.
+func TestEmptyNameRecovers(t *testing.T) {
+	checkNameRecovers(t, "", "proc")
+}
+
+// checkNameRecovers spawns a process named name, crashes it after a
+// checkpoint and recovers it with the same configuration: the recovered
+// process must be called want and resume its program, and a second
+// recovery of the running process must fail.
+func checkNameRecovers(t *testing.T, name, want string) {
+	t.Helper()
 	cfg := ProcessConfig{
-		Name:               strings.Repeat("n", 48),
+		Name:               name,
 		StackMech:          persist.NewProsper(persist.ProsperConfig{}),
 		CheckpointInterval: 300 * sim.Microsecond,
 	}
@@ -73,8 +89,8 @@ func TestMaxLengthNameRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Name != cfg.Name || prog.Progress() == 0 {
-		t.Fatalf("recovery of a %d-byte name did not restore the process", len(cfg.Name))
+	if rec.Name != want || prog.Progress() == 0 {
+		t.Fatalf("recovery of process %q did not restore it as %q (got %q)", name, want, rec.Name)
 	}
 	// A second recovery of the running process would duplicate it.
 	if _, err := k2.RecoverProcess(cfg, []workload.Program{workload.NewCounter(100000)}); err == nil {

@@ -14,6 +14,7 @@ package persist
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"prosper/internal/machine"
 	"prosper/internal/mem"
@@ -144,7 +145,7 @@ func (b *base) attach(env *Env, seg Segment) {
 	// Resume the durable commit sequence: after a post-crash re-attach the
 	// meta area carries the last sequence that reached NVM, and fresh
 	// segments read zero from their never-touched area.
-	b.seq = env.Mach.Storage.ReadU64(seg.MetaBase + metaSeq)
+	b.seq = readCommitRecord(env.Mach.Storage, seg.MetaBase).seq
 	b.applyStepTok = sim.Thunk(sim.CompPersist, b.applyStep)
 	b.applyHdrTok = sim.Thunk(sim.CompPersist, b.applyHdrDone)
 	b.Counters = stats.NewCounters()
@@ -176,11 +177,55 @@ func (b *base) SetSnapshotID(pid, segIdx int) {
 // segment has never written a commit record — mechanisms without a
 // durable sequence, or segments that never checkpointed.
 func DurableSegmentSeq(st *mem.Storage, metaBase uint64) (seq uint64, ok bool) {
-	phase := st.ReadU64(metaBase + metaPhase)
-	if phase == phaseEmpty || phase > phaseApplied {
+	r := readCommitRecord(st, metaBase)
+	if r.phase == phaseEmpty || r.phase > phaseApplied {
 		return 0, false
 	}
-	return st.ReadU64(metaBase + metaSeq), true
+	return r.seq, true
+}
+
+// CheckSegment validates a segment's commit record and entry table on a
+// (possibly crashed) storage image: metaBase and metaSize locate the
+// meta area, segSize bounds the entries. It returns one line per
+// problem, each starting with label, and nil when the record is
+// consistent.
+func CheckSegment(st *mem.Storage, label string, metaBase, metaSize, segSize uint64) []string {
+	r := readCommitRecord(st, metaBase)
+	if r.phase > phaseApplied {
+		return []string{fmt.Sprintf("%s: invalid commit phase %d", label, r.phase)}
+	}
+	if r.phase == phaseEmpty {
+		return nil // never checkpointed
+	}
+	var problems []string
+	// The entry table and totals are only guaranteed durable while the
+	// commit record is in the temp-valid phase: the step-1 commit write
+	// fences them, and recovery replays from them. Once the record is in
+	// the applied phase the table may legitimately be mid-overwrite by the
+	// next checkpoint's in-flight gather, so it is not validated then.
+	if r.phase == phaseTempValid {
+		if payloadBase(metaBase, r.count)+r.total > metaBase+metaSize {
+			return []string{fmt.Sprintf("%s: payload (%d entries, %d bytes) overflows meta area", label, r.count, r.total)}
+		}
+		var sum uint64
+		for i := uint64(0); i < r.count; i++ {
+			e := readEntry(st, metaBase, i)
+			if e.size == 0 {
+				return []string{fmt.Sprintf("%s: entry %d has zero size", label, i)}
+			}
+			if e.off+e.size > segSize {
+				return []string{fmt.Sprintf("%s: entry %d [%#x+%d] outside segment (%d bytes)", label, i, e.off, e.size, segSize)}
+			}
+			sum += e.size
+		}
+		if sum != r.total {
+			problems = append(problems, fmt.Sprintf("%s: entry sizes sum to %d, header says %d", label, sum, r.total))
+		}
+	}
+	if r.minOff > segSize {
+		problems = append(problems, fmt.Sprintf("%s: image low-water mark %d beyond segment", label, r.minOff-1))
+	}
+	return problems
 }
 
 // --- shared checkpoint plumbing -------------------------------------------
@@ -209,6 +254,39 @@ const (
 	metaMinOff  = 32
 	metaEntries = 64
 )
+
+// commitRecord is the record at the head of a segment's meta area, in
+// the layout above; readCommitRecord and makeHeader are its one decoder
+// and encoder.
+type commitRecord struct {
+	phase  uint64
+	seq    uint64
+	count  uint64 // entry-table length
+	total  uint64 // payload bytes
+	minOff uint64 // image extent low-water mark plus one (0: none yet)
+}
+
+func readCommitRecord(st *mem.Storage, metaBase uint64) commitRecord {
+	return commitRecord{
+		phase:  st.ReadU64(metaBase + metaPhase),
+		seq:    st.ReadU64(metaBase + metaSeq),
+		count:  st.ReadU64(metaBase + metaCount),
+		total:  st.ReadU64(metaBase + metaBytes),
+		minOff: st.ReadU64(metaBase + metaMinOff),
+	}
+}
+
+// payloadBase is where the payload blob behind a count-entry table
+// starts (64-byte aligned).
+func payloadBase(metaBase, count uint64) uint64 {
+	return metaBase + metaEntries + ((count*16 + 63) &^ 63)
+}
+
+// readEntry returns entry i of the entry table.
+func readEntry(st *mem.Storage, metaBase, i uint64) extent {
+	at := metaBase + metaEntries + i*16
+	return extent{off: st.ReadU64(at), size: st.ReadU64(at + 8)}
+}
 
 type extent struct {
 	off  uint64 // offset within the segment
@@ -255,7 +333,7 @@ func (b *base) persistExtents(extents []extent, done func(Result)) {
 	}
 
 	entryBytes := uint64(len(extents)) * 16
-	dataBase := b.seg.MetaBase + metaEntries + ((entryBytes + 63) &^ 63)
+	dataBase := payloadBase(b.seg.MetaBase, uint64(len(extents)))
 
 	// Step 1a: entry table.
 	table := make([]byte, entryBytes)
@@ -504,14 +582,13 @@ func (b *base) updateMinOff(off uint64) {
 // extent of the image back into freshly mapped DRAM pages.
 func (b *base) recoverImage(done func()) {
 	st := b.env.Mach.Storage
-	phase := st.ReadU64(b.seg.MetaBase + metaPhase)
-	minOffPlus1 := st.ReadU64(b.seg.MetaBase + metaMinOff)
-	if minOffPlus1 == 0 {
+	r := readCommitRecord(st, b.seg.MetaBase)
+	if r.minOff == 0 {
 		// Never checkpointed anything.
 		b.env.Eng().Schedule(sim.CompPersist, 0, done)
 		return
 	}
-	minOff := minOffPlus1 - 1
+	minOff := r.minOff - 1
 
 	finishCopyBack := func() {
 		// Map the recovered extent and copy image -> DRAM.
@@ -539,27 +616,23 @@ func (b *base) recoverImage(done func()) {
 		}
 	}
 
-	if phase == phaseTempValid {
+	if r.phase == phaseTempValid {
 		// Crash during apply: redo temp -> image (idempotent).
-		count := st.ReadU64(b.seg.MetaBase + metaCount)
-		entryBytes := count * 16
-		dataBase := b.seg.MetaBase + metaEntries + ((entryBytes + 63) &^ 63)
-		pending := int(count)
+		pending := int(r.count)
 		if pending == 0 {
 			finishCopyBack()
 			return
 		}
-		cursor := dataBase
-		for i := uint64(0); i < count; i++ {
-			off := st.ReadU64(b.seg.MetaBase + metaEntries + i*16)
-			size := st.ReadU64(b.seg.MetaBase + metaEntries + i*16 + 8)
-			b.env.Mach.CopyPhys(b.seg.ImageBase+off, cursor, int(size), func() {
+		cursor := payloadBase(b.seg.MetaBase, r.count)
+		for i := uint64(0); i < r.count; i++ {
+			e := readEntry(st, b.seg.MetaBase, i)
+			b.env.Mach.CopyPhys(b.seg.ImageBase+e.off, cursor, int(e.size), func() {
 				pending--
 				if pending == 0 {
 					finishCopyBack()
 				}
 			})
-			cursor += size
+			cursor += e.size
 		}
 		return
 	}
