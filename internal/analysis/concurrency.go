@@ -13,13 +13,6 @@ import (
 // only in the runner's worker pool (one private machine per run) — so
 // concurrency inside sim code either races on shared sim state or, at
 // best, introduces scheduler-dependent ordering.
-//
-// The workload package's pull-based generators are the known exception:
-// each producer goroutine is a pure function of its Context, and each
-// unbuffered send hands a full batch of ops, and ownership of its
-// buffer, to the single consumer, so the op stream is deterministic by
-// construction. Its sites carry reasoned ignore directives rather than a
-// blanket exemption.
 type Concurrency struct{}
 
 // NewConcurrency returns the pass.

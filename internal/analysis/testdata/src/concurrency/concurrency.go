@@ -51,7 +51,7 @@ func locked(f func()) {
 	f()
 }
 
-// handoff documents the deterministic generator exception.
+// handoff shows a site that a reasoned directive suppresses.
 type handoff struct {
 	//prosperlint:ignore concurrency fixture: unbuffered handoff keeps the generator deterministic
 	stop chan struct{}

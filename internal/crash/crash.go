@@ -87,19 +87,6 @@ type Config struct {
 	// Seed drives the crash-point sampler (default 1). The sweep logs it
 	// in its Result so any run can be reproduced exactly.
 	Seed int64
-	// Interval is the checkpoint interval (default 50 µs — small, so a
-	// sweep crosses many commit windows cheaply).
-	Interval sim.Time
-	// Epochs is how many checkpoint epochs the crash window spans
-	// (default 4; the golden run records two more for roll-forward
-	// headroom).
-	Epochs int
-	// StackReserve / HeapSize size the process (defaults 64 KiB / 1 MiB).
-	StackReserve uint64
-	HeapSize     uint64
-	// Iterations sizes the counter workload; the default never finishes
-	// inside the window, so every crash point hits a live thread.
-	Iterations int
 	// ADR selects the flush-on-fail persistence domain; default is the
 	// harsher no-ADR domain.
 	ADR bool
@@ -114,27 +101,28 @@ type Config struct {
 	Legacy bool
 }
 
+// The sweep's process and schedule.
+const (
+	// interval is the checkpoint interval: small, so a sweep crosses
+	// many commit windows cheaply.
+	interval = 50 * sim.Microsecond
+	// epochs is how many checkpoint epochs the crash window spans; the
+	// golden run records two more for roll-forward headroom.
+	epochs = 4
+	// stackReserve and heapSize size the process.
+	stackReserve = 64 << 10
+	heapSize     = 1 << 20
+	// iterations sizes the counter workload: it never finishes inside
+	// the window, so every crash point hits a live thread.
+	iterations = 1 << 30
+)
+
 func (cfg Config) withDefaults() Config {
 	if cfg.Points <= 0 {
 		cfg.Points = 64
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = 50 * sim.Microsecond
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 4
-	}
-	if cfg.StackReserve == 0 {
-		cfg.StackReserve = 64 << 10
-	}
-	if cfg.HeapSize == 0 {
-		cfg.HeapSize = 1 << 20
-	}
-	if cfg.Iterations <= 0 {
-		cfg.Iterations = 1 << 30
 	}
 	return cfg
 }
@@ -266,13 +254,13 @@ func (cfg Config) spawn(k *kernel.Kernel) (*kernel.Process, *workload.CounterPro
 	if err != nil {
 		return nil, nil, err
 	}
-	prog := workload.NewCounter(cfg.Iterations)
+	prog := workload.NewCounter(iterations)
 	p := k.Spawn(kernel.ProcessConfig{
 		Name:               "sweep",
 		StackMech:          fac,
-		StackReserve:       cfg.StackReserve,
-		HeapSize:           cfg.HeapSize,
-		CheckpointInterval: cfg.Interval,
+		StackReserve:       stackReserve,
+		HeapSize:           heapSize,
+		CheckpointInterval: interval,
 	}, prog)
 	return p, prog, nil
 }
@@ -302,7 +290,7 @@ func readStack(st *mem.Storage, p *kernel.Process, seg persist.Segment) []byte {
 }
 
 // capture performs the golden run: no crash, observers on, recording the
-// committed history for Epochs+2 commits and journaling the persistence
+// committed history for epochs+2 commits and journaling the persistence
 // domain from boot.
 func (cfg Config) capture() (*golden, error) {
 	k := kernel.New(kernel.Config{Machine: cfg.machineConfig()})
@@ -332,9 +320,9 @@ func (cfg Config) capture() (*golden, error) {
 	// Romulus replays its whole store log entry by entry, so a commit can
 	// straddle several intervals (the ticker skips while a checkpoint is
 	// in flight); allow plenty of intervals per commit.
-	target := cfg.Epochs + 2
+	target := epochs + 2
 	for guard := 0; len(g.commitCycle) < target && guard < target*16; guard++ {
-		k.RunFor(cfg.Interval)
+		k.RunFor(interval)
 	}
 	if len(g.commitCycle) < target {
 		return nil, fmt.Errorf("crash: golden run recorded %d commits, want %d", len(g.commitCycle), target)
@@ -354,7 +342,7 @@ func (cfg Config) capture() (*golden, error) {
 func (cfg Config) samplePoints(g *golden, rng *rand.Rand) []sim.Time {
 	lo := sim.Time(1000)
 	hi := g.commitCycle[len(g.commitCycle)-2]
-	span := int64(cfg.Interval/3 + cfg.Interval/20)
+	span := int64(interval/3 + interval/20)
 	pts := make([]sim.Time, 0, cfg.Points)
 	for i := 0; i < cfg.Points; i++ {
 		var c sim.Time
@@ -362,7 +350,7 @@ func (cfg Config) samplePoints(g *golden, rng *rand.Rand) []sim.Time {
 			c = lo + sim.Time(rng.Int63n(int64(hi-lo)))
 		} else {
 			commit := g.commitCycle[rng.Intn(len(g.commitCycle)-1)]
-			c = commit - cfg.Interval/3 + sim.Time(rng.Int63n(span))
+			c = commit - interval/3 + sim.Time(rng.Int63n(span))
 		}
 		if c < lo {
 			c = lo
@@ -432,12 +420,12 @@ func (cfg Config) check(g *golden, c sim.Time, img *mem.Storage) PointResult {
 		res.Violation = err.Error()
 		return res
 	}
-	prog := workload.NewCounter(cfg.Iterations)
+	prog := workload.NewCounter(iterations)
 	rp, err := k2.RecoverProcess(kernel.ProcessConfig{
 		Name:         "sweep",
 		StackMech:    fac,
-		StackReserve: cfg.StackReserve,
-		HeapSize:     cfg.HeapSize,
+		StackReserve: stackReserve,
+		HeapSize:     heapSize,
 	}, []workload.Program{prog})
 	if errors.Is(err, kernel.ErrRecoveryDrained) {
 		res.Violation = err.Error()

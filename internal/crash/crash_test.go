@@ -94,9 +94,9 @@ func TestCrashBeforeFirstCommit(t *testing.T) {
 	_, err = k2.RecoverProcess(kernel.ProcessConfig{
 		Name:         "sweep",
 		StackMech:    fac,
-		StackReserve: cfg.StackReserve,
-		HeapSize:     cfg.HeapSize,
-	}, []workload.Program{workload.NewCounter(cfg.Iterations)})
+		StackReserve: stackReserve,
+		HeapSize:     heapSize,
+	}, []workload.Program{workload.NewCounter(iterations)})
 	if err == nil {
 		t.Fatal("recovery fabricated a process with no durable checkpoint")
 	}

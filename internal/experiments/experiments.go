@@ -37,10 +37,8 @@ type Scale struct {
 	Warmup sim.Time
 	// TraceOps bounds trace-driven analyses (Figs 1-4).
 	TraceOps int
-	// StackReserve and HeapSize size the process segments.
-	StackReserve uint64
-	HeapSize     uint64
-	Seed         uint64
+	// Seed seeds every run's workload.
+	Seed uint64
 
 	// Workers bounds how many of a figure's runs execute concurrently
 	// (<= 0 means GOMAXPROCS). Results are identical for any value.
@@ -72,13 +70,11 @@ type Scale struct {
 // intervals (1/50 of the paper's 10 ms), 10 checkpoints.
 func DefaultScale() Scale {
 	return Scale{
-		Interval:     200 * sim.Microsecond,
-		Checkpoints:  10,
-		Warmup:       100 * sim.Microsecond,
-		TraceOps:     150_000,
-		StackReserve: 1 << 20,
-		HeapSize:     64 << 20,
-		Seed:         1,
+		Interval:    200 * sim.Microsecond,
+		Checkpoints: 10,
+		Warmup:      100 * sim.Microsecond,
+		TraceOps:    150_000,
+		Seed:        1,
 	}
 }
 
@@ -102,12 +98,6 @@ func (s Scale) withDefaults() Scale {
 	}
 	if s.TraceOps == 0 {
 		s.TraceOps = d.TraceOps
-	}
-	if s.StackReserve == 0 {
-		s.StackReserve = d.StackReserve
-	}
-	if s.HeapSize == 0 {
-		s.HeapSize = d.HeapSize
 	}
 	if s.Seed == 0 {
 		s.Seed = d.Seed
@@ -140,8 +130,8 @@ type mech struct {
 
 // own fills the fields of sp that the scale owns: Interval and
 // Checkpoints where sp leaves them zero (Fig 11 and the adaptive study
-// set their own), and always Warmup, the segment sizes and the seed. A
-// nonempty figure name prefixes the label.
+// set their own), and always Warmup and the seed. The segment sizes are
+// runner.Spec's defaults. A nonempty figure name prefixes the label.
 func (s Scale) own(figure string, sp runner.Spec) runner.Spec {
 	if sp.Interval == 0 {
 		sp.Interval = s.Interval
@@ -150,8 +140,6 @@ func (s Scale) own(figure string, sp runner.Spec) runner.Spec {
 		sp.Checkpoints = s.Checkpoints
 	}
 	sp.Warmup = s.Warmup
-	sp.StackReserve = s.StackReserve
-	sp.HeapSize = s.HeapSize
 	sp.Seed = s.Seed
 	if figure != "" {
 		sp.Label = figure + "/" + sp.DisplayLabel()

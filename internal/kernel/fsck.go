@@ -34,9 +34,9 @@ func Fsck(st *mem.Storage) FsckReport {
 		rep.problemf("superblock: bad magic %#x", m)
 		return rep
 	}
-	count := s.procCount()
-	if count > maxProcRecs {
-		rep.problemf("superblock: process count %d exceeds capacity", count)
+	count, err := s.procCount()
+	if err != nil {
+		rep.problemf("%v", err)
 		return rep
 	}
 	cursor := s.cursor()

@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"strings"
 	"testing"
 
+	"prosper/internal/machine"
 	"prosper/internal/persist"
 	"prosper/internal/sim"
 	"prosper/internal/workload"
@@ -104,7 +106,7 @@ func TestFsckDetectsSizeMismatch(t *testing.T) {
 
 func TestFsckDetectsImplausibleThreadCount(t *testing.T) {
 	k := buildCheckpointedState(t)
-	hdr, _ := k.super.findProc("fscked")
+	hdr, _, _ := k.super.findProc("fscked")
 	k.Mach.Storage.WriteU64(hdr+8, 1000)
 	rep := Fsck(k.Mach.Storage)
 	if rep.OK() {
@@ -118,4 +120,29 @@ func TestFsckEmptyNVM(t *testing.T) {
 	if !rep.OK() || rep.Processes != 0 {
 		t.Fatalf("empty NVM: %+v", rep)
 	}
+}
+
+// TestRecoverRefusesOversizedProcessCount: a crash image whose process
+// count exceeds the directory's capacity is refused before any record is
+// read, by recovery and by Spawn's duplicate-name check, with the same
+// problem Fsck reports. Reading up to the count instead would walk 1M
+// "records" through the checkpoint areas, and find the live record 0.
+func TestRecoverRefusesOversizedProcessCount(t *testing.T) {
+	const want = "process count 1048576 exceeds capacity"
+	img := buildCheckpointedState(t).Mach.CrashImage()
+	img.WriteU64(superCount, 1<<20)
+	if rep := Fsck(img); len(rep.Problems) != 1 || !strings.Contains(rep.Problems[0], want) {
+		t.Fatalf("Fsck problems = %v, want %q", rep.Problems, want)
+	}
+	k := New(Config{Machine: machine.Config{Cores: 1, Storage: img}})
+	for _, name := range []string{"fscked", "missing"} {
+		cfg := ProcessConfig{Name: name, StackMech: persist.NewProsper(persist.ProsperConfig{})}
+		_, err := k.RecoverProcess(cfg, []workload.Program{workload.NewCounter(10)})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("recovering %q: err = %v, want %q", name, err, want)
+		}
+	}
+	mustPanic(t, want, func() {
+		k.Spawn(ProcessConfig{Name: "fresh"}, workload.NewCounter(10))
+	})
 }

@@ -349,7 +349,15 @@ func loadOrInitSuperblock(st *mem.Storage, persist func(addr, size uint64)) *sup
 
 func (s *superblock) magic() uint64 { return s.storage.ReadU64(superBase) }
 
-func (s *superblock) procCount() uint64 { return s.storage.ReadU64(superCount) }
+// procCount returns the number of process records. A count above the
+// directory's capacity is refused before any record is read.
+func (s *superblock) procCount() (uint64, error) {
+	n := s.storage.ReadU64(superCount)
+	if n > maxProcRecs {
+		return 0, fmt.Errorf("superblock: process count %d exceeds capacity", n)
+	}
+	return n, nil
+}
 
 // cursor is the NVM bump pointer, persisted so reboots do not hand out
 // used regions again.
@@ -395,7 +403,8 @@ func (s *superblock) allocSegment(imageSize, metaSize uint64) persist.Segment {
 }
 
 func (s *superblock) addProc(name string, headerAddr uint64) {
-	n := s.procCount()
+	n, err := s.procCount()
+	check(err)
 	if n >= maxProcRecs {
 		panic("kernel: superblock full")
 	}
@@ -409,13 +418,17 @@ func (s *superblock) addProc(name string, headerAddr uint64) {
 	s.fence(superCount, 8)
 }
 
-func (s *superblock) findProc(name string) (headerAddr uint64, ok bool) {
-	for i := uint64(0); i < s.procCount(); i++ {
+func (s *superblock) findProc(name string) (headerAddr uint64, ok bool, err error) {
+	count, err := s.procCount()
+	if err != nil {
+		return 0, false, err
+	}
+	for i := uint64(0); i < count; i++ {
 		if n, addr := s.proc(i); n == name {
-			return addr, true
+			return addr, true, nil
 		}
 	}
-	return 0, false
+	return 0, false, nil
 }
 
 func cstr(b []byte) string {

@@ -305,13 +305,13 @@ func TestSuperblockSurvivesReboot(t *testing.T) {
 	k1.Spawn(ProcessConfig{Name: "b"}, workload.NewCounter(1))
 	k1.RunUntilDone(sim.Second)
 	k2 := New(Config{Machine: machine.Config{Cores: 1, Storage: k1.Mach.CrashImage()}})
-	if _, ok := k2.super.findProc("a"); !ok {
+	if _, ok, _ := k2.super.findProc("a"); !ok {
 		t.Fatal("proc a lost across reboot")
 	}
-	if _, ok := k2.super.findProc("b"); !ok {
+	if _, ok, _ := k2.super.findProc("b"); !ok {
 		t.Fatal("proc b lost across reboot")
 	}
-	if _, ok := k2.super.findProc("c"); ok {
+	if _, ok, _ := k2.super.findProc("c"); ok {
 		t.Fatal("phantom proc found")
 	}
 }

@@ -189,8 +189,9 @@ type Process struct {
 // Spawn creates a process with one thread per program and makes its
 // threads runnable. An empty name defaults to "proc". Spawn panics on a
 // process it could not track or recover: more threads than its header
-// holds, a name already in the superblock or longer than its record, or
-// Prosper trackers on both the stack and the heap.
+// holds, a name already in the superblock or longer than its record, a
+// superblock whose process count exceeds its capacity, or Prosper
+// trackers on both the stack and the heap.
 func (k *Kernel) Spawn(cfg ProcessConfig, progs ...workload.Program) *Process {
 	cfg = cfg.withDefaults()
 	if len(progs) == 0 || len(progs) > maxThreads {
@@ -199,7 +200,9 @@ func (k *Kernel) Spawn(cfg ProcessConfig, progs ...workload.Program) *Process {
 	if len(cfg.Name) > procNameLen {
 		panic(fmt.Sprintf("kernel: process name %q is longer than %d bytes", cfg.Name, procNameLen))
 	}
-	if _, dup := k.super.findProc(cfg.Name); dup {
+	_, dup, err := k.super.findProc(cfg.Name)
+	check(err)
+	if dup {
 		panic(fmt.Sprintf("kernel: a process named %q already exists", cfg.Name))
 	}
 	checkTrackerUse(cfg)

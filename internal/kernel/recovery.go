@@ -28,7 +28,10 @@ var ErrRecoveryDrained = errors.New("recovery never completed (engine drained)")
 func (k *Kernel) RecoverProcess(cfg ProcessConfig, progs []workload.Program) (*Process, error) {
 	cfg = cfg.withDefaults()
 	checkTrackerUse(cfg)
-	headerAddr, ok := k.super.findProc(cfg.Name)
+	headerAddr, ok, err := k.super.findProc(cfg.Name)
+	if err != nil {
+		return nil, fmt.Errorf("kernel: %w", err)
+	}
 	if !ok {
 		return nil, fmt.Errorf("kernel: no checkpoint area for process %q", cfg.Name)
 	}

@@ -588,39 +588,15 @@ func (b *base) recoverImage(done func()) {
 		b.env.Eng().Schedule(sim.CompPersist, 0, done)
 		return
 	}
-	minOff := r.minOff - 1
-
-	finishCopyBack := func() {
-		// Map the recovered extent and copy image -> DRAM.
-		lo := b.seg.Lo + (minOff &^ (mem.PageSize - 1))
-		b.env.AS.EnsureRange(lo, b.seg.Hi)
-		pending := 0
-		fired := false
-		complete := func() {
-			pending--
-			if pending == 0 && fired {
-				done()
-			}
-		}
-		for va := lo; va < b.seg.Hi; va += mem.PageSize {
-			paddr, _, ok := b.env.AS.PT.Translate(va)
-			if !ok {
-				panic("persist: recovery mapping failed")
-			}
-			pending++
-			b.env.Mach.CopyPhys(paddr, b.seg.ImageBase+(va-b.seg.Lo), mem.PageSize, complete)
-		}
-		fired = true
-		if pending == 0 {
-			b.env.Eng().Schedule(sim.CompPersist, 0, done)
-		}
-	}
+	// The recovered extent starts at the page of the lowest offset ever
+	// persisted.
+	lo := b.seg.Lo + ((r.minOff - 1) &^ (mem.PageSize - 1))
 
 	if r.phase == phaseTempValid {
 		// Crash during apply: redo temp -> image (idempotent).
 		pending := int(r.count)
 		if pending == 0 {
-			finishCopyBack()
+			b.copyBack(lo, done)
 			return
 		}
 		cursor := payloadBase(b.seg.MetaBase, r.count)
@@ -629,14 +605,41 @@ func (b *base) recoverImage(done func()) {
 			b.env.Mach.CopyPhys(b.seg.ImageBase+e.off, cursor, int(e.size), func() {
 				pending--
 				if pending == 0 {
-					finishCopyBack()
+					b.copyBack(lo, done)
 				}
 			})
 			cursor += e.size
 		}
 		return
 	}
-	finishCopyBack()
+	b.copyBack(lo, done)
+}
+
+// copyBack maps the segment from lo (page-aligned) to its top and copies
+// the image into the mapped frames one page at a time, calling done once
+// every copy has landed (as an event at once if there is none).
+func (b *base) copyBack(lo uint64, done func()) {
+	b.env.AS.EnsureRange(lo, b.seg.Hi)
+	pending := 0
+	fired := false
+	complete := func() {
+		pending--
+		if pending == 0 && fired {
+			done()
+		}
+	}
+	for va := lo; va < b.seg.Hi; va += mem.PageSize {
+		paddr, _, ok := b.env.AS.PT.Translate(va)
+		if !ok {
+			panic("persist: recovery mapping failed")
+		}
+		pending++
+		b.env.Mach.CopyPhys(paddr, b.seg.ImageBase+(va-b.seg.Lo), mem.PageSize, complete)
+	}
+	fired = true
+	if pending == 0 {
+		b.env.Eng().Schedule(sim.CompPersist, 0, done)
+	}
 }
 
 // timedScan charges the CPU+memory cost of scanning n metadata units that

@@ -124,26 +124,4 @@ func (r *Romulus) Checkpoint(done func(Result)) {
 // so recovery maps the segment and copies the backup into the new main
 // frames. The backup is offset-contiguous, and lines never logged are
 // zero in both twins, so a whole-segment copy is exact.
-func (r *Romulus) Recover(done func()) {
-	r.env.AS.EnsureRange(r.seg.Lo, r.seg.Hi)
-	pending := 0
-	fired := false
-	complete := func() {
-		pending--
-		if pending == 0 && fired {
-			done()
-		}
-	}
-	for va := r.seg.Lo; va < r.seg.Hi; va += mem.PageSize {
-		paddr, _, ok := r.env.AS.PT.Translate(va)
-		if !ok {
-			panic("persist: romulus recovery mapping failed")
-		}
-		pending++
-		r.env.Mach.CopyPhys(paddr, r.seg.ImageBase+(va-r.seg.Lo), mem.PageSize, complete)
-	}
-	fired = true
-	if pending == 0 {
-		r.env.Eng().Schedule(sim.CompPersist, 0, done)
-	}
-}
+func (r *Romulus) Recover(done func()) { r.copyBack(r.seg.Lo, done) }

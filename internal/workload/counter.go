@@ -39,7 +39,7 @@ func (c *CounterProgram) Start(ctx Context) {
 	c.sp = ctx.StackHi - 4096 // one fixed frame
 }
 
-// Next implements Program as an explicit state machine (no goroutine), so
+// Next implements Program as an explicit state machine (no coroutine), so
 // the execution position is exactly (i, step) and trivially restorable.
 func (c *CounterProgram) Next() Op {
 	if c.i >= c.Iterations {

@@ -64,8 +64,9 @@ func TestProgramCloseAtBatchBoundaries(t *testing.T) {
 	}
 }
 
-// waitGoroutines waits for the goroutine count to fall back to base: a
-// producer that has closed its channel may not have exited yet.
+// waitGoroutines waits for the goroutine count to fall back to base:
+// iter.Pull runs the body on a goroutine of its own, which must exit when
+// the body returns or Close stops it.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -90,26 +91,6 @@ func TestProgramLeavesNoGoroutine(t *testing.T) {
 		waitGoroutines(t, base)
 	})
 
-	t.Run("close with a full buffer", func(t *testing.T) {
-		// The consumer holds the first batch; the producer fills the
-		// second and blocks handing it over.
-		base := runtime.NumGoroutine()
-		full := make(chan struct{})
-		p := NewProgram("blocked", func(g *G) {
-			for i := uint64(0); ; i++ {
-				if i == 2*batch-1 {
-					close(full)
-				}
-				g.Store(i, 8)
-			}
-		})
-		p.Start(testCtx())
-		p.Next()
-		<-full
-		p.Close()
-		waitGoroutines(t, base)
-	})
-
 	t.Run("body returns", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		p := NewProgram("counted", counted(batch+1))
@@ -119,6 +100,37 @@ func TestProgramLeavesNoGoroutine(t *testing.T) {
 		waitGoroutines(t, base)
 		p.Close()
 	})
+}
+
+func TestBodyPanicReachesNext(t *testing.T) {
+	type bodyFault struct{ at int }
+	base := runtime.NumGoroutine()
+	p := NewProgram("faulty", func(g *G) {
+		for i := 0; i < batch+1; i++ {
+			g.Store(uint64(i), 8)
+		}
+		panic(bodyFault{at: batch + 1})
+	})
+	p.Start(testCtx())
+	for i := 0; i < batch; i++ {
+		if op := p.Next(); op.Kind != Store {
+			t.Fatalf("op %d = %+v, want a store", i, op)
+		}
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != (bodyFault{at: batch + 1}) {
+				t.Fatalf("Next panicked with %v, want the body's own value", r)
+			}
+		}()
+		p.Next()
+		t.Fatal("Next returned after the body panicked")
+	}()
+	if op := p.Next(); op.Kind != End {
+		t.Fatalf("op after the panic = %+v, want End", op)
+	}
+	p.Close()
+	waitGoroutines(t, base)
 }
 
 func TestProgramStreamIndependentOfGOMAXPROCS(t *testing.T) {

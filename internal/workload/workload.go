@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package workload provides the simulated programs that drive the
 // machine: the paper's Table III micro-benchmarks (Random, Stream,
 // Sparse, Quicksort, Recursive, Normal, Poisson), synthetic models of the
@@ -8,15 +10,17 @@
 // Programs are pull-based op generators: the kernel (or the trace
 // capturer) repeatedly calls Next and executes the returned operation.
 // Generators are written as ordinary Go code — including real recursion
-// for Quicksort — running in a producer goroutine. The producer fills a
-// fixed batch of ops and hands the whole batch, and ownership of its
-// buffer, to the single consumer through an unbuffered channel. It may
-// run up to two batches ahead of the consumer, which cannot change the
-// op stream: a generator body is a pure function of its Context and seed
-// and reads no state the kernel writes.
+// for Quicksort — running as a coroutine (iter.Pull) on the consumer's
+// thread. The body fills a fixed batch of ops and yields it; Next reads
+// the whole batch before the body resumes and refills the same buffer,
+// so the body never runs ahead of the consumer.
 package workload
 
-import "prosper/internal/sim"
+import (
+	"iter"
+
+	"prosper/internal/sim"
+)
 
 // Kind discriminates operation types.
 type Kind uint8
@@ -70,13 +74,13 @@ type Checkpointable interface {
 	Restore([]byte)
 }
 
-// stoppedErr is the sentinel used to unwind a generator goroutine on Close.
+// stoppedErr is the sentinel used to unwind a generator body on Close.
 type stoppedErr struct{}
 
 func (stoppedErr) Error() string { return "workload: generator stopped" }
 
-// batch is the number of ops the producer hands the consumer per channel
-// operation. Each program holds two buffers of this many ops (about 5 KB).
+// batch is the number of ops the body yields to the consumer per switch.
+// Each program holds one buffer of this many ops (about 2.5 KB).
 const batch = 64
 
 // G is the helper state passed to generator bodies: it tracks the stack
@@ -85,16 +89,9 @@ type G struct {
 	Ctx Context
 	Rng *sim.Rand
 
-	sp uint64
-	// buf is bufs[cur], the batch being filled, while the consumer reads
-	// bufs[cur^1]. Sending buf completes only once the consumer has
-	// finished bufs[cur^1], so the producer may then refill it.
-	buf     []Op
-	bufs    [2][]Op
-	cur     int
-	ops     chan []Op     //prosperlint:ignore concurrency batch handoff: the producer is a pure function of its Context, and each unbuffered send hands a full batch, and ownership of its buffer, to the single consumer
-	stop    chan struct{} //prosperlint:ignore concurrency stop is closed exactly once by Close, which unwinds the single producer
-	stopped bool
+	sp    uint64
+	buf   []Op // the batch being filled
+	yield func([]Op) bool
 }
 
 // SP returns the current simulated stack pointer.
@@ -108,19 +105,17 @@ func (g *G) send(op Op) {
 	}
 }
 
-// flush hands the ops emitted so far to the consumer and switches to the
-// other buffer.
+// flush yields the ops emitted so far to the consumer, which has read
+// them all when the body resumes, so the buffer is then refilled. After
+// Close, yield returns false and the panic unwinds the body.
 func (g *G) flush() {
 	if len(g.buf) == 0 {
 		return
 	}
-	select { //prosperlint:ignore concurrency batch handoff: the producer is a pure function of its Context, and each unbuffered send hands a full batch, and ownership of its buffer, to the single consumer
-	case g.ops <- g.buf: //prosperlint:ignore concurrency batch handoff: the producer is a pure function of its Context, and each unbuffered send hands a full batch, and ownership of its buffer, to the single consumer
-	case <-g.stop: //prosperlint:ignore concurrency stop is closed exactly once by Close; the panic unwinds the producer deterministically
+	if !g.yield(g.buf) {
 		panic(stoppedErr{})
 	}
-	g.cur ^= 1
-	g.buf = g.bufs[g.cur][:0]
+	g.buf = g.buf[:0]
 }
 
 // Compute advances simulated time.
@@ -160,14 +155,14 @@ func (g *G) StoreLocal(off uint64, size int32) { g.Store(g.sp+off, size) }
 // LoadLocal reads size bytes at offset off in the current frame.
 func (g *G) LoadLocal(off uint64, size int32) { g.Load(g.sp+off, size) }
 
-// genProgram adapts a generator body into a Program. The body runs in its
-// own goroutine; when it returns, the program emits End forever.
+// genProgram adapts a generator body into a Program. The body runs as a
+// coroutine; when it returns, the program emits End forever.
 type genProgram struct {
 	name string
 	body func(*G)
-	g    *G
-	ops  []Op // the rest of the batch received last
-	done bool
+	next func() ([]Op, bool)
+	stop func()
+	ops  []Op // the rest of the batch yielded last
 }
 
 // NewProgram builds a Program from a generator body. The body receives a
@@ -180,41 +175,36 @@ func NewProgram(name string, body func(*G)) Program {
 func (p *genProgram) Name() string { return p.name }
 
 func (p *genProgram) Start(ctx Context) {
-	if p.g != nil {
+	if p.next != nil {
 		panic("workload: Start called twice")
 	}
 	g := &G{
-		Ctx:  ctx,
-		Rng:  sim.NewRand(ctx.Seed),
-		sp:   ctx.StackHi,
-		ops:  make(chan []Op),     //prosperlint:ignore concurrency batch handoff: the producer is a pure function of its Context, and each unbuffered send hands a full batch, and ownership of its buffer, to the single consumer
-		stop: make(chan struct{}), //prosperlint:ignore concurrency stop is closed exactly once by Close, which unwinds the single producer
-		bufs: [2][]Op{make([]Op, 0, batch), make([]Op, 0, batch)},
+		Ctx: ctx,
+		Rng: sim.NewRand(ctx.Seed),
+		sp:  ctx.StackHi,
+		buf: make([]Op, 0, batch),
 	}
-	g.buf = g.bufs[0]
-	p.g = g
-	go func() { //prosperlint:ignore concurrency one producer goroutine per program, handing whole batches to its single consumer; no shared sim state
+	p.next, p.stop = iter.Pull(func(yield func([]Op) bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(stoppedErr); !ok {
 					panic(r)
 				}
 			}
-			close(g.ops) //prosperlint:ignore concurrency close signals end-of-ops to the single consumer
 		}()
+		g.yield = yield
 		p.body(g)
 		g.flush()
-	}()
+	})
 }
 
+// Next returns the next op of the batch it holds and resumes the body
+// for another batch when that one is used up. A panic in the body comes
+// out of Next, on the caller's goroutine.
 func (p *genProgram) Next() Op {
 	if len(p.ops) == 0 {
-		if p.done {
-			return Op{Kind: End}
-		}
-		ops, ok := <-p.g.ops //prosperlint:ignore concurrency batch handoff: the producer is a pure function of its Context, and each unbuffered send hands a full batch, and ownership of its buffer, to the single consumer
+		ops, ok := p.next()
 		if !ok {
-			p.done = true
 			return Op{Kind: End}
 		}
 		p.ops = ops
@@ -225,14 +215,8 @@ func (p *genProgram) Next() Op {
 }
 
 func (p *genProgram) Close() {
-	if p.g == nil || p.g.stopped {
-		return
-	}
-	p.g.stopped = true
-	close(p.g.stop) //prosperlint:ignore concurrency close signals stop to the single producer exactly once
-	// Drain until the producer exits so its goroutine is collected.
-	for range p.g.ops { //prosperlint:ignore concurrency drain after stop: batches are discarded, order is irrelevant
+	if p.stop != nil {
+		p.stop()
 	}
 	p.ops = nil
-	p.done = true
 }
