@@ -1,7 +1,7 @@
 package journey
 
 import (
-	"fmt"
+	"strconv"
 
 	"prosper/internal/telemetry"
 )
@@ -26,6 +26,9 @@ func ExportTrace(r *Recorder, t *telemetry.Tracer) {
 		}
 		return tracks[s]
 	}
+	// Span names ("stage" or "stage:cause") are built on first use, so
+	// a span costs no concatenation and the table dies with the export.
+	var names [NumStages][NumCauses]string
 	for _, j := range r.Journeys() {
 		if !j.Finished() {
 			continue
@@ -34,14 +37,20 @@ func ExportTrace(r *Recorder, t *telemetry.Tracer) {
 		if j.Write {
 			kind = "store"
 		}
-		flowName := fmt.Sprintf("journey %d", j.JID)
+		var flowName string
+		if len(j.Spans) > 1 {
+			flowName = "journey " + strconv.FormatUint(uint64(j.JID), 10)
+		}
 		for i, sp := range j.Spans {
 			tk := track(sp.Stage)
-			name := sp.Stage.String()
-			if sp.Cause != CauseNone {
-				name += ":" + sp.Cause.String()
+			name := &names[sp.Stage][sp.Cause]
+			if *name == "" {
+				*name = sp.Stage.String()
+				if sp.Cause != CauseNone {
+					*name += ":" + sp.Cause.String()
+				}
 			}
-			t.SpanAt(tk, name, sp.Enter, sp.Exit-sp.Enter,
+			t.SpanAt(tk, *name, sp.Enter, sp.Exit-sp.Enter,
 				telemetry.U("jid", uint64(j.JID)),
 				telemetry.U("seq", j.Seq),
 				telemetry.S("kind", kind),

@@ -2,7 +2,6 @@ package journey
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 	"sync"
@@ -59,60 +58,81 @@ func (jl *Journal) Recorders() []*Recorder {
 
 // WriteJSONL serializes the journal: one format-header line, then per
 // recorder a run-header line followed by one line per finished journey
-// in JID order. All encoding is explicit fmt/strconv (no maps, no
-// encoding/json struct-order surprises), so output is byte-deterministic.
+// in JID order. Each line is appended into one reused buffer with
+// strconv (no maps, no encoding/json struct-order surprises, no
+// per-journey allocation), so output is byte-deterministic.
 func (jl *Journal) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"journey_journal\":%d}\n", FormatVersion)
+	buf := append(appendInt(nil, `{"journey_journal":`, FormatVersion), "}\n"...)
+	bw.Write(buf)
 	for _, r := range jl.Recorders() {
-		if err := r.writeJSONL(bw); err != nil {
-			return err
+		buf = r.appendHeader(buf[:0])
+		bw.Write(buf)
+		for _, j := range r.journeys {
+			if !j.finished {
+				continue // still in flight when the run ended; counted via sampled-finished
+			}
+			buf = appendJourney(buf[:0], j)
+			bw.Write(buf)
 		}
 	}
 	return bw.Flush()
 }
 
-func (r *Recorder) writeJSONL(bw *bufio.Writer) error {
-	accesses, sampled, finished := r.Counts()
-	fmt.Fprintf(bw, "{\"run\":%s,\"rate\":%d,\"seed\":%d,\"accesses\":%d,\"sampled\":%d,\"finished\":%d}\n",
-		strconv.Quote(r.name), r.rate, r.seed, accesses, sampled, finished)
-	for _, j := range r.journeys {
-		if !j.finished {
-			continue // still in flight when the run ended; counted via sampled-finished
-		}
-		if err := writeJourney(bw, j); err != nil {
-			return err
-		}
-	}
-	return nil
+func appendUint(b []byte, key string, v uint64) []byte {
+	return strconv.AppendUint(append(b, key...), v, 10)
 }
 
-func writeJourney(bw *bufio.Writer, j *Journey) error {
+func appendInt(b []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+func (r *Recorder) appendHeader(b []byte) []byte {
+	accesses, sampled, finished := r.Counts()
+	b = strconv.AppendQuote(append(b, `{"run":`...), r.name)
+	b = appendUint(b, `,"rate":`, r.rate)
+	b = appendUint(b, `,"seed":`, r.seed)
+	b = appendUint(b, `,"accesses":`, accesses)
+	b = appendUint(b, `,"sampled":`, sampled)
+	b = appendUint(b, `,"finished":`, finished)
+	return append(b, "}\n"...)
+}
+
+func appendJourney(b []byte, j *Journey) []byte {
 	kind := "load"
 	if j.Write {
 		kind = "store"
 	}
-	fmt.Fprintf(bw, "{\"jid\":%d,\"seq\":%d,\"kind\":%q,\"vaddr\":%d,\"size\":%d,\"start\":%d,\"end\":%d,\"latency\":%d,\"stages\":[",
-		j.JID, j.Seq, kind, j.VAddr, j.Size, j.Start, j.End, j.Latency())
+	b = appendUint(b, `{"jid":`, uint64(j.JID))
+	b = appendUint(b, `,"seq":`, j.Seq)
+	b = strconv.AppendQuote(append(b, `,"kind":`...), kind)
+	b = appendUint(b, `,"vaddr":`, j.VAddr)
+	b = appendInt(b, `,"size":`, int64(j.Size))
+	b = appendInt(b, `,"start":`, j.Start)
+	b = appendInt(b, `,"end":`, j.End)
+	b = appendInt(b, `,"latency":`, j.Latency())
+	b = append(b, `,"stages":[`...)
 	for i, sp := range j.Spans {
 		if i > 0 {
-			bw.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(bw, "{\"stage\":%q,\"cause\":%q,\"enter\":%d,\"exit\":%d}",
-			sp.Stage.String(), sp.Cause.String(), sp.Enter, sp.Exit)
+		b = strconv.AppendQuote(append(b, `{"stage":`...), sp.Stage.String())
+		b = strconv.AppendQuote(append(b, `,"cause":`...), sp.Cause.String())
+		b = appendInt(b, `,"enter":`, sp.Enter)
+		b = appendInt(b, `,"exit":`, sp.Exit)
+		b = append(b, '}')
 	}
-	bw.WriteString("],\"vec\":{")
+	b = append(b, `],"vec":{`...)
 	first := true
 	for s := 0; s < NumStages; s++ {
 		if j.Vec[s] == 0 {
 			continue
 		}
 		if !first {
-			bw.WriteByte(',')
+			b = append(b, ',')
 		}
 		first = false
-		fmt.Fprintf(bw, "%q:%d", Stage(s).String(), j.Vec[s])
+		b = appendInt(strconv.AppendQuote(b, Stage(s).String()), ":", j.Vec[s])
 	}
-	bw.WriteString("}}\n")
-	return nil
+	return append(b, "}}\n"...)
 }

@@ -8,6 +8,15 @@ import (
 	"prosper/internal/workload"
 )
 
+// pauseCounterNames[c] is the trace counter that samples pause cause c
+// at every commit.
+var pauseCounterNames = func() (n [persist.NumCauses]string) {
+	for c := range n {
+		n[c] = "pause." + persist.Cause(c).String()
+	}
+	return n
+}()
+
 // checkpointProcess runs one incremental process checkpoint: pause every
 // thread at an op boundary (mechanism state saved and quiescent), persist
 // the register state, the per-thread stacks, and the heap, commit the
@@ -74,8 +83,7 @@ func (k *Kernel) checkpointPaused(p *Process, start int64, epoch telemetry.Span,
 			})
 			if k.Trace.Enabled() {
 				for c, v := range causes {
-					k.Trace.Counter(p.traceTrack, "pause."+persist.Cause(c).String(),
-						"cycles", int64(v))
+					k.Trace.Counter(p.traceTrack, pauseCounterNames[c], "cycles", int64(v))
 				}
 			}
 			p.CheckpointCount++

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"io"
 	"testing"
 
 	"prosper/internal/sim"
@@ -51,5 +52,18 @@ func BenchmarkEnabledTracerSpan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp := tc.Begin(track, "checkpoint")
 		sp.End()
+	}
+}
+
+// BenchmarkTraceWriteJSON serializes a 10k-event trace; CI runs it with
+// -benchtime=1x as a smoke test of the append encoder.
+func BenchmarkTraceWriteJSON(b *testing.B) {
+	tr, _ := bigTrace(10_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tr.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

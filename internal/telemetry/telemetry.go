@@ -21,7 +21,6 @@ package telemetry
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 	"sync"
@@ -54,6 +53,7 @@ type Track struct{ tid int }
 // event is one recorded trace event. ph follows the Chrome trace-event
 // phase codes: 'X' complete span, 'i' instant, 'C' counter, 'M' metadata,
 // and 's'/'t'/'f' flow start/step/finish (id carries the flow identity).
+// args is a window into one of the tracer's arg blocks.
 type event struct {
 	ph   byte
 	tid  int
@@ -64,6 +64,23 @@ type event struct {
 	args []Arg
 }
 
+// Storage block sizes. A tracer's first blocks are small, so a tracer
+// holding a handful of events stays near a kilobyte; each new block
+// doubles up to the cap, so a long run allocates once per thousand
+// events and never moves or copies what it already recorded.
+const (
+	minEventBlock = 8
+	maxEventBlock = 1024
+	minArgBlock   = 8
+	maxArgBlock   = 2048
+)
+
+// nextBlock returns the capacity of the block after one of capacity
+// prev: double it, within [lo, hi].
+func nextBlock(prev, lo, hi int) int {
+	return min(max(2*prev, lo), hi)
+}
+
 // Tracer records one simulation run's telemetry. It is not safe for
 // concurrent use — by construction a run's tracer is only touched from
 // that run's single-threaded sim engine, which is what keeps event order
@@ -72,7 +89,29 @@ type Tracer struct {
 	pid     int
 	eng     *sim.Engine
 	nextTID int
-	events  []event
+	full    [][]event // filled event blocks, in record order
+	cur     []event   // the block being filled
+	args    []Arg     // the arg block being filled
+}
+
+// add records e with a copy of args, so callers' variadic args never
+// escape to the heap.
+func (t *Tracer) add(e event, args []Arg) {
+	if len(args) > 0 {
+		if cap(t.args)-len(t.args) < len(args) {
+			t.args = make([]Arg, 0, max(nextBlock(cap(t.args), minArgBlock, maxArgBlock), len(args)))
+		}
+		n := len(t.args)
+		t.args = append(t.args, args...)
+		e.args = t.args[n:len(t.args):len(t.args)]
+	}
+	if len(t.cur) == cap(t.cur) {
+		if t.cur != nil {
+			t.full = append(t.full, t.cur)
+		}
+		t.cur = make([]event, 0, nextBlock(cap(t.cur), minEventBlock, maxEventBlock))
+	}
+	t.cur = append(t.cur, e)
 }
 
 // Enabled reports whether the tracer actually records (false for nil).
@@ -101,7 +140,7 @@ func (t *Tracer) Track(name string) Track {
 	}
 	t.nextTID++
 	tid := t.nextTID
-	t.events = append(t.events, event{ph: 'M', name: "thread_name", tid: tid, args: []Arg{S("name", name)}})
+	t.add(event{ph: 'M', name: "thread_name", tid: tid}, []Arg{S("name", name)})
 	return Track{tid: tid}
 }
 
@@ -127,10 +166,10 @@ func (s Span) End(args ...Arg) {
 	if s.t == nil {
 		return
 	}
-	s.t.events = append(s.t.events, event{
+	s.t.add(event{
 		ph: 'X', tid: s.track.tid, name: s.name,
-		ts: s.start, dur: s.t.now() - s.start, args: args,
-	})
+		ts: s.start, dur: s.t.now() - s.start,
+	}, args)
 }
 
 // SpanAt records a complete span with an explicit start and duration
@@ -143,9 +182,7 @@ func (t *Tracer) SpanAt(track Track, name string, start, dur sim.Time, args ...A
 	if dur < 0 {
 		dur = 0
 	}
-	t.events = append(t.events, event{
-		ph: 'X', tid: track.tid, name: name, ts: start, dur: dur, args: args,
-	})
+	t.add(event{ph: 'X', tid: track.tid, name: name, ts: start, dur: dur}, args)
 }
 
 // FlowStart opens a flow arrow (Chrome phase 's') with identity id at an
@@ -157,7 +194,7 @@ func (t *Tracer) FlowStart(track Track, name string, id uint64, ts sim.Time) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, event{ph: 's', tid: track.tid, name: name, ts: ts, id: id})
+	t.add(event{ph: 's', tid: track.tid, name: name, ts: ts, id: id}, nil)
 }
 
 // FlowStep continues flow id through an intermediate span ('t').
@@ -165,7 +202,7 @@ func (t *Tracer) FlowStep(track Track, name string, id uint64, ts sim.Time) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, event{ph: 't', tid: track.tid, name: name, ts: ts, id: id})
+	t.add(event{ph: 't', tid: track.tid, name: name, ts: ts, id: id}, nil)
 }
 
 // FlowEnd terminates flow id ('f'). Emitted with binding point "e"
@@ -175,7 +212,7 @@ func (t *Tracer) FlowEnd(track Track, name string, id uint64, ts sim.Time) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, event{ph: 'f', tid: track.tid, name: name, ts: ts, id: id})
+	t.add(event{ph: 'f', tid: track.tid, name: name, ts: ts, id: id}, nil)
 }
 
 // Instant records a point event on the track.
@@ -183,7 +220,7 @@ func (t *Tracer) Instant(track Track, name string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, event{ph: 'i', tid: track.tid, name: name, ts: t.now(), args: args})
+	t.add(event{ph: 'i', tid: track.tid, name: name, ts: t.now()}, args)
 }
 
 // Counter records one sample of a counter-track series; Perfetto renders
@@ -192,7 +229,7 @@ func (t *Tracer) Counter(track Track, name, series string, v int64) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, event{ph: 'C', tid: track.tid, name: name, ts: t.now(), args: []Arg{I(series, v)}})
+	t.add(event{ph: 'C', tid: track.tid, name: name, ts: t.now()}, []Arg{I(series, v)})
 }
 
 // CounterProbe describes one occupancy series to sample periodically:
@@ -219,7 +256,16 @@ func (t *Tracer) Events() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	n := 0
+	for _, b := range t.blocks() {
+		n += len(b)
+	}
+	return n
+}
+
+// blocks returns the tracer's event blocks in record order.
+func (t *Tracer) blocks() [][]event {
+	return append(t.full[:len(t.full):len(t.full)], t.cur)
 }
 
 // Trace is the top-level collection: one Tracer per simulation run, each
@@ -244,63 +290,77 @@ func (tr *Trace) NewTracer(name string) *Tracer {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	t := &Tracer{pid: len(tr.tracers) + 1}
-	t.events = append(t.events, event{ph: 'M', name: "process_name", args: []Arg{S("name", name)}})
+	t.add(event{ph: 'M', name: "process_name"}, []Arg{S("name", name)})
 	tr.tracers = append(tr.tracers, t)
 	return t
 }
 
 // WriteJSON serializes the whole trace as Chrome trace-event JSON
 // (ui.perfetto.dev opens it directly). Output is byte-deterministic:
-// tracers in creation order, each tracer's events in record order.
+// tracers in creation order, each tracer's events in record order. Each
+// event is appended into one reused buffer (strconv.AppendQuote equals
+// the %q/strconv.Quote rendering), so writing allocates per trace, not
+// per event.
 func (tr *Trace) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"traceEvents":[`)
-	first := true
+	var buf []byte
+	sep := "\n"
 	for _, t := range tr.tracers {
-		for i := range t.events {
-			writeEvent(bw, t.pid, &t.events[i], &first)
+		for _, blk := range t.blocks() {
+			for i := range blk {
+				buf = appendEvent(append(buf[:0], sep...), t.pid, &blk[i])
+				bw.Write(buf)
+				sep = ",\n"
+			}
 		}
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
 }
 
-func writeEvent(bw *bufio.Writer, pid int, e *event, first *bool) {
-	if *first {
-		bw.WriteString("\n")
-		*first = false
-	} else {
-		bw.WriteString(",\n")
+func appendEvent(b []byte, pid int, e *event) []byte {
+	b = append(b, `{"name":`...)
+	b = strconv.AppendQuote(b, e.name)
+	b = append(b, `,"ph":"`...)
+	b = append(b, e.ph)
+	b = append(b, `","pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(e.tid), 10)
+	if e.ph != 'M' {
+		b = append(b, `,"ts":`...)
+		b = strconv.AppendInt(b, e.ts, 10)
 	}
-	fmt.Fprintf(bw, `{"name":%s,"ph":"%c","pid":%d,"tid":%d`, strconv.Quote(e.name), e.ph, pid, e.tid)
 	switch e.ph {
 	case 'X':
-		fmt.Fprintf(bw, `,"ts":%d,"dur":%d`, e.ts, e.dur)
+		b = append(b, `,"dur":`...)
+		b = strconv.AppendInt(b, e.dur, 10)
 	case 'i':
 		// Scope "t": the instant marker spans its thread lane only.
-		fmt.Fprintf(bw, `,"ts":%d,"s":"t"`, e.ts)
-	case 'C':
-		fmt.Fprintf(bw, `,"ts":%d`, e.ts)
-	case 's', 't':
-		fmt.Fprintf(bw, `,"ts":%d,"id":%d`, e.ts, e.id)
-	case 'f':
-		fmt.Fprintf(bw, `,"ts":%d,"id":%d,"bp":"e"`, e.ts, e.id)
+		b = append(b, `,"s":"t"`...)
+	case 's', 't', 'f':
+		b = append(b, `,"id":`...)
+		b = strconv.AppendUint(b, e.id, 10)
+		if e.ph == 'f' {
+			b = append(b, `,"bp":"e"`...)
+		}
 	}
 	if len(e.args) > 0 {
-		bw.WriteString(`,"args":{`)
+		b = append(b, `,"args":{`...)
 		for i, a := range e.args {
 			if i > 0 {
-				bw.WriteString(",")
+				b = append(b, ',')
 			}
-			bw.WriteString(strconv.Quote(a.Key))
-			bw.WriteString(":")
+			b = strconv.AppendQuote(b, a.Key)
+			b = append(b, ':')
 			if a.isStr {
-				bw.WriteString(strconv.Quote(a.str))
+				b = strconv.AppendQuote(b, a.str)
 			} else {
-				fmt.Fprintf(bw, "%d", a.val)
+				b = strconv.AppendInt(b, a.val, 10)
 			}
 		}
-		bw.WriteString("}")
+		b = append(b, '}')
 	}
-	bw.WriteString("}")
+	return append(b, '}')
 }
