@@ -79,7 +79,6 @@ func AllPasses() []Pass {
 		NewWallclock(),
 		NewConcurrency(),
 		NewStatsKeys(),
-		NewSnapshot(),
 	}
 }
 

@@ -25,9 +25,6 @@ var fixturePath = map[string]string{
 	// its clock reads are findings; TestWallclockAllowsHostprofPackage
 	// re-analyzes it under the real allowlisted path.
 	"testdata/src/hostprof": "prosper/internal/cache",
-	// The snapshot pass checks any package with SaveSnap/LoadSnap pairs;
-	// the synthetic path just has to dodge the real ones.
-	"testdata/src/snapshot": "prosper/internal/fixsnap",
 }
 
 func loadFixtures(t *testing.T, dirs ...string) (*Loader, []*Package) {
@@ -109,15 +106,6 @@ func runFixture(t *testing.T, passes []Pass, dirs ...string) *Report {
 	l, pkgs := loadFixtures(t, dirs...)
 	r := &Runner{Loader: l, Passes: passes}
 	return r.Analyze(pkgs)
-}
-
-func TestSnapshotPass(t *testing.T) {
-	rep := runFixture(t, []Pass{NewSnapshot()}, "testdata/src/snapshot")
-	_, pkgs := loadFixtures(t, "testdata/src/snapshot")
-	checkAgainstWants(t, rep, collectWants(pkgs))
-	if rep.Suppressed != 1 {
-		t.Errorf("suppressed = %d, want 1 (the documented cleared-on-load field)", rep.Suppressed)
-	}
 }
 
 func TestMapRangePass(t *testing.T) {
@@ -299,7 +287,7 @@ func TestPassNamesStable(t *testing.T) {
 		names = append(names, p.Name())
 	}
 	got := strings.Join(names, " ")
-	if got != "maprange wallclock concurrency statskeys snapshot" {
+	if got != "maprange wallclock concurrency statskeys" {
 		t.Errorf("pass suite = %q", got)
 	}
 }

@@ -149,22 +149,19 @@ type Cache struct {
 
 	// The sets, one record each. A tag word is tagOf the line address
 	// with tagValid and tagDirty in its low bits; an invalid line keeps
-	// its stale address. SaveSnap writes each set's recency order as
-	// per-line stamps. sets is nil until the level's first fill (or
-	// snapshot): a machine booted only to recover a process never
-	// touches most levels, so it need not allocate them.
+	// its stale address. sets is nil until the level's first fill: a
+	// machine booted only to recover a process never touches most
+	// levels, so it need not allocate them.
 	sets    []set
 	setMask uint64
 
 	// mshrs holds the in-flight misses, at most cfg.MSHRs of them;
 	// mshrLines[i] is the line mshrs[i] fetches, searched linearly.
-	mshrs []*mshr //prosperlint:ignore snapshot SaveSnap asserts no in-flight misses; a fresh boot's empty MSHR list needs no restoring
-	//prosperlint:ignore snapshot parallel to mshrs, which SaveSnap asserts empty
+	mshrs     []*mshr
 	mshrLines []uint64
-	mshrFree  []*mshr // idle MSHRs, reused with their waiter backing
-	//prosperlint:ignore snapshot SaveSnap asserts none are stalled; a fresh boot's empty list needs no restoring
-	blocked  []deferredAccess // accesses stalled on MSHR exhaustion
-	retryBuf []deferredAccess // spare backing swapped with blocked on retry
+	mshrFree  []*mshr          // idle MSHRs, reused with their waiter backing
+	blocked   []deferredAccess // accesses stalled on MSHR exhaustion
+	retryBuf  []deferredAccess // spare backing swapped with blocked on retry
 
 	// fetchFn/fillFn are the miss-path continuations (method values bound
 	// once here, rebound never): fetch asks the next level for the line
@@ -191,8 +188,7 @@ type Cache struct {
 
 	// journeys, when attached, receives stage spans for sampled accesses
 	// whose Done tokens carry a journey ID; stage is this level's lane.
-	// Both are boot-time wiring, excluded from snapshots by design: a
-	// journey-enabled spec is rejected by the snapshot runner (§15).
+	// Both are boot-time wiring (§15).
 	journeys *journey.Recorder
 	stage    journey.Stage
 }

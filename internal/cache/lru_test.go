@@ -7,7 +7,6 @@ import (
 
 	"prosper/internal/mem"
 	"prosper/internal/sim"
-	"prosper/internal/snapbuf"
 )
 
 // stampLRU is the replacement state the packed per-set order replaced,
@@ -87,24 +86,6 @@ func (r *stampLRU) flush() {
 	}
 }
 
-// snapshot encodes the reference in Cache.SaveSnap's record format, with
-// its real stamps, around c's statistics.
-func (r *stampLRU) snapshot(c *Cache) []byte {
-	w := snapbuf.NewWriter()
-	w.String(c.cfg.Name)
-	w.U64(r.setMask + 1)
-	w.U64(uint64(r.ways))
-	for i, l := range r.lines {
-		w.U64(l &^ (refValid | refDirty))
-		w.Bool(l&refValid != 0)
-		w.Bool(l&refDirty != 0)
-		w.U64(r.lrus[i])
-	}
-	c.Counters.SaveSnap(w)
-	c.Histograms.SaveSnap(w)
-	return w.Bytes()
-}
-
 // compare fails the test unless c holds exactly the reference's lines,
 // flags and writebacks and would evict the same way from every set.
 func (r *stampLRU) compare(t *testing.T, c *Cache, below *immediatePort, what string) {
@@ -125,27 +106,9 @@ func (r *stampLRU) compare(t *testing.T, c *Cache, below *immediatePort, what st
 	}
 }
 
-// resume loads snap into a fresh level of c's geometry over the same
-// engine and port.
-func resume(c *Cache, snap []byte) (*Cache, error) {
-	fresh := New(c.eng, c.cfg, c.next)
-	return fresh, fresh.LoadSnap(snapbuf.NewReader(snap))
-}
-
-func mustResume(t *testing.T, c *Cache, snap []byte) *Cache {
-	t.Helper()
-	fresh, err := resume(c, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fresh
-}
-
 // TestLRUMatchesStampReference drives the packed order and the stamp
-// reference with the same random reads, writes, flushes and snapshot
-// round trips, at 4, 8 and 16 ways, and compares them after every step.
-// Half the round trips resume from the reference's own stamps, as a
-// snapshot written before the packed order existed would carry them.
+// reference with the same random reads, writes and flushes, at 4, 8 and
+// 16 ways, and compares them after every step.
 func TestLRUMatchesStampReference(t *testing.T) {
 	const sets = 8
 	for _, ways := range []int{4, 8, 16} {
@@ -157,30 +120,18 @@ func TestLRUMatchesStampReference(t *testing.T) {
 		ref := newStampLRU(sets, ways)
 		lines := uint64(sets * (ways + ways/2 + 2))
 		for step := 0; step < 20000; step++ {
-			var op string
-			switch n := rng.Intn(1000); {
-			case n < 980:
-				op = "access"
+			op := "access"
+			if rng.Intn(200) == 0 {
+				op = "flush"
+				c.Flush()
+				eng.Run()
+				ref.flush()
+			} else {
 				write := rng.Intn(3) == 0
 				addr := rng.Uint64()%lines*mem.LineSize + rng.Uint64()%mem.LineSize
 				c.Access(write, addr, sim.Done{})
 				eng.Run()
 				ref.access(write, addr)
-			case n < 985:
-				op = "flush"
-				c.Flush()
-				eng.Run()
-				ref.flush()
-			case n < 993:
-				op = "resume"
-				w := snapbuf.NewWriter()
-				if err := c.SaveSnap(w); err != nil {
-					t.Fatal(err)
-				}
-				c = mustResume(t, c, w.Bytes())
-			default:
-				op = "resume-stamps"
-				c = mustResume(t, c, ref.snapshot(c))
 			}
 			ref.compare(t, c, below, op)
 		}
@@ -190,35 +141,36 @@ func TestLRUMatchesStampReference(t *testing.T) {
 	}
 }
 
-// TestLoadSnapStampsPickSameVictims resumes a full 16-way set from stamps
-// written by the stamp-based LRU, including stamps in no particular way
-// order and a tie, and checks that every later fill evicts what the
-// stamp scan would.
-func TestLoadSnapStampsPickSameVictims(t *testing.T) {
+// TestPermutedFillsPickSameVictims fills two full 16-way sets in a
+// shuffled order, then re-touches a shuffled half of the lines, so each
+// set's recency order is unrelated to its way order. Every later fill
+// must evict what the stamp scan would.
+func TestPermutedFillsPickSameVictims(t *testing.T) {
 	const sets, ways = 2, 16
 	eng := sim.NewEngine()
 	below := &immediatePort{eng: eng, latency: 100}
 	cfg := Config{Name: "t", Size: sets * ways * mem.LineSize, Ways: ways, Latency: 3, MSHRs: 4}
-	ref := newStampLRU(sets, ways)
-	stamps := rand.New(rand.NewSource(1)).Perm(sets * ways)
-	for i := range ref.lines {
-		ref.lines[i] = uint64(i/ways+sets*(i%ways))*mem.LineSize | refValid
-		if i%3 == 0 {
-			ref.lines[i] |= refDirty
-		}
-		ref.lrus[i] = uint64(stamps[i] + 1)
-	}
-	ref.lrus[5] = ref.lrus[9] // a tie: the scan evicts way 5 first
-	ref.clock = uint64(sets*ways + 1)
 	c := New(eng, cfg, below)
-	c = mustResume(t, c, ref.snapshot(c))
-	ref.compare(t, c, below, "resumed")
-	for i := range 3 * sets * ways {
-		addr := uint64(sets*ways+i) * mem.LineSize
-		c.Access(i%2 == 0, addr, sim.Done{})
+	ref := newStampLRU(sets, ways)
+	access := func(write bool, addr uint64, what string) {
+		c.Access(write, addr, sim.Done{})
 		eng.Run()
-		ref.access(i%2 == 0, addr)
-		ref.compare(t, c, below, "fill")
+		ref.access(write, addr)
+		ref.compare(t, c, below, what)
+	}
+	rng := rand.New(rand.NewSource(1))
+	order := rng.Perm(sets * ways)
+	for i, l := range order {
+		access(i%3 == 0, uint64(l)*mem.LineSize, "fill")
+	}
+	for _, l := range order[:sets*ways/2] {
+		access(false, uint64(l)*mem.LineSize, "touch")
+	}
+	for i := range 3 * sets * ways {
+		access(i%2 == 0, uint64(sets*ways+i)*mem.LineSize, "evict")
+	}
+	if ref.evictions == 0 {
+		t.Fatal("no fill replaced a valid line")
 	}
 }
 
@@ -260,9 +212,9 @@ func panicMessage(f func()) (msg string) {
 	return ""
 }
 
-// TestTagLimit checks both ways into the 32-bit tag word: an access or a
-// snapshot line at addrLimit is refused by name, and the last line below
-// it is held intact.
+// TestTagLimit checks the 32-bit tag word's limit: an access at
+// addrLimit is refused by name, and the last line below it is held
+// intact.
 func TestTagLimit(t *testing.T) {
 	eng := sim.NewEngine()
 	c, below := testCache(eng, 4)
@@ -280,24 +232,11 @@ func TestTagLimit(t *testing.T) {
 	if msg := panicMessage(func() { c.Access(false, addrLimit, sim.Done{}) }); !strings.Contains(msg, "0x1000000000") {
 		t.Fatalf("Access(addrLimit) panic = %q, want one naming the address", msg)
 	}
-
-	ref := newStampLRU(int(c.setMask+1), c.cfg.Ways)
-	i := c.setFor(last) * c.cfg.Ways
-	ref.lines[i] = last | refValid
-	if resumed, err := resume(c, ref.snapshot(c)); err != nil || !resumed.Contains(last) {
-		t.Fatalf("LoadSnap of the last line below the limit: err = %v, resident = %v", err, err == nil && resumed.Contains(last))
-	}
-	ref.lines[i] = addrLimit | refValid
-	if _, err := resume(c, ref.snapshot(c)); err == nil || !strings.Contains(err.Error(), "0x1000000000") {
-		t.Fatalf("LoadSnap of a line at the limit: err = %v, want one naming the tag", err)
-	}
 }
 
 // TestUntouchedLevelAllocatesNoSets: a level that was never accessed
-// holds no sets, Contains on it finds nothing without allocating them,
-// and its snapshot is still the encoding of empty sets in identity
-// recency order (way w at recency w, so stamp ways - w), the bytes an
-// eagerly allocated level writes. The first fill allocates the sets.
+// holds no sets, and Contains on it finds nothing without allocating
+// them. The first fill allocates the sets.
 func TestUntouchedLevelAllocatesNoSets(t *testing.T) {
 	eng := sim.NewEngine()
 	c, _ := testCache(eng, 4)
@@ -309,28 +248,6 @@ func TestUntouchedLevelAllocatesNoSets(t *testing.T) {
 	}
 	if c.sets != nil {
 		t.Fatal("Contains allocated the sets of an untouched level")
-	}
-
-	want := snapbuf.NewWriter()
-	want.String(c.cfg.Name)
-	want.U64(c.setMask + 1)
-	want.U64(uint64(c.cfg.Ways))
-	for range c.setMask + 1 {
-		for w := range c.cfg.Ways {
-			want.U64(0)
-			want.Bool(false)
-			want.Bool(false)
-			want.U64(uint64(c.cfg.Ways - w))
-		}
-	}
-	c.Counters.SaveSnap(want)
-	c.Histograms.SaveSnap(want)
-	got := snapbuf.NewWriter()
-	if err := c.SaveSnap(got); err != nil {
-		t.Fatal(err)
-	}
-	if string(got.Bytes()) != string(want.Bytes()) {
-		t.Fatal("an untouched level's snapshot differs from the encoding of empty sets")
 	}
 
 	fresh, _ := testCache(eng, 4)

@@ -2,6 +2,7 @@ package crash
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,7 +10,6 @@ import (
 	"prosper/internal/machine"
 	"prosper/internal/mem"
 	"prosper/internal/sim"
-	"prosper/internal/snapbuf"
 	"prosper/internal/workload"
 )
 
@@ -152,31 +152,30 @@ func TestImagingLeavesRunUnchanged(t *testing.T) {
 	}
 }
 
-// imageDiff walks the physical address space page by page and returns
-// the first page that one image backs and the other does not, or that
-// both back with different bytes. Images that also materialize different
-// page counts differ at PhysTop. Images whose snapshot encodings (every
-// backed page, in address order) are equal are equal, so only a
-// mismatch pays for the walk.
+// imageDiff returns the first page, in address order, that one image
+// backs and the other does not, or that both back with different bytes.
+// Images that materialize different page counts differ; otherwise every
+// page of a must be backed in b with the same bytes.
 func imageDiff(a, b *mem.Storage) (uint64, bool) {
-	wa, wb := snapbuf.NewWriter(), snapbuf.NewWriter()
-	a.SaveSnap(wa)
-	b.SaveSnap(wb)
-	if bytes.Equal(wa.Bytes(), wb.Bytes()) {
-		return 0, false
+	pages := a.PageAddrs()
+	if a.MaterializedPages() != b.MaterializedPages() {
+		for _, addr := range b.PageAddrs() {
+			if !a.Backed(addr) {
+				pages = append(pages, addr)
+			}
+		}
+		slices.Sort(pages)
 	}
 	var pa, pb [mem.PageSize]byte
-	for addr := uint64(0); addr < mem.PhysTop; addr += mem.PageSize {
+	for _, addr := range pages {
 		if a.Backed(addr) != b.Backed(addr) {
 			return addr, true
 		}
-		if a.Backed(addr) {
-			a.Read(addr, pa[:])
-			b.Read(addr, pb[:])
-			if pa != pb {
-				return addr, true
-			}
+		a.Read(addr, pa[:])
+		b.Read(addr, pb[:])
+		if pa != pb {
+			return addr, true
 		}
 	}
-	return mem.PhysTop, a.MaterializedPages() != b.MaterializedPages()
+	return 0, false
 }

@@ -92,14 +92,7 @@ func (k *Kernel) checkpointPaused(p *Process, start int64, epoch telemetry.Span,
 			p.Counters.Add("proc.ckpt_cycles", uint64(elapsed))
 			p.checkpointing = false
 			if p.CommitHook != nil {
-				// Snapshot point: the machine is at its quietest (threads
-				// parked, mechanisms committed), and everything that IS in
-				// flight carries a stable resume identity.
-				k.hookProc = p
-				k.hookSync = done != nil
 				p.CommitHook(p)
-				k.hookProc = nil
-				k.hookSync = false
 			}
 			k.commitEpilogue(p)
 			epoch.End(
@@ -172,9 +165,7 @@ func (k *Kernel) checkpointPaused(p *Process, start int64, epoch telemetry.Span,
 // commitEpilogue is checkpoint phase 5: open the new interval and resume
 // everything. The resume order rotates across checkpoints so no thread
 // monopolizes its core when the checkpoint interval is shorter than the
-// quantum. It is shared between the live commit path and snapshot resume
-// (a snapshot is taken between commit and epilogue, so a resumed kernel
-// runs exactly this to continue the interrupted commit).
+// quantum.
 func (k *Kernel) commitEpilogue(p *Process) {
 	n := len(p.Threads)
 	first := int(p.ckptSeq) % n

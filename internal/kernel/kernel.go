@@ -55,7 +55,6 @@ func (c Config) withDefaults() Config {
 
 // Kernel is one booted OS instance.
 type Kernel struct {
-	//prosperlint:ignore snapshot boot configuration: Resume needs a kernel booted with the same Config, and SaveSnap reads it only to refuse observers
 	Cfg      Config
 	Mach     *machine.Machine
 	Eng      *sim.Engine
@@ -67,29 +66,19 @@ type Kernel struct {
 
 	super *superblock
 
-	// hookProc/hookSync identify the commit hook currently executing (the
-	// only point a simulator snapshot may be taken): the process whose
-	// checkpoint just committed, and whether the checkpoint was triggered
-	// synchronously (a host-side done closure is pending, which no
-	// snapshot can carry). LoadSnap re-enters this state so a resumed
-	// kernel is indistinguishable from one paused inside the hook.
-	hookProc *Process
-	hookSync bool
+	// samples counts the tracer's occupancy-sampler ticks (see Events).
+	samples uint64
 
 	Counters *stats.Counters
 	// Trace is the kernel's tracer (nil when telemetry is disabled).
-	//prosperlint:ignore snapshot SaveSnap rejects traced kernels; host-side tracer state never crosses a snapshot
 	Trace *telemetry.Tracer
 }
 
 type coreState struct {
-	id    int
 	core  *machine.Core
 	runq  []*Thread
 	cur   *Thread
-	idle  bool
 	homed int // threads placed on this core (even before first enqueue)
-	timer *sim.Ticker
 }
 
 // New boots a kernel on a fresh machine (or, when cfg.Machine.Storage is
@@ -109,12 +98,12 @@ func New(cfg Config) *Kernel {
 		trCfg.Seed = cfg.TrackerCfg.Seed + uint64(i) + 1
 		tr := prosper.New(m.Eng, c.L2(), m.Storage, trCfg)
 		k.Trackers = append(k.Trackers, tr)
-		k.cores = append(k.cores, &coreState{id: i, core: c, idle: true})
+		k.cores = append(k.cores, &coreState{core: c})
 	}
 	k.super = loadOrInitSuperblock(m.Storage, m.PersistNVM)
 	for _, cs := range k.cores {
 		cs := cs
-		cs.timer = m.Eng.NewTicker(sim.CompKernel, cfg.Quantum, func() { k.timerTick(cs) })
+		m.Eng.NewTicker(sim.CompKernel, cfg.Quantum, func() { k.timerTick(cs) })
 	}
 	k.startTelemetry()
 	return k
@@ -168,8 +157,18 @@ func (k *Kernel) startTelemetry() {
 	if every <= 0 {
 		every = 10 * sim.Microsecond
 	}
-	m.Eng.NewTicker(sim.CompSim, every, func() { k.Trace.Sample(probes) })
+	m.Eng.NewTicker(sim.CompSim, every, func() {
+		k.samples++
+		k.Trace.Sample(probes)
+	})
 }
+
+// Events returns the number of simulation events dispatched so far: the
+// engine's count less the tracer's occupancy-sampler ticks, which read
+// the machine without changing it. A run counts the same events with
+// and without a tracer, so DumpStats reports this count and a snapshot
+// measures replay progress by it.
+func (k *Kernel) Events() uint64 { return k.Eng.Fired() - k.samples }
 
 // timerTick preempts the core's current thread at its next op boundary.
 func (k *Kernel) timerTick(cs *coreState) {
@@ -209,14 +208,12 @@ func (k *Kernel) enqueue(t *Thread) {
 func (k *Kernel) scheduleNext(cs *coreState) {
 	if len(cs.runq) == 0 {
 		cs.cur = nil
-		cs.idle = true
 		return
 	}
 	t := cs.runq[0]
 	cs.runq = cs.runq[1:]
 	cs.cur = t
 	t.cs = cs
-	cs.idle = false
 	t.state = threadRunning
 	t.needYield = false
 	k.Counters.Inc("kernel.context_switches")

@@ -102,12 +102,6 @@ type Thread struct {
 	storeSeq uint64
 	sp       uint64
 
-	// opsConsumed counts Prog.Next calls. Programs are deterministic
-	// functions of their Context, so snapshot resume rebuilds a thread's
-	// execution position by starting a fresh program and discarding this
-	// many ops — no generator state ever needs to be serialized.
-	opsConsumed uint64
-
 	// Run-loop continuations, bound once at thread creation so the
 	// per-op step/finish cycle allocates nothing: cs is the core the
 	// thread currently occupies (set by scheduleNext), opStart the issue
@@ -165,9 +159,7 @@ type Process struct {
 	// CommitHook, when set, fires inside every checkpoint's commit
 	// callback, after the commit is durable and before the threads
 	// resume: architectural and program state are exactly the committed
-	// epoch's. It is the one point in a run where a simulator snapshot
-	// can be taken (the kernel's SaveSnap refuses anywhere else). It
-	// must not block or mutate simulation state.
+	// epoch's. It must not block or mutate simulation state.
 	CommitHook func(p *Process)
 
 	// Checkpoints completed and cumulative checkpoint statistics; their
@@ -266,7 +258,7 @@ func (k *Kernel) build(cfg ProcessConfig, headerAddr uint64, h procHeader, progs
 	if p.heapMech != nil {
 		p.HeapSeg = h.heap
 		p.HeapSeg.Lo, p.HeapSeg.Hi, p.HeapSeg.Kind = heapBase, heapBase+cfg.HeapSize, vm.KindHeap
-		p.attach(p.heapMech, p.HeapSeg, 0) // heap is snapshot segment 0
+		p.attach(p.heapMech, p.HeapSeg)
 	}
 	for i, prog := range progs {
 		var reg *regSlot
@@ -280,14 +272,10 @@ func (k *Kernel) build(cfg ProcessConfig, headerAddr uint64, h procHeader, progs
 	return p
 }
 
-// attach binds a mechanism to its segment in the process's environment
-// and gives its continuation tokens the segment's snapshot identity.
-func (p *Process) attach(m persist.Mechanism, seg persist.Segment, segIdx int) {
+// attach binds a mechanism to its segment in the process's environment.
+func (p *Process) attach(m persist.Mechanism, seg persist.Segment) {
 	k := p.kern
 	m.Attach(&persist.Env{Mach: k.Mach, AS: p.AS, Trackers: k.Trackers, Attrib: p.attrib}, seg)
-	if s, ok := m.(persist.Snapshotter); ok {
-		s.SetSnapshotID(p.PID, segIdx)
-	}
 }
 
 // start makes every thread runnable and starts the periodic checkpoints.
@@ -362,7 +350,7 @@ func (p *Process) newThread(i int, prog workload.Program, areas threadAreas, reg
 	}))
 	t.StackSeg = areas.stack
 	t.StackSeg.Lo, t.StackSeg.Hi, t.StackSeg.Kind = stackLo, stackHi, vm.KindStack
-	p.attach(t.mech, t.StackSeg, i+1) // stacks are snapshot segments 1..n
+	p.attach(t.mech, t.StackSeg)
 	t.Prog.Start(t.Ctx)
 	if c, ok := t.Prog.(workload.Checkpointable); ok && reg != nil && len(reg.snap) > 0 {
 		c.Restore(reg.snap)

@@ -20,7 +20,6 @@ func (k *Kernel) step(t *Thread, cs *coreState) {
 		return
 	}
 	op := t.Prog.Next()
-	t.opsConsumed++
 	t.opStart = k.Eng.Now()
 	switch op.Kind {
 	case workload.End:

@@ -122,5 +122,5 @@ func (k *Kernel) eachMetric(emit func(name string, v uint64)) {
 		}
 	}
 	emit("sim.cycles", uint64(k.Eng.Now()))
-	emit("sim.events", k.Eng.Fired())
+	emit("sim.events", k.Events())
 }

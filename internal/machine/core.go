@@ -32,8 +32,8 @@ type FaultHandler func(vaddr uint64, write bool) error
 // the record is first created, so the steady-state load/store path
 // allocates nothing. A store that never waits builds no record at all.
 type Core struct {
-	ID   int      //prosperlint:ignore snapshot identity, fixed at construction; SaveSnap only names it in diagnostics
-	mach *Machine //prosperlint:ignore snapshot boot-time wiring; SaveSnap only reads its config for the quiescence check
+	ID   int
+	mach *Machine
 	eng  *sim.Engine
 
 	TLB *vm.TLB
@@ -58,10 +58,9 @@ type Core struct {
 	// every byte.
 	TimingOnlyLo, TimingOnlyHi uint64
 
-	storeCredits int      //prosperlint:ignore snapshot SaveSnap asserts the store buffer drained; a fresh boot's full credit pool needs no restoring
-	storeWaiters []func() //prosperlint:ignore snapshot SaveSnap asserts no waiters; a fresh boot's empty list needs no restoring
-	//prosperlint:ignore snapshot SaveSnap asserts it equals len(storeWaiters); implied by the drained store buffer
-	swHead int // oldest waiting credit requester
+	storeCredits int
+	storeWaiters []func()
+	swHead       int // oldest waiting credit requester
 
 	// relCreditTok returns one store-buffer credit on L1 completion; the
 	// method value is materialized once here instead of per store.
@@ -73,8 +72,7 @@ type Core struct {
 	relCreditJFn func(uint64)
 
 	// journeys, when attached, samples and records per-access journeys.
-	// Boot-time wiring like mach/eng: the snapshot runner rejects
-	// journey-enabled specs, so there is no state to save (§15).
+	// Boot-time wiring like mach/eng (§15).
 	journeys *journey.Recorder
 
 	// Continuation free lists. Records cycle between the pools and the

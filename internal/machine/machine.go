@@ -60,30 +60,14 @@ type Machine struct {
 	DRAMFrames *mem.FrameAllocator
 	NVMFrames  *mem.FrameAllocator
 
-	// Pooled continuation records for the physical copy/write/read
-	// engines; their callbacks are bound once at record birth. copyAll
-	// and fanAll hold every record ever created at its permanent slot
-	// index — the slot is the record's resume identity, so a snapshot
-	// can serialize in-flight engine state as (key, arg) pairs and
-	// re-bind them on load.
-	copyAll  []*copyOp
+	// Free lists of pooled continuation records for the physical
+	// copy/write/read engines; their callbacks are bound once at record
+	// birth.
 	copyFree []*copyOp
-	fanAll   []*fanOp
 	fanFree  []*fanOp
 
 	Counters *stats.Counters
 }
-
-// Resume-key kinds for the machine's pooled continuation records; the
-// top byte selects the kind, the low bits carry the slot index (see
-// DESIGN.md §14 for the full key map).
-const (
-	keyKindCopySrc uint64 = 1
-	keyKindCopyDst uint64 = 2
-	keyKindFanLine uint64 = 3
-)
-
-func slotKey(kind uint64, slot int) uint64 { return kind<<56 | uint64(slot) }
 
 // New builds a machine with the paper's memory system.
 func New(cfg Config) *Machine {
@@ -163,7 +147,6 @@ func (m *Machine) PersistNVM(addr, size uint64) {
 // completion tokens instead of captured closures.
 type copyOp struct {
 	m                *Machine
-	slot             int
 	srcLine, dstLine uint64
 	lines            int
 	window           int
@@ -174,8 +157,9 @@ type copyOp struct {
 	persistLen       uint64
 	done             sim.Done
 
-	srcDoneTok sim.Done // keyed prototype; per-line tokens are WithArg copies
-	dstDoneTok sim.Done
+	// srcDoneFn/dstDoneFn are op.srcDone/op.dstDone, bound once so a
+	// per-line token binds the line index without allocating.
+	srcDoneFn, dstDoneFn func(uint64)
 }
 
 func (m *Machine) allocCopy() *copyOp {
@@ -184,10 +168,8 @@ func (m *Machine) allocCopy() *copyOp {
 		m.copyFree = m.copyFree[:n-1]
 		return op
 	}
-	op := &copyOp{m: m, slot: len(m.copyAll)}
-	op.srcDoneTok = sim.KeyedBind(sim.CompPersist, slotKey(keyKindCopySrc, op.slot), op.srcDone, 0)
-	op.dstDoneTok = sim.KeyedBind(sim.CompPersist, slotKey(keyKindCopyDst, op.slot), op.dstDone, 0)
-	m.copyAll = append(m.copyAll, op)
+	op := &copyOp{m: m}
+	op.srcDoneFn, op.dstDoneFn = op.srcDone, op.dstDone
 	return op
 }
 
@@ -201,12 +183,12 @@ func (op *copyOp) pump() {
 		i := uint64(op.issued)
 		op.issued++
 		op.inFlight++
-		op.m.Ctl.Access(false, op.srcLine+i*mem.LineSize, op.srcDoneTok.WithArg(i))
+		op.m.Ctl.Access(false, op.srcLine+i*mem.LineSize, sim.Bind(sim.CompPersist, op.srcDoneFn, i))
 	}
 }
 
 func (op *copyOp) srcDone(i uint64) {
-	op.m.Ctl.Access(true, op.dstLine+i*mem.LineSize, op.dstDoneTok.WithArg(i))
+	op.m.Ctl.Access(true, op.dstLine+i*mem.LineSize, sim.Bind(sim.CompPersist, op.dstDoneFn, i))
 }
 
 func (op *copyOp) dstDone(uint64) {
@@ -242,10 +224,8 @@ func (m *Machine) CopyPhys(dst, src uint64, n int, done func()) {
 	m.CopyPhysTok(dst, src, n, tok)
 }
 
-// CopyPhysTok is CopyPhys with a completion token instead of a closure.
-// Callers whose completions may be in flight across a simulator snapshot
-// must use this form with a keyed token so the continuation has a
-// resume identity.
+// CopyPhysTok is CopyPhys with a completion token instead of a closure,
+// for callers that bind their continuation once and reuse it.
 func (m *Machine) CopyPhysTok(dst, src uint64, n int, done sim.Done) {
 	if n <= 0 {
 		if done.Valid() {
@@ -272,7 +252,6 @@ func (m *Machine) CopyPhysTok(dst, src uint64, n int, done sim.Done) {
 // closures WritePhys/ReadPhys used to allocate.
 type fanOp struct {
 	m         *Machine
-	slot      int
 	remaining int
 	done      sim.Done
 
@@ -285,9 +264,8 @@ func (m *Machine) allocFan() *fanOp {
 		m.fanFree = m.fanFree[:n-1]
 		return f
 	}
-	f := &fanOp{m: m, slot: len(m.fanAll)}
-	f.lineDoneTok = sim.KeyedThunk(sim.CompPersist, slotKey(keyKindFanLine, f.slot), f.lineDone)
-	m.fanAll = append(m.fanAll, f)
+	f := &fanOp{m: m}
+	f.lineDoneTok = sim.Thunk(sim.CompPersist, f.lineDone)
 	return f
 }
 
@@ -319,7 +297,7 @@ func (m *Machine) WritePhys(addr uint64, data []byte, done func()) {
 }
 
 // WritePhysTok is WritePhys with a completion token instead of a
-// closure; see CopyPhysTok for when the keyed form is required.
+// closure; see CopyPhysTok.
 func (m *Machine) WritePhysTok(addr uint64, data []byte, done sim.Done) {
 	m.Storage.Write(addr, data)
 	m.fanOut(true, addr, len(data), done)

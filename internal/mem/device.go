@@ -83,13 +83,9 @@ type devCompletion struct {
 }
 
 // completionBatch collects completions that fire in the same event. Its
-// items backing is reused across lives via the device free list. when
-// and seq record the identity of the engine event the batch is
-// scheduled under, so a snapshot can re-inject it on resume.
+// items backing is reused across lives via the device free list.
 type completionBatch struct {
 	items []devCompletion
-	when  sim.Time
-	seq   uint64
 }
 
 // PersistSink observes a device's write stream so a persistence domain
@@ -115,7 +111,7 @@ type PersistSink interface {
 // ordered between them (seq is the same-cycle tiebreaker and every
 // schedule consumes exactly one).
 type Device struct {
-	eng *sim.Engine //prosperlint:ignore snapshot boot-time wiring; LoadSnap only consults the engine clock to validate saved event times
+	eng *sim.Engine
 	cfg DeviceConfig
 
 	bankFreeAt []sim.Time
@@ -128,15 +124,12 @@ type Device struct {
 	waitHead       int // index of the oldest waiter (popped without reslicing)
 	sink           PersistSink
 
-	batches   []*completionBatch
-	batchFree []int // indices of retired batches
-	//prosperlint:ignore snapshot method value rebound at construction; LoadSnap re-injects it for restored batches
+	batches    []*completionBatch
+	batchFree  []int        // indices of retired batches
 	completeFn func(uint64) // d.complete, materialized once
 	openBatch  int          // batch still legal to merge into; -1 when none
 	openFinish sim.Time     // the open batch's completion cycle
 	openSeq    uint64       // engine seq right after the open batch was scheduled
-	firing     int          // batch whose completions are running; -1 when none
-	firingPos  int          // next item of the firing batch to process
 
 	Counters   *stats.Counters
 	Histograms *stats.Histograms
@@ -159,8 +152,7 @@ type Device struct {
 	// journeys, when attached, receives queue/service/drain spans for
 	// sampled accesses (tokens carrying a journey ID). jNVM marks the
 	// device as the persistence-side NVM so sampled write service is
-	// charged to the drain stage. Boot-time wiring, excluded from
-	// snapshots: the snapshot runner rejects journey-enabled specs (§15).
+	// charged to the drain stage. Boot-time wiring (§15).
 	journeys *journey.Recorder
 	jNVM     bool
 }
@@ -180,7 +172,6 @@ func NewDevice(eng *sim.Engine, cfg DeviceConfig) *Device {
 		bankFreeAt: make([]sim.Time, cfg.Banks),
 		bankMask:   uint64(cfg.Banks - 1),
 		openBatch:  -1,
-		firing:     -1,
 		Counters:   stats.NewCounters(),
 		Histograms: stats.NewHistograms(),
 	}
@@ -303,8 +294,6 @@ func (d *Device) enqueueCompletion(finish sim.Time, c devCompletion) {
 	idx := d.allocBatch()
 	b := d.batches[idx]
 	b.items = append(b.items, c)
-	b.when = finish
-	b.seq = d.eng.ScheduleSeq() // the seq AtDone will assign below
 	d.eng.AtDone(finish, sim.Bind(sim.CompMem, d.completeFn, uint64(idx)))
 	d.openBatch = idx
 	d.openFinish = finish
@@ -330,21 +319,8 @@ func (d *Device) complete(bi uint64) {
 	if d.openBatch == idx {
 		d.openBatch = -1
 	}
-	d.firing = idx
-	d.firingPos = 0
-	d.runFiring()
-}
-
-// runFiring drains the firing batch from firingPos. The cursor advances
-// past each item before its callback runs, so a snapshot taken inside a
-// callback (the kernel's commit hook runs there) records exactly the
-// completions still owed, and resumeFiring finishes them after load.
-func (d *Device) runFiring() {
-	idx := d.firing
 	b := d.batches[idx]
-	for d.firingPos < len(b.items) {
-		c := b.items[d.firingPos]
-		d.firingPos++
+	for _, c := range b.items {
 		if c.write {
 			d.inflightWrites--
 			if d.sink != nil {
@@ -361,16 +337,6 @@ func (d *Device) runFiring() {
 	// them.
 	b.items = b.items[:0]
 	d.batchFree = append(d.batchFree, idx)
-	d.firing = -1
-	d.firingPos = 0
-}
-
-// resumeFiring continues a batch that a snapshot interrupted mid-fire.
-// It is a no-op when no batch was firing at save time.
-func (d *Device) resumeFiring() {
-	if d.firing >= 0 {
-		d.runFiring()
-	}
 }
 
 // ReadQueueDepth returns the read-class queue occupancy right now:

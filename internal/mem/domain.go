@@ -47,10 +47,10 @@ type Domain struct {
 	// snapPool recycles drained FIFO backings: the common case is one
 	// in-flight write per line, so without the pool every first admission
 	// of a line allocates a fresh single-snapshot slice.
-	snapPool [][]lineSnap //prosperlint:ignore snapshot allocation recycling only; LoadSnap resets it and contents never affect behavior
+	snapPool [][]lineSnap
 
 	// journal, when set, receives every input the domain applies. It is
-	// an observer: snapshots neither save nor restore it.
+	// an observer: recording never changes what the domain does.
 	journal *Journal
 }
 

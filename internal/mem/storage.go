@@ -3,6 +3,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Storage is the sparse functional byte store backing the whole physical
@@ -13,10 +14,10 @@ type Storage struct {
 
 	// memo is a direct-mapped cache of recent non-nil page lookups,
 	// indexed by page number, so pages touched in turn (a stack page and
-	// its tracker's bitmap page) do not evict each other. A derived
-	// cache of pages: pages are never removed, only replaced wholesale
-	// by LoadSnap, which clears it; a nil lookup never fills it.
-	memo [memoSlots]memoSlot //prosperlint:ignore snapshot derived cache of pages; LoadSnap clears it and SaveSnap has nothing to save
+	// its tracker's bitmap page) do not evict each other. Pages are never
+	// removed or replaced, so a memoized page never goes stale; a nil
+	// lookup never fills it, so a page created later is always found.
+	memo [memoSlots]memoSlot
 }
 
 // memoSlots is the page memo's size, a power of two.
@@ -155,6 +156,17 @@ func (s *Storage) MaterializedPages() int { return len(s.pages) }
 
 // Backed reports whether the page holding addr is materialized.
 func (s *Storage) Backed(addr uint64) bool { return s.pages[PageOf(addr)] != nil }
+
+// PageAddrs returns the base address of every materialized page, in
+// ascending order.
+func (s *Storage) PageAddrs() []uint64 {
+	out := make([]uint64, 0, len(s.pages))
+	for base := range s.pages {
+		out = append(out, base)
+	}
+	slices.Sort(out)
+	return out
+}
 
 // CloneRange returns a new Storage holding deep copies of s's
 // materialized pages inside [base, base+size). Pages outside the range

@@ -100,10 +100,9 @@ type Mechanism interface {
 type Factory func() Mechanism
 
 // applyState is the explicit state of an in-flight step 2 (temp ->
-// image apply). It replaces the closure captures the apply path once
-// used: because apply drains in the background while the application
-// runs, it is the one piece of checkpoint machinery that can be live at
-// a checkpoint-commit snapshot point, so its state must be plain data.
+// image apply), which drains in the background while the application
+// runs. Keeping it as plain data beside the prebound applyStepTok and
+// applyHdrTok lets each extent copy complete without a fresh closure.
 type applyState struct {
 	seq     uint64
 	count   uint64
@@ -125,8 +124,8 @@ type base struct {
 	apply        applyState
 
 	// applyStepTok completes one extent copy of step 2; applyHdrTok
-	// completes the final phase-applied header write. Built unkeyed at
-	// attach; SetSnapshotID upgrades them with stable resume identities.
+	// completes the final phase-applied header write. Both are bound once
+	// at attach.
 	applyStepTok sim.Done
 	applyHdrTok  sim.Done
 
@@ -149,27 +148,6 @@ func (b *base) attach(env *Env, seg Segment) {
 	b.applyStepTok = sim.Thunk(sim.CompPersist, b.applyStep)
 	b.applyHdrTok = sim.Thunk(sim.CompPersist, b.applyHdrDone)
 	b.Counters = stats.NewCounters()
-}
-
-// Snapshot resume-key kinds for persist-owned continuation tokens (the
-// machine layer owns kinds 1..3; see DESIGN.md §14 for the registry).
-const (
-	keyKindApplyStep = uint64(0x10)
-	keyKindApplyHdr  = uint64(0x11)
-)
-
-func snapKey(kind uint64, pid, segIdx int) uint64 {
-	return kind<<56 | uint64(pid)<<16 | uint64(segIdx)
-}
-
-// SetSnapshotID gives the mechanism's parked continuation tokens stable
-// resume identities derived from the owning process and segment index
-// (heap is segment 0; stack thread i is segment i+1). The kernel calls
-// it right after Attach; mechanisms constructed directly (tests) stay
-// unkeyed and simply cannot cross a snapshot boundary.
-func (b *base) SetSnapshotID(pid, segIdx int) {
-	b.applyStepTok = sim.KeyedThunk(sim.CompPersist, snapKey(keyKindApplyStep, pid, segIdx), b.applyStep)
-	b.applyHdrTok = sim.KeyedThunk(sim.CompPersist, snapKey(keyKindApplyHdr, pid, segIdx), b.applyHdrDone)
 }
 
 // DurableSegmentSeq reads a segment's durable commit sequence from its
@@ -433,10 +411,10 @@ func (b *base) persistExtents(extents []extent, done func(Result)) {
 	}
 }
 
-// applyAsync is step 2: redo the temp buffer onto the image. Its
-// progress lives in b.apply (plain data) and its completions ride the
-// two reusable tokens, because an apply regularly straddles the
-// checkpoint-commit boundary where simulator snapshots are taken.
+// applyAsync is step 2: redo the temp buffer onto the image, in the
+// background past the checkpoint commit. Its progress lives in b.apply
+// (plain data) and its completions ride the two reusable tokens, so the
+// apply allocates nothing per extent.
 func (b *base) applyAsync(seq, count, total uint64, dataBase uint64, extents []extent) {
 	m := b.env.Mach
 	b.apply = applyState{seq: seq, count: count, total: total, pending: len(extents)}

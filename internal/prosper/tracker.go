@@ -107,11 +107,11 @@ type Tracker struct {
 	// bitmap word address (noWord when unused) as one packed array the
 	// per-store search scans, and accum its bits accumulated
 	// (AccumulateApply) or merged value (LoadUpdate).
-	words []uint64 //prosperlint:ignore snapshot SaveSnap asserts zero live entries via LiveEntries; a fresh boot's empty table needs no restoring
-	accum []uint32 //prosperlint:ignore snapshot SaveSnap asserts zero live entries via LiveEntries; a fresh boot's empty table needs no restoring
+	words []uint64
+	accum []uint32
 
-	outstandingLoads  int //prosperlint:ignore snapshot SaveSnap asserts quiescence via Quiesced; zero at every legal snapshot point
-	outstandingStores int //prosperlint:ignore snapshot SaveSnap asserts quiescence via Quiesced; zero at every legal snapshot point
+	outstandingLoads  int
+	outstandingStores int
 
 	// loadDoneTok/storeDoneTok retire one outstanding bitmap access; the
 	// method values are bound once in New so the injection path allocates

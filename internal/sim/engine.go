@@ -27,9 +27,7 @@
 // single heap would pop it, because:
 //   - a bucket holds a single cycle, and Schedule/At append in seq order;
 //   - every clock advance moves newly in-window far events into their
-//     bucket before any event at the new cycle can push a same-cycle one;
-//   - events that arrive with a lower seq than a bucket's tail (resume's
-//     out-of-order Inject) take a sorted insert.
+//     bucket before any event at the new cycle can push a same-cycle one.
 //
 // So the queue's shape cannot change a single simulated cycle.
 package sim
@@ -120,7 +118,6 @@ type Done struct {
 	afn  func(uint64)
 	arg  uint64
 	meta uint64
-	key  uint64
 }
 
 // jidShift places the journey ID in meta's high half.
@@ -138,40 +135,11 @@ func Bind(comp Component, fn func(uint64), arg uint64) Done {
 	return Done{afn: fn, arg: arg, meta: uint64(comp)}
 }
 
-// KeyedThunk wraps a plain callback as a completion token owned by comp
-// and carrying a stable resume identity. Components whose tokens may be
-// parked in device queues across a simulator snapshot declare a key at
-// the birth site; the snapshot subsystem serializes parked tokens as
-// (key, arg) pairs and re-binds them through a key registry on resume.
-// Keys must be unique per live callback target; 0 means "no identity"
-// (such a token cannot cross a snapshot boundary).
-func KeyedThunk(comp Component, key uint64, fn func()) Done {
-	return Done{fn: fn, meta: uint64(comp), key: key}
-}
-
-// KeyedBind wraps a single-argument callback plus its argument as a
-// completion token owned by comp with a stable resume identity; see
-// KeyedThunk for the key contract.
-func KeyedBind(comp Component, key uint64, fn func(uint64), arg uint64) Done {
-	return Done{afn: fn, arg: arg, meta: uint64(comp), key: key}
-}
-
 // Component returns the owner declared when the token was built.
 func (d Done) Component() Component { return Component(d.meta) }
 
-// Key returns the token's resume identity (0 when none was declared).
-func (d Done) Key() uint64 { return d.key }
-
 // Arg returns the bound argument (0 for plain-callback tokens).
 func (d Done) Arg() uint64 { return d.arg }
-
-// WithArg returns a copy of the token with its bound argument replaced;
-// the snapshot subsystem uses it to rehydrate serialized (key, arg)
-// pairs from a registry of key prototypes.
-func (d Done) WithArg(arg uint64) Done {
-	d.arg = arg
-	return d
-}
 
 // WithJourney returns a copy of the token stamped with a journey ID;
 // components downstream read it back with Journey. Stamping jid 0 is the
@@ -255,61 +223,6 @@ func (e *Engine) Pending() int { return e.inWheel + len(e.far) }
 // completion batching.
 func (e *Engine) ScheduleSeq() uint64 { return e.seq }
 
-// Clock returns the engine's full clock state — current cycle, next
-// schedule sequence number, and events fired — for snapshotting.
-func (e *Engine) Clock() (now Time, seq, fired uint64) {
-	return e.now, e.seq, e.fired
-}
-
-// RestoreClock overwrites the engine clock state with a previously
-// captured one. The snapshot-resume path calls it after ResetQueue so
-// that subsequently injected and scheduled events reproduce the saved
-// run's (when, seq) order exactly. The queue must be empty: each wheel
-// bucket holds the one cycle within wheelSize of now that maps to it, so
-// a clock jump under pending events would misfile them.
-func (e *Engine) RestoreClock(now Time, seq, fired uint64) {
-	if n := e.Pending(); n > 0 {
-		panic(fmt.Sprintf("sim: RestoreClock with %d events pending", n))
-	}
-	e.now = now
-	e.seq = seq
-	e.fired = fired
-}
-
-// ResetQueue discards every pending event without firing it. Only the
-// snapshot-resume path uses it: a freshly booted kernel's constructor
-// events are replaced wholesale by the saved run's re-injected ones.
-func (e *Engine) ResetQueue() {
-	clear(e.slab)
-	e.slab = e.slab[:0]
-	e.free = 0
-	e.head = [wheelSize]int32{}
-	e.tail = [wheelSize]int32{}
-	e.occ = [wheelSize / 64]uint64{}
-	e.inWheel = 0
-	clear(e.far)
-	e.far = e.far[:0]
-}
-
-// Inject pushes an event with an explicit (when, seq) identity without
-// consuming the engine's sequence counter. The snapshot-resume path uses
-// it to re-create pending events whose owners recorded their scheduled
-// identity; when must not be in the past.
-func (e *Engine) Inject(comp Component, when Time, seq uint64, fn func()) {
-	if when < e.now {
-		panic(fmt.Sprintf("sim: inject at %d before now %d", when, e.now))
-	}
-	e.push(when, seq, fn, nil, 0, comp)
-}
-
-// InjectDone is Inject for a completion token.
-func (e *Engine) InjectDone(when Time, seq uint64, d Done) {
-	if when < e.now {
-		panic(fmt.Sprintf("sim: inject at %d before now %d", when, e.now))
-	}
-	e.push(when, seq, d.fn, d.afn, d.arg, Component(d.meta))
-}
-
 // PendingKey identifies one queued event by its total-order position.
 type PendingKey struct {
 	When Time
@@ -317,9 +230,7 @@ type PendingKey struct {
 }
 
 // PendingKeys returns the (when, seq) identity of every queued event in
-// ascending order. The snapshot path cross-checks it against the events
-// each component claims ownership of, proving the queue was reconstructed
-// exactly.
+// ascending order, for inspecting what a run left queued.
 func (e *Engine) PendingKeys() []PendingKey {
 	out := make([]PendingKey, 0, e.Pending())
 	for _, h := range e.head {
@@ -416,7 +327,7 @@ func (e *Engine) push(when Time, seq uint64, fn func(), afn func(uint64), arg ui
 	i := e.slot()
 	ev := &e.slab[i]
 	ev.when, ev.seq, ev.fn, ev.afn, ev.arg, ev.comp, ev.next = when, seq, fn, afn, arg, comp, 0
-	e.link(i, when, seq)
+	e.link(i, when)
 }
 
 // pushWheel files ev, an event migrating from the far heap, in its
@@ -424,7 +335,7 @@ func (e *Engine) push(when Time, seq uint64, fn func(), afn func(uint64), arg ui
 func (e *Engine) pushWheel(ev event) {
 	i := e.slot()
 	e.slab[i] = ev
-	e.link(i, ev.when, ev.seq)
+	e.link(i, ev.when)
 }
 
 // slot takes a free slab slot, growing the slab when none is free.
@@ -440,42 +351,19 @@ func (e *Engine) slot() int32 {
 	return int32(len(e.slab) - 1)
 }
 
-// link appends slot i, due at when with sequence number seq, to its
-// one-cycle bucket. Schedule/At hand out ascending seqs, so the append
-// lands in seq order; a lower seq (Inject, or an event migrating from
-// the far heap) takes a sorted insert instead.
-func (e *Engine) link(i int32, when Time, seq uint64) {
+// link appends slot i, due at when, to its one-cycle bucket. Events
+// reach a bucket in seq order (see the package comment), so appending
+// keeps it sorted.
+func (e *Engine) link(i int32, when Time) {
 	b := int(when) & wheelMask
-	switch t := e.tail[b]; {
-	case t == 0:
-		e.head[b], e.tail[b] = i, i
-		e.occ[b>>6] |= 1 << (b & 63)
-	case e.slab[t].seq < seq:
-		e.slab[t].next = i
-		e.tail[b] = i
-	default:
-		e.insertSorted(b, i)
-	}
-	e.inWheel++
-}
-
-// insertSorted links slot i into bucket b before the first event with a
-// higher seq.
-func (e *Engine) insertSorted(b int, i int32) {
-	seq := e.slab[i].seq
-	prev, cur := int32(0), e.head[b]
-	for cur != 0 && e.slab[cur].seq < seq {
-		prev, cur = cur, e.slab[cur].next
-	}
-	e.slab[i].next = cur
-	if prev == 0 {
+	if t := e.tail[b]; t == 0 {
 		e.head[b] = i
+		e.occ[b>>6] |= 1 << (b & 63)
 	} else {
-		e.slab[prev].next = i
+		e.slab[t].next = i
 	}
-	if cur == 0 {
-		e.tail[b] = i
-	}
+	e.tail[b] = i
+	e.inWheel++
 }
 
 // nextBucket returns the bucket of the earliest wheel event: the first
@@ -658,11 +546,6 @@ type Ticker struct {
 	tickFn  func() // t.tick, materialized once
 	comp    Component
 	stopped bool
-
-	// nextWhen/nextSeq record the scheduled identity of the pending tick
-	// so a snapshot can claim (and a resume re-inject) that exact event.
-	nextWhen Time
-	nextSeq  uint64
 }
 
 // NewTicker schedules fn to run every period cycles, attributing tick
@@ -673,7 +556,6 @@ func (e *Engine) NewTicker(comp Component, period Time, fn func()) *Ticker {
 	}
 	t := &Ticker{engine: e, period: period, fn: fn, comp: comp}
 	t.tickFn = t.tick
-	t.nextWhen, t.nextSeq = e.now+period, e.seq
 	e.Schedule(comp, period, t.tickFn)
 	return t
 }
@@ -684,25 +566,9 @@ func (t *Ticker) tick() {
 	}
 	t.fn()
 	if !t.stopped {
-		t.nextWhen, t.nextSeq = t.engine.now+t.period, t.engine.seq
 		t.engine.Schedule(t.comp, t.period, t.tickFn)
 	}
 }
 
 // Stop cancels future ticks. It is safe to call from within fn.
 func (t *Ticker) Stop() { t.stopped = true }
-
-// Stopped reports whether the ticker has been stopped.
-func (t *Ticker) Stopped() bool { return t.stopped }
-
-// NextFire returns the scheduled identity of the pending tick event.
-// Meaningless after Stop (the stale event stays queued but is a no-op);
-// the snapshot path still claims it so the queue cross-check balances.
-func (t *Ticker) NextFire() (when Time, seq uint64) { return t.nextWhen, t.nextSeq }
-
-// Rearm re-injects the pending tick event with an explicit identity on a
-// freshly reset engine queue (snapshot resume).
-func (t *Ticker) Rearm(when Time, seq uint64) {
-	t.nextWhen, t.nextSeq = when, seq
-	t.engine.Inject(t.comp, when, seq, t.tickFn)
-}

@@ -352,26 +352,31 @@ func sortKeys(keys []PendingKey) {
 	})
 }
 
-// TestInjectMatchesReferenceSort replays the snapshot-resume sequence —
-// ResetQueue, RestoreClock, then Inject with seqs in scrambled order —
-// into one-cycle buckets and into the far heap, with colliding
-// timestamps on both sides, then schedules fresh events at the same
-// times. Dispatch must follow (when, seq) exactly, so injected events
-// precede every fresh same-cycle event and each other by seq.
-func TestInjectMatchesReferenceSort(t *testing.T) {
+// TestFarCollisionsMatchReferenceSort schedules events at colliding
+// timestamps in the first few wheel buckets and just past the wheel,
+// from a non-zero start, and schedules more from inside events at the
+// cycles the far events later migrate into. Buckets only ever append,
+// so dispatch must still follow (when, seq) exactly: a migrated far
+// event precedes every event scheduled later for the same cycle.
+func TestFarCollisionsMatchReferenceSort(t *testing.T) {
 	f := func(raw []uint16, start uint32) bool {
 		if len(raw) > 128 {
 			raw = raw[:128]
 		}
 		e := NewEngine()
-		e.Schedule(CompOther, 3, func() {}) // a boot-time event resume discards
-		e.ResetQueue()
-		now := Time(start)
-		e.RestoreClock(now, 128, 0) // every injected seq is below 128
+		e.RunUntil(Time(start))
+		now := e.Now()
 		var want, got []PendingKey
-		fire := func(when Time, seq uint64) func() {
+		var at func(when Time, nested Time)
+		at = func(when Time, nested Time) {
+			seq := e.ScheduleSeq()
 			want = append(want, PendingKey{when, seq})
-			return func() { got = append(got, PendingKey{e.Now(), seq}) }
+			e.At(CompOther, when, func() {
+				got = append(got, PendingKey{e.Now(), seq})
+				if nested > 0 {
+					at(e.Now()+nested, 0)
+				}
+			})
 		}
 		whenOf := func(r uint16) Time {
 			switch r % 4 {
@@ -386,22 +391,14 @@ func TestInjectMatchesReferenceSort(t *testing.T) {
 			}
 		}
 		for i, r := range raw {
-			when, seq := whenOf(r), uint64(i^0x55) // unique, not monotone
-			e.Inject(CompOther, when, seq, fire(when, seq))
-		}
-		if keys := e.PendingKeys(); len(keys) != len(raw) {
-			return false
-		}
-		for i, r := range raw {
-			if i%2 == 0 {
-				when := whenOf(r)
-				e.At(CompOther, when, fire(when, 128+uint64(i/2)))
-			}
+			// Every other event schedules a follow-up 255-257 cycles
+			// on, across the wheel's edge, where far events migrate.
+			at(whenOf(r), Time(i%2)*(wheelSize-1+Time(r>>8)%3))
 		}
 		pending := e.PendingKeys()
 		e.Run()
 		sortKeys(want)
-		return slices.Equal(got, want) && slices.Equal(pending, want)
+		return slices.Equal(got, want) && len(pending) == len(raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -429,17 +426,6 @@ func TestRunUntilJumpMatchesReferenceSort(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRestoreClockPanicsWithPending(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(CompOther, 10, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for RestoreClock with an event pending")
-		}
-	}()
-	e.RestoreClock(5, 0, 0)
 }
 
 // TestFarTickerSteadyStateAllocs pins the far heap's recurring path: a

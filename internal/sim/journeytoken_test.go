@@ -3,7 +3,18 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestDoneSize pins the completion token at four words. Tokens are
+// copied by value on every completion down the memory hierarchy, so a
+// fifth word costs every access; the snapshot resume key that once
+// rode in the token was such a word.
+func TestDoneSize(t *testing.T) {
+	if got := unsafe.Sizeof(Done{}); got != 32 {
+		t.Fatalf("sim.Done is %d bytes, want 32", got)
+	}
+}
 
 // TestDoneJourneySlot pins the packed journey-ID slot on completion
 // tokens: WithJourney is a value transform (the original token is

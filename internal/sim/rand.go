@@ -19,18 +19,6 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
-// State returns the generator's internal state for snapshotting.
-func (r *Rand) State() uint64 { return r.state }
-
-// SetState overwrites the generator's internal state (snapshot resume).
-// A zero state is remapped like NewRand's zero seed.
-func (r *Rand) SetState(s uint64) {
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
-	}
-	r.state = s
-}
-
 // Uint64 returns the next 64-bit value.
 func (r *Rand) Uint64() uint64 {
 	x := r.state

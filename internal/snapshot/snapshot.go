@@ -1,54 +1,58 @@
-// Package snapshot implements deterministic, versioned serialization of
-// the full simulated machine: engine clock, memory system, caches, TLBs,
-// page tables, persistence mechanisms, trackers, and kernel scheduler
-// state. A snapshot is taken at a checkpoint commit hook — the machine's
-// quiescent point, where every thread is parked at an op boundary and
-// everything still in flight carries a stable resume identity — and a
-// resumed run replays byte-identically to one that never stopped.
+// Package snapshot saves how far a simulation got and resumes it by
+// replay. The simulator is deterministic: a freshly booted kernel of the
+// same configuration and spawn sequence dispatches the same events in
+// the same order. So a snapshot need not carry machine state. It records
+// the engine's cycle and the kernel's dispatched-event count
+// (Kernel.Events), and Resume steps a fresh boot until it has dispatched
+// as many events. The resumed kernel
+// is then in the state the saved one was in after that event, and runs
+// on byte-identically to a run that never stopped.
+//
+// A replayed run carries whatever observers its boot attached: a
+// tracer, a journey recorder or a profiler can watch a resumed run that
+// was saved without them. Kernel.Events leaves out the tracer's sampler
+// ticks, so a traced replay stops at the same event as an untraced one. The price is time: Resume re-simulates the
+// whole saved prefix, so its cost grows with the saved cycle.
 //
 // Format (all little-endian):
 //
 //	magic   u64  "PROSNAP1"
-//	version u32  format version (currently 3)
-//	4 sections, in order USER, ENGINE, MACHINE, KERNEL, each:
-//	  id  u32
-//	  len u64   payload length
-//	  crc u32   IEEE CRC-32 of the payload
-//	  payload
+//	version u32  format version (currently 6)
+//	userLen u64  length of the user payload
+//	user    userLen bytes, opaque to this package
+//	cycle   i64  engine cycle at Save (Engine.Now)
+//	events  u64  events dispatched by Save (Kernel.Events)
+//	crc     u32  IEEE CRC-32 of every byte before it
 //
-// The USER payload is opaque to this package and comes back verbatim
-// in Resumed.User. Any structural damage — bad magic, an
-// unknown version, a wrong section id, a CRC mismatch, truncation —
-// yields a typed error, never a panic.
+// The user payload comes back verbatim in Resumed.User. Any structural
+// damage (bad magic, an unknown version, truncation, a CRC mismatch,
+// trailing bytes) yields a typed error, never a panic.
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 
 	"prosper/internal/kernel"
-	"prosper/internal/sim"
-	"prosper/internal/snapbuf"
 )
 
 // Magic identifies a Prosper simulator snapshot ("PROSNAP1", little-endian).
 const Magic = uint64(0x3150414e534f5250)
 
 // Version is the current snapshot format version. Resume refuses any
-// other version: the encoding has no compatibility shims — a snapshot is
-// a same-binary, same-configuration artifact, and silent cross-version
-// decoding would corrupt state instead of failing loudly.
-const Version = uint32(5)
+// other version: a snapshot is a same-binary, same-configuration
+// artifact, and replaying a record of another format would land on an
+// unrelated event.
+const Version = uint32(6)
 
-// Section ids, in their required file order.
+// Frame sizes: the header before the user payload and the trailer
+// after it.
 const (
-	secUser    = uint32(1)
-	secEngine  = uint32(2)
-	secMachine = uint32(3)
-	secKernel  = uint32(4)
+	headerLen  = 8 + 4 + 8
+	trailerLen = 8 + 8 + 4
 )
 
 var (
@@ -59,190 +63,114 @@ var (
 	ErrVersion = errors.New("snapshot: unsupported format version")
 	// ErrTruncated reports a snapshot cut short.
 	ErrTruncated = errors.New("snapshot: truncated")
-	// ErrCorrupt reports a snapshot that is structurally framed but whose
-	// contents fail validation (CRC mismatch or undecodable section).
+	// ErrCorrupt reports a snapshot that is framed but fails validation:
+	// a CRC mismatch or bytes after the trailer.
 	ErrCorrupt = errors.New("snapshot: corrupt")
-	// ErrNotQuiescent reports a Save attempted at a point where machine
-	// state cannot be fully serialized: outside a checkpoint commit hook,
-	// with host-side closures pending, or with in-flight continuations
-	// that carry no resume identity.
-	ErrNotQuiescent = errors.New("snapshot: machine not at a quiescent point")
+	// ErrNotFresh reports a resume into a kernel that has already
+	// dispatched events: replay must start from boot.
+	ErrNotFresh = errors.New("snapshot: kernel has already run")
+	// ErrMismatch reports a replay that cannot reach the saved event at
+	// the saved cycle: the kernel was booted with another configuration,
+	// seed or spawn sequence than the one that saved.
+	ErrMismatch = errors.New("snapshot: replay diverges from the saved run")
 )
 
-// Save serializes the kernel and everything beneath it. user is an
-// opaque payload stored verbatim. Save must be called from inside a
-// checkpoint commit hook (Process.CommitHook); anywhere else it fails
-// with ErrNotQuiescent.
-// Save is a pure read — the simulation continues unperturbed afterwards.
+// Save records how far k has run: its engine cycle and dispatched-event
+// count (Kernel.Events), with user stored verbatim beside them. It reads nothing else, so
+// it may be called anywhere: inside an event (a commit hook, say) or
+// between RunUntil calls. The run continues unperturbed afterwards.
 func Save(w io.Writer, k *kernel.Kernel, user []byte) error {
-	var claims sim.EventClaims
-
-	mw := snapbuf.NewWriter()
-	if err := k.Mach.SaveSnap(mw, &claims); err != nil {
-		return fmt.Errorf("%w: %w", ErrNotQuiescent, err)
-	}
-	kw := snapbuf.NewWriter()
-	if err := k.SaveSnap(kw, &claims); err != nil {
-		return fmt.Errorf("%w: %w", ErrNotQuiescent, err)
-	}
-
-	// Every pending engine event must be claimed by exactly one owner, or
-	// the resumed queue would silently diverge from the saved one.
-	claimed := claims.Keys()
-	pending := k.Eng.PendingKeys()
-	if !slices.Equal(claimed, pending) {
-		return fmt.Errorf("%w: %d pending engine events, %d claimed by snapshot owners",
-			ErrNotQuiescent, len(pending), len(claimed))
-	}
-
-	ew := snapbuf.NewWriter()
-	now, seq, fired := k.Eng.Clock()
-	ew.I64(now)
-	ew.U64(seq)
-	ew.U64(fired)
-
-	out := snapbuf.NewWriter()
-	out.U64(Magic)
-	out.U32(Version)
-	writeSection(out, secUser, user)
-	writeSection(out, secEngine, ew.Bytes())
-	writeSection(out, secMachine, mw.Bytes())
-	writeSection(out, secKernel, kw.Bytes())
-	_, err := w.Write(out.Bytes())
+	out := make([]byte, 0, headerLen+len(user)+trailerLen)
+	out = binary.LittleEndian.AppendUint64(out, Magic)
+	out = binary.LittleEndian.AppendUint32(out, Version)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(user)))
+	out = append(out, user...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(k.Eng.Now()))
+	out = binary.LittleEndian.AppendUint64(out, k.Events())
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+	_, err := w.Write(out)
 	return err
 }
 
-func writeSection(out *snapbuf.Writer, id uint32, payload []byte) {
-	out.U32(id)
-	out.U64(uint64(len(payload)))
-	out.U32(crc32.ChecksumIEEE(payload))
-	out.Raw(payload)
-}
-
-// Resumed is a successfully restored simulation, paused inside the
-// checkpoint commit hook the snapshot was taken in. Read User (the
-// opaque payload given to Save), then call Finish exactly once to run
-// the interrupted commit's epilogue and continue execution.
+// Resumed is a successfully replayed simulation, stopped just after the
+// event that was dispatching (or had last dispatched) when Save ran.
 type Resumed struct {
 	// User is the opaque payload stored by Save.
 	User []byte
-
-	k *kernel.Kernel
 }
 
-// Finish completes the resume: the interrupted checkpoint commit's
-// epilogue runs (threads re-enqueue, the new interval opens) and any
-// device completion batch the snapshot interrupted mid-fire delivers its
-// remaining callbacks. After Finish the engine is ready to run.
-func (res *Resumed) Finish() error {
-	if err := res.k.FinishResume(); err != nil {
-		return err
-	}
-	res.k.Mach.ResumeFiring()
-	return nil
-}
+// Finish does nothing and returns nil: a replayed kernel is ready to run
+// as soon as Resume returns. It exists only because the benchmark's
+// snapshot probe (benchmark/harness.go) still calls it.
+func (res *Resumed) Finish() error { return nil }
 
-// Resume restores a snapshot into k, which must be a freshly booted
-// kernel of the identical configuration and spawn sequence as the one
-// that saved it. On success the kernel is paused at the snapshot's
-// commit hook; call Finish on the result to continue. On failure the
-// kernel may be partially overwritten and must be discarded.
-func Resume(r io.Reader, k *kernel.Kernel) (res *Resumed, err error) {
-	data, rerr := io.ReadAll(r)
-	if rerr != nil {
-		return nil, fmt.Errorf("%w: %w", ErrTruncated, rerr)
+// Resume replays a snapshot into k, which must be freshly booted (no
+// event dispatched yet) with the identical configuration and spawn
+// sequence as the kernel that saved it. It steps k until it has
+// dispatched as many events as the saved kernel had. If the save was
+// taken between RunUntil calls, the saved cycle lies after that event;
+// the clock then advances to it, provided no event is due at or before
+// it. On failure k has run part of the replay and must be discarded.
+func Resume(r io.Reader, k *kernel.Kernel) (*Resumed, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrTruncated, err)
 	}
-	sections, err := parse(data)
+	user, cycle, events, err := parse(data)
 	if err != nil {
 		return nil, err
 	}
-
-	// The decoders below validate counts, ranges, and cross-references
-	// before acting on them, but state restored across package boundaries
-	// can still trip an internal invariant (a deliberately inconsistent
-	// snapshot passes every local check yet violates a global one). A
-	// snapshot is external input: map any such panic to ErrCorrupt rather
-	// than crashing the host.
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("%w: %v", ErrCorrupt, p)
+	eng := k.Eng
+	if n := eng.Fired(); n != 0 {
+		return nil, fmt.Errorf("%w: %d events dispatched", ErrNotFresh, n)
+	}
+	for k.Events() < events {
+		if !eng.Step() {
+			return nil, fmt.Errorf("%w: queue drained after %d of %d events", ErrMismatch, k.Events(), events)
 		}
-	}()
-
-	er := snapbuf.NewReader(sections[secEngine])
-	now := er.I64()
-	seq := er.U64()
-	fired := er.U64()
-	if err := Consumed(er, er.Err()); err != nil {
-		return nil, fmt.Errorf("%w: engine section: %w", ErrCorrupt, err)
+		if eng.Now() > cycle {
+			return nil, fmt.Errorf("%w: event %d fired at cycle %d, past the saved cycle %d",
+				ErrMismatch, k.Events(), eng.Now(), cycle)
+		}
 	}
-	k.Eng.ResetQueue()
-	k.Eng.RestoreClock(now, seq, fired)
-
-	// Resume keys re-bind parked continuations anywhere in the machine,
-	// so the full registry must exist before any section decodes: the
-	// mechanisms' keyed tokens first, then the machine registers its
-	// copy/fan engine slots as it materializes them.
-	reg := make(map[uint64]sim.Done)
-	k.RegisterResumeTokens(reg)
-	mr := snapbuf.NewReader(sections[secMachine])
-	if err := Consumed(mr, k.Mach.LoadSnap(mr, reg)); err != nil {
-		return nil, fmt.Errorf("%w: machine section: %w", ErrCorrupt, err)
+	if now := eng.Now(); now < cycle {
+		// Saved between RunUntil calls: no event may fire on the way.
+		eng.RunUntil(cycle)
+		if k.Events() != events {
+			return nil, fmt.Errorf("%w: events due between cycle %d and the saved cycle %d",
+				ErrMismatch, now, cycle)
+		}
 	}
-	kr := snapbuf.NewReader(sections[secKernel])
-	if err := Consumed(kr, k.LoadSnap(kr, reg)); err != nil {
-		return nil, fmt.Errorf("%w: kernel section: %w", ErrCorrupt, err)
-	}
-	return &Resumed{User: sections[secUser], k: k}, nil
+	return &Resumed{User: user}, nil
 }
 
-// Consumed returns a section decoder's error or, if the decoder
-// succeeded, an error for any bytes of the section it left unread: a
-// section holds exactly what its decoder reads.
-func Consumed(r *snapbuf.Reader, err error) error {
-	if err == nil && r.Remaining() != 0 {
-		err = fmt.Errorf("%d unread bytes", r.Remaining())
+// parse validates the frame and returns its fields.
+func parse(data []byte) (user []byte, cycle int64, events uint64, err error) {
+	le := binary.LittleEndian
+	if len(data) < 12 {
+		return nil, 0, 0, ErrTruncated
 	}
-	return err
-}
-
-// parse validates framing and returns the four section payloads by id.
-func parse(data []byte) (map[uint32][]byte, error) {
-	r := snapbuf.NewReader(data)
-	magic := r.U64()
-	version := r.U32()
-	if r.Err() != nil {
-		return nil, ErrTruncated
+	if le.Uint64(data) != Magic {
+		return nil, 0, 0, ErrBadMagic
 	}
-	if magic != Magic {
-		return nil, ErrBadMagic
+	if v := le.Uint32(data[8:]); v != Version {
+		return nil, 0, 0, fmt.Errorf("%w: snapshot v%d, binary supports v%d", ErrVersion, v, Version)
 	}
-	if version != Version {
-		return nil, fmt.Errorf("%w: snapshot v%d, binary supports v%d", ErrVersion, version, Version)
+	if len(data) < headerLen {
+		return nil, 0, 0, ErrTruncated
 	}
-	sections := make(map[uint32][]byte, 4)
-	for _, want := range []uint32{secUser, secEngine, secMachine, secKernel} {
-		id := r.U32()
-		n := r.U64()
-		crc := r.U32()
-		if r.Err() != nil {
-			return nil, ErrTruncated
-		}
-		if id != want {
-			return nil, fmt.Errorf("%w: section %d where %d expected", ErrCorrupt, id, want)
-		}
-		if n > uint64(r.Remaining()) {
-			return nil, fmt.Errorf("%w: section %d claims %d bytes with %d remaining", ErrTruncated, id, n, r.Remaining())
-		}
-		payload := make([]byte, n)
-		copy(payload, r.Raw(int(n)))
-		if crc32.ChecksumIEEE(payload) != crc {
-			return nil, fmt.Errorf("%w: section %d CRC mismatch", ErrCorrupt, id)
-		}
-		sections[id] = payload
+	n := le.Uint64(data[12:])
+	if rest := uint64(len(data) - headerLen); n > rest || rest-n < trailerLen {
+		return nil, 0, 0, fmt.Errorf("%w: %d-byte user payload with %d bytes remaining", ErrTruncated, n, rest)
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after last section", ErrCorrupt, r.Remaining())
+	end := headerLen + int(n) + trailerLen
+	if crc := le.Uint32(data[end-4:]); crc32.ChecksumIEEE(data[:end-4]) != crc {
+		return nil, 0, 0, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
-	return sections, nil
+	if len(data) != end {
+		return nil, 0, 0, fmt.Errorf("%w: %d trailing bytes after the trailer", ErrCorrupt, len(data)-end)
+	}
+	user = data[headerLen : headerLen+int(n)]
+	tr := data[headerLen+int(n):]
+	return user, int64(le.Uint64(tr)), le.Uint64(tr[8:]), nil
 }

@@ -46,11 +46,9 @@ func (h Counter) Get() uint64 {
 }
 
 // LazyCounter is a handle that registers its counter on the first Inc or
-// Add instead of at construction. A never-touched counter stays absent
-// from every stats dump, and registration order is part of the SaveSnap
-// bytes (dumps sort names, so it reaches nothing else); a LazyCounter
-// keeps both exactly as the string-keyed Inc at the same call site
-// would, minus the map lookup after the first use. Keep it in the
+// Add instead of at construction, so a never-touched counter stays
+// absent from every stats dump, exactly as with the string-keyed Inc at
+// the same call site, minus the map lookup after the first use. Keep it in the
 // owning struct and call it through a pointer: the resolved slot is
 // cached in the handle.
 type LazyCounter struct {

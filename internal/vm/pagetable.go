@@ -65,8 +65,7 @@ type FrameSource func() uint64
 // Table nodes are never freed, and Unmap zeroes a leaf entry in place, so
 // a *PTE that Lookup or Walk returned keeps naming vaddr's entry for the
 // life of the table: the page walker reads a walk's flags through it when
-// the walk finishes. Only LoadSnap replaces the node graph, on a table no
-// walk is in flight on.
+// the walk finishes.
 type PageTable struct {
 	root     *node
 	frames   FrameSource

@@ -22,7 +22,7 @@ type TLBEntry struct {
 // TLB is a fully associative translation cache with LRU replacement.
 //
 // The slots and the recency order of the valid ones are the
-// architectural state (and are what snapshots save). The order is kept
+// architectural state. The order is kept
 // as one record, an intrusive LRU list of the valid slots whose head is
 // the victim, so a hit and a replacement are O(1). Two structures
 // derived from the slots place entries exactly where a linear scan
@@ -54,15 +54,14 @@ type TLB struct {
 	cHits   stats.Counter
 	cMisses stats.Counter
 
-	index      []int32  //prosperlint:ignore snapshot derived from entries; LoadSnap rebuilds it
-	indexShift uint     //prosperlint:ignore snapshot derived from the slot count at construction
-	free       []uint64 //prosperlint:ignore snapshot derived from entries; LoadSnap rebuilds it
-	// The LRU list, least recently used first. SaveSnap writes it head
-	// to tail, and LoadSnap relinks it from that order.
+	index      []int32
+	indexShift uint
+	free       []uint64
+	// The LRU list, least recently used first.
 	next []int32
 	head int32
-	prev []int32 //prosperlint:ignore snapshot derived from the saved LRU order; LoadSnap relinks it
-	tail int32   //prosperlint:ignore snapshot derived from the saved LRU order; LoadSnap relinks it
+	prev []int32
+	tail int32
 }
 
 // NewTLB returns a TLB with the given number of entries. Counter keys
@@ -84,7 +83,7 @@ func NewTLB(name string, size int) *TLB {
 	t.cHits = t.Counters.Handle(name + ".hits")
 	t.cMisses = t.Counters.Handle(name + ".misses")
 	t.WalkLatency = t.Histograms.New("walk_latency")
-	t.rebuild()
+	t.reset()
 	return t
 }
 
@@ -162,12 +161,7 @@ func (t *TLB) drop(slot int) {
 }
 
 // Flush empties the TLB (address-space switch).
-func (t *TLB) Flush() {
-	for i := range t.entries {
-		t.entries[i].valid = false
-	}
-	t.rebuild()
-}
+func (t *TLB) Flush() { t.reset() }
 
 // hash maps a VPN to its home bucket in the index (Fibonacci hashing).
 func (t *TLB) hash(vpn uint64) int {
@@ -257,20 +251,15 @@ func (t *TLB) pushMRU(s int) {
 	t.tail = int32(s)
 }
 
-// rebuild recomputes the index and the free bitmap from the slots and
-// empties the LRU list, unlinking every slot (LoadSnap then relinks the
-// valid ones). It allocates nothing.
-func (t *TLB) rebuild() {
+// reset invalidates every slot: it empties the index, marks every slot
+// free and empties the LRU list. It allocates nothing.
+func (t *TLB) reset() {
 	clear(t.index)
 	clear(t.free)
 	t.head, t.tail = -1, -1
 	for i := range t.entries {
-		e := &t.entries[i]
+		t.entries[i].valid = false
 		t.prev[i] = -1
-		if !e.valid {
-			t.setFree(i, true)
-		} else if h := t.probe(e.VPN); t.index[h] == 0 {
-			t.index[h] = int32(i) + 1 // the lowest copy of the page
-		}
+		t.setFree(i, true)
 	}
 }
