@@ -1,7 +1,9 @@
-// Command prosper-lint runs the project's determinism and invariant
-// analyzers (internal/analysis) over the module and exits non-zero on
-// findings. It is a CI gate: the simulator's byte-identical-output
-// guarantee is enforced here, not by review.
+// Command prosper-lint runs the project's determinism analyzers
+// (internal/analysis: every map range in sim packages, host clocks and
+// the global RNG, stray concurrency) over the module and exits non-zero
+// on findings. It is a CI gate for the defect classes that the runtime
+// gates (the quick-suite golden, the experiments_output.txt compare,
+// the race detector) catch only by chance.
 //
 // Usage:
 //

@@ -12,7 +12,7 @@ func TestListPasses(t *testing.T) {
 	if code := run([]string{"-list"}, ".", &out, &errb); code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{"maprange", "wallclock", "concurrency", "statskeys", "directive"} {
+	for _, name := range []string{"maprange", "wallclock", "concurrency", "directive"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output is missing %q:\n%s", name, out.String())
 		}

@@ -5,11 +5,13 @@
 //
 // The headline contract being protected: a run plan produces
 // byte-identical experiments_output.txt, traces, and bench metrics at
-// any -parallel worker count. Every pass exists because that contract
-// was broken (or nearly broken) once: map-iteration order leaking into
-// timed NVM accesses, host wall-clock reads in sim paths, goroutines
-// touching single-threaded sim state, and colliding unprefixed metric
-// keys.
+// any -parallel worker count. A pass stays only for a defect class that
+// no runtime gate (the quick-suite golden, the experiments_output.txt
+// byte compare, the race detector, the stats-dump tests) catches every
+// time: map-iteration order leaking into timed NVM accesses, host
+// wall-clock reads in sim paths, and goroutines or channel selects
+// ordering single-threaded sim state. Metric-key hygiene is checked on
+// the real dump by internal/kernel's TestDumpStatsJSONUniqueKeys.
 //
 // Findings can be suppressed, with a mandatory reason, by a directive
 // on the offending line or the line directly above it:
@@ -64,13 +66,6 @@ type Pass interface {
 	Run(pkg *Package, r *Reporter)
 }
 
-// Finisher is implemented by passes that report whole-program findings
-// after every package has been visited (e.g. cross-package duplicate
-// metric keys).
-type Finisher interface {
-	Finish(r *Reporter)
-}
-
 // AllPasses returns fresh instances of every shipped pass, in the order
 // they run.
 func AllPasses() []Pass {
@@ -78,7 +73,6 @@ func AllPasses() []Pass {
 		NewMapRange(),
 		NewWallclock(),
 		NewConcurrency(),
-		NewStatsKeys(),
 	}
 }
 
@@ -138,11 +132,6 @@ func (r *Runner) Analyze(pkgs []*Package) *Report {
 	for _, pkg := range pkgs {
 		for _, pass := range r.Passes {
 			pass.Run(pkg, rep)
-		}
-	}
-	for _, pass := range r.Passes {
-		if fin, ok := pass.(Finisher); ok {
-			fin.Finish(rep)
 		}
 	}
 	rep.reportBadDirectives()

@@ -224,6 +224,7 @@ func TestRetiredDirectivesAreFindings(t *testing.T) {
 		{"//prosperlint:hotpath r", "unknown prosperlint directive //prosperlint:hotpath"},
 		{"//prosperlint:ignore hotalloc r", `directive names unknown pass "hotalloc"`},
 		{"//prosperlint:ignore ownership r", `directive names unknown pass "ownership"`},
+		{"//prosperlint:ignore statskeys r", `directive names unknown pass "statskeys"`},
 	} {
 		t.Run(tc.directive, func(t *testing.T) {
 			dir := t.TempDir()

@@ -19,8 +19,6 @@ func TestGoldenJSON(t *testing.T) {
 		"testdata/src/concurrency",
 		"testdata/src/directive",
 		"testdata/src/maprange",
-		"testdata/src/statskeys/fixa",
-		"testdata/src/statskeys/fixb",
 		"testdata/src/wallclock",
 	}
 	l, pkgs := loadFixtures(t, dirs...)

@@ -1,29 +1,21 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// MapRange flags `range` statements over maps in sim-deterministic
-// packages whose loop body has order-dependent effects. Go randomizes
-// map iteration order, so any such loop makes a run irreproducible —
-// the exact bug class behind the SSP consolidateTick nondeterminism.
+// MapRange flags every `range` over a map in sim-deterministic
+// packages. Go randomizes map iteration order, so a loop whose body
+// issues timed accesses, schedules events or picks a winner by visiting
+// order makes a run irreproducible: the bug class behind SSP's
+// consolidateTick nondeterminism.
 //
-// A loop is accepted when its body is provably order-independent:
-//
-//   - writes keyed by the loop variables (m2[k] = v, *p = x for the
-//     value variable, deletes),
-//   - commutative integer accumulation (n += v, n++, bitsets via |= &= ^=),
-//   - assignments to variables declared inside the loop,
-//   - calls to value-safe builtins and type conversions,
-//   - returns of constants (found := searches).
-//
-// The canonical sorted-iteration idiom — collect keys with append, then
-// sort.X/slices.Sort them before use — is recognized and accepted when
-// the sort call appears later in the same enclosing block.
+// The pass does not try to prove a loop body order-independent. The
+// tree holds a handful of map ranges, so each one carries a reasoned
+// //prosperlint:ignore maprange directive on its `for` line instead
+// ("keys sorted before use", "keyed writes only", ...), and a new one
+// has to say why it is safe before it lands.
 type MapRange struct{}
 
 // NewMapRange returns the pass.
@@ -34,7 +26,7 @@ func (*MapRange) Name() string { return "maprange" }
 
 // Doc implements Pass.
 func (*MapRange) Doc() string {
-	return "map iteration with order-dependent effects in sim-deterministic packages"
+	return "every range over a map in sim-deterministic packages"
 }
 
 // Run implements Pass.
@@ -43,322 +35,16 @@ func (m *MapRange) Run(pkg *Package, r *Reporter) {
 		return
 	}
 	for _, f := range pkg.Files {
-		walkWithStack(f, func(n ast.Node, stack []ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			t := pkg.Info.TypeOf(rs.X)
-			if t == nil {
-				return true
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			la := analyzeLoop(pkg, rs)
-			switch {
-			case la.effect == "" && len(la.appends) == 0:
-				// Provably order-independent.
-			case la.effect != "":
-				r.Report("maprange", la.effectPos, fmt.Sprintf(
-					"map iteration order is random but the loop body %s; sort the keys first or suppress with a reason",
-					la.effect))
-			default:
-				for obj, pos := range la.appends {
-					if !sortedLater(pkg, rs, stack, obj) {
-						r.Report("maprange", pos, fmt.Sprintf(
-							"map keys are collected into %q but never sorted in this block; sort before use or iteration order leaks",
-							obj.Name()))
+		ast.Inspect(f, func(n ast.Node) bool {
+			if rs, ok := n.(*ast.RangeStmt); ok {
+				if t := pkg.Info.TypeOf(rs.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						r.Report("maprange", rs.Pos(),
+							"map iteration order is random: sort the keys first, or suppress with a reason why order cannot leak")
 					}
 				}
 			}
 			return true
 		})
 	}
-}
-
-// loopAnalysis is the classification of one range-over-map body.
-type loopAnalysis struct {
-	effect    string    // first order-dependent effect, "" if none
-	effectPos token.Pos // where it happens
-	// appends maps collector variables (x = append(x, ...)) to the
-	// position of their append; only meaningful when effect is empty.
-	appends map[*types.Var]token.Pos
-}
-
-// valueSafeBuiltins neither observe nor leak iteration order on their
-// own. append is handled separately; panic aborts the run and close is
-// the concurrency pass's problem.
-var valueSafeBuiltins = map[string]bool{
-	"len": true, "cap": true, "delete": true, "new": true, "make": true,
-	"copy": true, "min": true, "max": true, "clear": true, "panic": true,
-}
-
-func analyzeLoop(pkg *Package, rs *ast.RangeStmt) loopAnalysis {
-	la := loopAnalysis{appends: make(map[*types.Var]token.Pos)}
-	info := pkg.Info
-
-	loopVar := func(e ast.Expr) *types.Var {
-		id, ok := e.(*ast.Ident)
-		if !ok {
-			return nil
-		}
-		if v, ok := info.Defs[id].(*types.Var); ok {
-			return v
-		}
-		return nil
-	}
-	keyVar, valVar := loopVar(rs.Key), loopVar(rs.Value)
-
-	// declaredInside reports whether the identifier's object is declared
-	// within the range statement (loop variables included).
-	declaredInside := func(id *ast.Ident) bool {
-		obj := info.ObjectOf(id)
-		return obj != nil && obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()
-	}
-	// mentionsLoopVar reports whether expr reads the key or value var.
-	mentionsLoopVar := func(expr ast.Expr) bool {
-		found := false
-		ast.Inspect(expr, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := info.ObjectOf(id); obj != nil && (obj == keyVar || obj == valVar) {
-					found = true
-				}
-			}
-			return !found
-		})
-		return found
-	}
-	// rootIdent unwraps selectors, derefs, and indexes to the base
-	// identifier of an lvalue (v.field, *p, x[i] -> v, p, x).
-	var rootIdent func(e ast.Expr) *ast.Ident
-	rootIdent = func(e ast.Expr) *ast.Ident {
-		switch e := e.(type) {
-		case *ast.Ident:
-			return e
-		case *ast.SelectorExpr:
-			return rootIdent(e.X)
-		case *ast.StarExpr:
-			return rootIdent(e.X)
-		case *ast.IndexExpr:
-			return rootIdent(e.X)
-		case *ast.ParenExpr:
-			return rootIdent(e.X)
-		}
-		return nil
-	}
-	isInteger := func(e ast.Expr) bool {
-		t := info.TypeOf(e)
-		if t == nil {
-			return false
-		}
-		b, ok := t.Underlying().(*types.Basic)
-		return ok && b.Info()&types.IsInteger != 0
-	}
-
-	flag := func(pos token.Pos, format string, args ...any) {
-		if la.effect == "" {
-			la.effect = fmt.Sprintf(format, args...)
-			la.effectPos = pos
-		}
-	}
-
-	// assignTarget classifies one assignment LHS; returns "" if safe.
-	assignTarget := func(lhs ast.Expr, tok token.Token) string {
-		switch l := lhs.(type) {
-		case *ast.Ident:
-			if l.Name == "_" || declaredInside(l) {
-				return ""
-			}
-			switch tok {
-			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN,
-				token.AND_ASSIGN, token.OR_ASSIGN, token.XOR_ASSIGN:
-				if isInteger(l) {
-					return "" // commutative integer accumulation
-				}
-				return fmt.Sprintf("accumulates into non-integer %q (floating-point and string accumulation depend on order)", l.Name)
-			}
-			return fmt.Sprintf("assigns to %q declared outside the loop (last writer wins by map order)", l.Name)
-		case *ast.IndexExpr:
-			if t := info.TypeOf(l.X); t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					return "" // keyed map write
-				}
-			}
-			if mentionsLoopVar(l.Index) {
-				return "" // slice/array write keyed by the loop variable
-			}
-			return "writes to an index that does not depend on the loop variable"
-		case *ast.StarExpr, *ast.SelectorExpr, *ast.ParenExpr:
-			if root := rootIdent(l); root != nil {
-				if obj := info.ObjectOf(root); obj != nil && (obj == keyVar || obj == valVar) {
-					return "" // writes through the per-entry value
-				}
-				if declaredInside(root) {
-					return ""
-				}
-				return fmt.Sprintf("writes through %q declared outside the loop", root.Name)
-			}
-			return "writes through an expression not keyed by the loop variable"
-		}
-		return "assigns to an unrecognized lvalue"
-	}
-
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		if la.effect != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE {
-				return true // new loop-local variables; RHS still walked
-			}
-			// Recognize the collector idiom x = append(x, ...).
-			if n.Tok == token.ASSIGN && len(n.Lhs) == 1 && len(n.Rhs) == 1 {
-				if id, ok := n.Lhs[0].(*ast.Ident); ok && !declaredInside(id) {
-					if call, ok := n.Rhs[0].(*ast.CallExpr); ok && isAppendToSame(info, id, call) {
-						if v, ok := info.ObjectOf(id).(*types.Var); ok {
-							if _, seen := la.appends[v]; !seen {
-								la.appends[v] = n.Pos()
-							}
-							return true
-						}
-					}
-				}
-			}
-			for _, lhs := range n.Lhs {
-				if msg := assignTarget(lhs, n.Tok); msg != "" {
-					flag(n.Pos(), "%s", msg)
-					return false
-				}
-			}
-		case *ast.IncDecStmt:
-			// x++ applies identical commutative increments, so a bare
-			// identifier target is order-independent for any numeric
-			// type; indexed/selector targets follow the keyed rules.
-			if _, isIdent := n.X.(*ast.Ident); !isIdent {
-				if msg := assignTarget(n.X, token.ADD_ASSIGN); msg != "" {
-					flag(n.Pos(), "%s", msg)
-					return false
-				}
-			}
-		case *ast.CallExpr:
-			fn := n.Fun
-			if p, ok := fn.(*ast.ParenExpr); ok {
-				fn = p.X
-			}
-			if id, ok := fn.(*ast.Ident); ok {
-				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-					if id.Name == "append" || valueSafeBuiltins[id.Name] {
-						return true
-					}
-					flag(n.Pos(), "calls builtin %s whose effect depends on iteration order", id.Name)
-					return false
-				}
-			}
-			if tv, ok := info.Types[fn]; ok && tv.IsType() {
-				return true // conversion
-			}
-			flag(n.Pos(), "calls %s, whose side effects would occur in random map order", types.ExprString(fn))
-			return false
-		case *ast.SendStmt:
-			flag(n.Pos(), "sends on a channel in map order")
-			return false
-		case *ast.GoStmt:
-			flag(n.Pos(), "spawns goroutines in map order")
-			return false
-		case *ast.DeferStmt:
-			flag(n.Pos(), "defers calls in map order")
-			return false
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				if tv, ok := info.Types[res]; !ok || tv.Value == nil {
-					flag(n.Pos(), "returns a value selected by map iteration order")
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return la
-}
-
-// isAppendToSame reports whether call is append(x, ...) for the same
-// variable named by id.
-func isAppendToSame(info *types.Info, id *ast.Ident, call *ast.CallExpr) bool {
-	fid, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if _, isBuiltin := info.Uses[fid].(*types.Builtin); !isBuiltin || fid.Name != "append" {
-		return false
-	}
-	if len(call.Args) == 0 {
-		return false
-	}
-	arg, ok := call.Args[0].(*ast.Ident)
-	return ok && info.ObjectOf(arg) == info.ObjectOf(id)
-}
-
-// sortFuncs are the recognized "sort it" calls: package name ->
-// acceptable function names.
-var sortFuncs = map[string]map[string]bool{
-	"sort": {"Strings": true, "Ints": true, "Float64s": true,
-		"Slice": true, "SliceStable": true, "Sort": true, "Stable": true},
-	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
-}
-
-// sortedLater reports whether, in the statement list enclosing rs, a
-// recognized sort call whose first argument is (or wraps) obj appears
-// after the range statement.
-func sortedLater(pkg *Package, rs *ast.RangeStmt, stack []ast.Node, obj *types.Var) bool {
-	var list []ast.Stmt
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch b := stack[i].(type) {
-		case *ast.BlockStmt:
-			list = b.List
-		case *ast.CaseClause:
-			list = b.Body
-		case *ast.CommClause:
-			list = b.Body
-		default:
-			continue
-		}
-		break
-	}
-	after := false
-	for _, st := range list {
-		if st == ast.Stmt(rs) {
-			after = true
-			continue
-		}
-		if !after {
-			continue
-		}
-		es, ok := st.(*ast.ExprStmt)
-		if !ok {
-			continue
-		}
-		call, ok := es.X.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			continue
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			continue
-		}
-		fns, ok := sortFuncs[importedPkgOf(pkg.Info, sel.X)]
-		if !ok || !fns[sel.Sel.Name] {
-			continue
-		}
-		arg := call.Args[0]
-		// Unwrap one conversion/constructor layer: sort.Sort(byAddr(keys)).
-		if inner, ok := arg.(*ast.CallExpr); ok && len(inner.Args) == 1 {
-			arg = inner.Args[0]
-		}
-		if id, ok := arg.(*ast.Ident); ok && pkg.Info.ObjectOf(id) == obj {
-			return true
-		}
-	}
-	return false
 }

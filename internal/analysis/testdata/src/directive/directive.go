@@ -41,13 +41,13 @@ func badVerb() time.Time {
 	return time.Now() //prosperlint:silence wallclock because reasons
 }
 
-// commaList: one directive can cover several passes.
-func commaList(m map[string]int) int64 {
+// commaList: one directive covers a maprange and a wallclock finding
+// on the same line.
+func commaList() int64 {
 	var total int64
-	for k := range m {
-		//prosperlint:ignore maprange,wallclock fixture: host timing in a map loop, order-independent by construction
-		total += time.Now().UnixNano()
-		_ = k
+	//prosperlint:ignore maprange,wallclock fixture: host timing in a map loop, order-independent by construction
+	for k, v := range map[int64]int64{1: time.Now().UnixNano()} {
+		total += k * v
 	}
 	return total
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 )
@@ -39,56 +38,4 @@ func importedPkgOf(info *types.Info, x ast.Expr) string {
 		return ""
 	}
 	return pn.Imported().Path()
-}
-
-// namedRecv resolves the method receiver behind a selector call and
-// returns the receiver's defining package path and type name, or
-// ("", "") when sel is not a method selection on a named type.
-func namedRecv(info *types.Info, sel *ast.SelectorExpr) (pkgPath, typeName string) {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal {
-		return "", ""
-	}
-	t := s.Recv()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return "", ""
-	}
-	return n.Obj().Pkg().Path(), n.Obj().Name()
-}
-
-// constString returns the compile-time constant string value of expr,
-// if it has one (string literals and named string constants).
-func constString(info *types.Info, expr ast.Expr) (string, bool) {
-	tv, ok := info.Types[expr]
-	if !ok || tv.Value == nil {
-		return "", false
-	}
-	if tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
-}
-
-// walkWithStack traverses the AST rooted at root, calling fn with each
-// node and the stack of its ancestors (outermost first, not including
-// n itself). Returning false skips the node's children.
-func walkWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if !fn(n, stack) {
-			// No push: Inspect only delivers the nil pop for nodes
-			// whose children were visited.
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
 }

@@ -12,9 +12,10 @@ import (
 )
 
 // DumpStats writes every counter the simulated system maintains — kernel,
-// cores, cache levels, memory devices, trackers, and per-process
-// checkpoint statistics — as "name value" lines in eachMetric order, the
-// equivalent of gem5's stats.txt dump that the paper's artifact parses.
+// cores, cache levels, memory devices, trackers, per-process checkpoint
+// statistics and each segment's persistence mechanism — as "name value"
+// lines in eachMetric order, the equivalent of gem5's stats.txt dump
+// that the paper's artifact parses.
 func (k *Kernel) DumpStats(w io.Writer) {
 	bw := bufio.NewWriter(w)
 	k.eachMetric(func(n string, v uint64) {
@@ -91,8 +92,9 @@ func (k *Kernel) eachMetric(emit func(name string, v uint64)) {
 		section(fmt.Sprintf("tracker%d.", i), tr.Counters, tr.Histograms)
 	}
 	// A process section holds its sorted counters, the checkpoint
-	// scalars, per-thread user accounting, then the pause distribution
-	// and its per-cause stall attribution.
+	// scalars, per-thread user accounting and stack mechanism counters,
+	// the heap mechanism's counters, then the pause distribution and its
+	// per-cause stall attribution.
 	for _, p := range k.procs {
 		pre := "proc." + p.Name + "."
 		section(pre, p.Counters, nil)
@@ -102,6 +104,10 @@ func (k *Kernel) eachMetric(emit func(name string, v uint64)) {
 		for _, t := range p.Threads {
 			emit(fmt.Sprintf("%sthread%d.user_ops", pre, t.TID), t.UserOps)
 			emit(fmt.Sprintf("%sthread%d.user_cycles", pre, t.TID), t.UserCycles)
+			section(fmt.Sprintf("%sthread%d.stack.", pre, t.TID), t.mech.Stats(), nil)
+		}
+		if p.heapMech != nil {
+			section(pre+"heap.", p.heapMech.Stats(), nil)
 		}
 		pauses := stats.NewHistogram()
 		var causes [persist.NumCauses]uint64

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"regexp"
 	"strings"
 	"testing"
 
+	"prosper/internal/machine"
 	"prosper/internal/persist"
 	"prosper/internal/sim"
 	"prosper/internal/workload"
@@ -35,6 +37,7 @@ func TestDumpStatsContainsAllSections(t *testing.T) {
 		"tracker0.prosper.sois",
 		"proc.dumpme.checkpoints",
 		"proc.dumpme.thread0.user_ops",
+		"proc.dumpme.thread0.stack.prosper.schedule_in",
 		"sim.cycles",
 		"sim.events",
 	} {
@@ -64,18 +67,35 @@ func TestDumpStatsParseable(t *testing.T) {
 	}
 }
 
-// TestDumpStatsJSONUniqueKeys: every key of a multi-process, multi-core
-// dump is distinct, so the JSON object loses nothing on decode.
+// metricKeyRe is the metric-key convention: lowercase dotted
+// identifiers, the shape DumpStats sorts and downstream parsers split.
+var metricKeyRe = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$`)
+
+// TestDumpStatsJSONUniqueKeys runs two cores and one two-thread process
+// per stack mechanism, two of them with a heap mechanism, and checks
+// every key of the dump: it is distinct, so the JSON object loses
+// nothing on decode (owners that name their counters alike, such as
+// every core's TLB, collide here), and it is a lowercase dotted
+// identifier.
 func TestDumpStatsJSONUniqueKeys(t *testing.T) {
-	k := testKernel(2)
-	for _, name := range []string{"svc", "svc2"} {
-		k.Spawn(ProcessConfig{
-			Name:               name,
-			StackMech:          persist.NewProsper(persist.ProsperConfig{}),
-			CheckpointInterval: 200 * sim.Microsecond,
-		}, workload.NewCounter(100000), workload.NewCounter(100000))
+	k := New(Config{Machine: machine.Config{Cores: 2}, Quantum: 50 * sim.Microsecond})
+	heaps := map[string]persist.Factory{
+		"prosper": persist.NewSSP(persist.SSPConfig{}),
+		"none":    persist.NewDirtybit(persist.DirtybitConfig{}),
 	}
-	k.RunFor(500 * sim.Microsecond)
+	for _, name := range persist.Names() {
+		stack, _ := persist.ByName(name)
+		cfg := ProcessConfig{
+			Name:               "p_" + strings.ReplaceAll(name, "-", "_"),
+			StackMech:          stack,
+			CheckpointInterval: 100 * sim.Microsecond,
+		}
+		if h := heaps[name]; h != nil {
+			cfg.HeapMech, cfg.HeapSize = h, 1<<20
+		}
+		k.Spawn(cfg, workload.NewCounter(100000), workload.NewCounter(100000))
+	}
+	k.RunFor(1500 * sim.Microsecond)
 
 	var js bytes.Buffer
 	if err := k.DumpStatsJSON(&js); err != nil {
@@ -95,14 +115,26 @@ func TestDumpStatsJSONUniqueKeys(t *testing.T) {
 		if seen[key] {
 			t.Fatalf("key %q appears twice", key)
 		}
+		if !metricKeyRe.MatchString(key) {
+			t.Errorf("key %q is not a lowercase dotted identifier", key)
+		}
 		seen[key] = true
 		if _, err := dec.Token(); err != nil { // value
 			t.Fatal(err)
 		}
 	}
-	for _, want := range []string{"core1.core.stores", "proc.svc.checkpoints", "proc.svc2.thread1.user_ops"} {
+	for _, want := range []string{
+		"core1.core.stores",
+		"core1.tlb.hits",
+		"proc.p_prosper.checkpoints",
+		"proc.p_ssp.thread1.user_ops",
+		"proc.p_prosper.thread1.stack.prosper.schedule_in",
+		"proc.p_prosper.heap.ssp.shadow_pages",
+		"proc.p_none.heap.dirtybit.ckpt_ptes_scanned",
+		"proc.p_ssp.thread0.stack.ssp.shadow_pages",
+	} {
 		if !seen[want] {
-			t.Fatalf("dump has no %q", want)
+			t.Errorf("dump has no %q", want)
 		}
 	}
 }

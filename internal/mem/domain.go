@@ -181,7 +181,7 @@ func (d *Domain) CrashImage() *Storage {
 // ascending order so crash handling never depends on map iteration order.
 func sortedLines(pending map[uint64][]lineSnap) []uint64 {
 	lines := make([]uint64, 0, len(pending))
-	for line := range pending {
+	for line := range pending { //prosperlint:ignore maprange keys sorted before use
 		lines = append(lines, line)
 	}
 	slices.Sort(lines)

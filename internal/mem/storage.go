@@ -161,7 +161,7 @@ func (s *Storage) Backed(addr uint64) bool { return s.pages[PageOf(addr)] != nil
 // ascending order.
 func (s *Storage) PageAddrs() []uint64 {
 	out := make([]uint64, 0, len(s.pages))
-	for base := range s.pages {
+	for base := range s.pages { //prosperlint:ignore maprange keys sorted before use
 		out = append(out, base)
 	}
 	slices.Sort(out)
@@ -176,7 +176,7 @@ func (s *Storage) CloneRange(base, size uint64) *Storage {
 		panic(fmt.Sprintf("mem: CloneRange not page aligned: %#x+%#x", base, size))
 	}
 	out := NewStorage()
-	for pageBase, p := range s.pages {
+	for pageBase, p := range s.pages { //prosperlint:ignore maprange keyed writes only
 		if pageBase >= base && pageBase < base+size {
 			cp := new([PageSize]byte)
 			*cp = *p

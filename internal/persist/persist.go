@@ -94,6 +94,10 @@ type Mechanism interface {
 	// crash (for DRAM-resident segments: copy the image back; for
 	// NVM-resident segments: repair in place). done fires when complete.
 	Recover(done func())
+	// Stats returns the mechanism's counters for the kernel's stats
+	// dump. A method rather than the field, so wrappers that embed a
+	// Mechanism forward it.
+	Stats() *stats.Counters
 }
 
 // Factory builds a fresh mechanism instance (one per segment).
@@ -137,6 +141,9 @@ type base struct {
 
 	Counters *stats.Counters
 }
+
+// Stats implements Mechanism.
+func (b *base) Stats() *stats.Counters { return b.Counters }
 
 func (b *base) attach(env *Env, seg Segment) {
 	b.env = env

@@ -139,7 +139,7 @@ func (s *SSP) consolidateTick() {
 	// the application on the timed NVM device, so map-iteration order
 	// would leak nondeterminism into every co-running measurement.
 	pages := make([]uint64, 0, len(s.pending))
-	for page := range s.pending {
+	for page := range s.pending { //prosperlint:ignore maprange keys sorted before use
 		pages = append(pages, page)
 	}
 	slices.Sort(pages)
@@ -163,7 +163,7 @@ func (s *SSP) consolidateTick() {
 	}
 	// Pages written during this tick become pending for the next. The
 	// merge is commutative, so map order is harmless here.
-	for page := range s.hot {
+	for page := range s.hot { //prosperlint:ignore maprange commutative OR-merge
 		s.pending[page] |= s.working[page]
 		delete(s.hot, page)
 	}
@@ -192,7 +192,7 @@ func (s *SSP) Checkpoint(done func(Result)) {
 		lines uint64
 	}
 	var work []pageWork
-	for page, lines := range s.working {
+	for page, lines := range s.working { //prosperlint:ignore maprange keys sorted before use
 		work = append(work, pageWork{page, lines})
 	}
 	// Deterministic order.
