@@ -62,6 +62,57 @@ func refWriteJourney(bw *bufio.Writer, j *Journey) {
 	bw.WriteString("}}\n")
 }
 
+// refExportTrace writes the trace ExportTrace leaves in a fresh
+// tracer named after the recorder, as Chrome trace JSON, with fmt and
+// the export's rules spelled out once per span: a track per stage in
+// first-use order, the four journey args on every span, and a flow
+// point at every span of a multi-span journey.
+func refExportTrace(r *Recorder, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "{\"traceEvents\":[\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":%s}}",
+		strconv.Quote(r.name))
+	var tids [NumStages]int
+	tracks := 0
+	for _, j := range r.journeys {
+		if !j.finished {
+			continue
+		}
+		kind := "load"
+		if j.Write {
+			kind = "store"
+		}
+		for i, sp := range j.Spans {
+			if tids[sp.Stage] == 0 {
+				tracks++
+				tids[sp.Stage] = tracks
+				fmt.Fprintf(bw, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":%q}}",
+					tracks, "journey/"+sp.Stage.String())
+			}
+			tid := tids[sp.Stage]
+			name := sp.Stage.String()
+			if sp.Cause != CauseNone {
+				name += ":" + sp.Cause.String()
+			}
+			fmt.Fprintf(bw, ",\n{\"name\":%q,\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%d,\"dur\":%d,\"args\":{\"jid\":%d,\"seq\":%d,\"kind\":%q,\"vaddr\":%d}}",
+				name, tid, sp.Enter, max(sp.Exit-sp.Enter, 0), j.JID, int64(j.Seq), kind, int64(j.VAddr))
+			if len(j.Spans) == 1 {
+				continue
+			}
+			ph, bp := "t", ""
+			switch i {
+			case 0:
+				ph = "s"
+			case len(j.Spans) - 1:
+				ph, bp = "f", `,"bp":"e"`
+			}
+			fmt.Fprintf(bw, ",\n{\"name\":\"journey %d\",\"ph\":\"%s\",\"pid\":1,\"tid\":%d,\"ts\":%d,\"id\":%d%s}",
+				j.JID, ph, tid, sp.Enter, j.JID, bp)
+		}
+	}
+	bw.WriteString("\n]}\n")
+	return bw.Flush()
+}
+
 // trickyPieces build run names: JSON metacharacters, control bytes,
 // invalid UTF-8 and non-ASCII runes.
 var trickyPieces = []string{

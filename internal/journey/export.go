@@ -13,6 +13,10 @@ import (
 // tracks so one access reads as a connected chain in the viewer. Tracks
 // are created lazily in stage order on first use; flow identity is the
 // journey ID, unique within the run's process lane.
+//
+// The export allocates per tracer block, not per journey: a journey's
+// spans all carry the same args, which the tracer stores once and
+// shares, and the flow names are substrings of one string.
 func ExportTrace(r *Recorder, t *telemetry.Tracer) {
 	if r == nil || !t.Enabled() {
 		return
@@ -29,6 +33,16 @@ func ExportTrace(r *Recorder, t *telemetry.Tracer) {
 	// Span names ("stage" or "stage:cause") are built on first use, so
 	// a span costs no concatenation and the table dies with the export.
 	var names [NumStages][NumCauses]string
+	// Every flow name ("journey N", for journeys of more than one span)
+	// is appended into one string; each flow takes the next substring.
+	var buf []byte
+	for _, j := range r.Journeys() {
+		if j.Finished() && len(j.Spans) > 1 {
+			buf = appendUint(buf, "journey ", uint64(j.JID))
+		}
+	}
+	flowNames := string(buf)
+	var digits [20]byte
 	for _, j := range r.Journeys() {
 		if !j.Finished() {
 			continue
@@ -39,7 +53,8 @@ func ExportTrace(r *Recorder, t *telemetry.Tracer) {
 		}
 		var flowName string
 		if len(j.Spans) > 1 {
-			flowName = "journey " + strconv.FormatUint(uint64(j.JID), 10)
+			n := len("journey ") + len(strconv.AppendUint(digits[:0], uint64(j.JID), 10))
+			flowName, flowNames = flowNames[:n], flowNames[n:]
 		}
 		for i, sp := range j.Spans {
 			tk := track(sp.Stage)

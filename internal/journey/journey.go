@@ -194,16 +194,17 @@ func (j *Journey) DominantStage() Stage {
 // boundaries, the covering span that entered last claims it (ties break
 // to the deeper stage, then to the later-recorded span); intervals no
 // span covers are charged to StageIssue. The partition is exhaustive
-// and disjoint by construction, so sum(Vec) == End-Start exactly.
-func (j *Journey) attribute() {
+// and disjoint by construction, so sum(Vec) == End-Start exactly. The
+// sweep's boundary list is built in cuts, whose storage the caller
+// reuses across journeys; attribute returns it, possibly grown.
+func (j *Journey) attribute(cuts []sim.Time) []sim.Time {
 	for i := range j.Vec {
 		j.Vec[i] = 0
 	}
 	if j.End <= j.Start {
-		return
+		return cuts
 	}
-	cuts := make([]sim.Time, 0, 2*len(j.Spans)+2)
-	cuts = append(cuts, j.Start, j.End)
+	cuts = append(cuts[:0], j.Start, j.End)
 	for _, sp := range j.Spans {
 		if sp.Enter > j.Start && sp.Enter < j.End {
 			cuts = append(cuts, sp.Enter)
@@ -237,6 +238,7 @@ func (j *Journey) attribute() {
 		}
 		j.Vec[stage] += b - a
 	}
+	return cuts
 }
 
 // Recorder samples and records one run's journeys. It is single-run
@@ -244,14 +246,82 @@ func (j *Journey) attribute() {
 // exactly the telemetry.Tracer contract — which is what keeps the
 // journal byte-identical at any worker count. All methods are nil-safe:
 // a nil *Recorder is "tracing off" and costs one branch per call site.
+//
+// Storage is allocated per block, never per sampled access. Journey
+// records live by value in blocks the recorder owns, so a *Journey it
+// hands out stays valid for the recorder's life. An open journey
+// collects its spans in a scratch buffer from the recorder's free list;
+// when it finishes, the spans are copied into a span block as a
+// capacity-clipped window and the buffer goes back on the list. Blocks
+// start small and double to a cap, as the tracer's do (DESIGN.md §15).
 type Recorder struct {
 	name string
 	rate uint64 // sample 1-in-rate accesses; 0 disables
 	seed uint64
 
-	seq      uint64 // accesses observed (loads + stores across all cores)
-	journeys []*Journey
-	open     int // journeys started but not yet finished
+	seq      uint64     // accesses observed (loads + stores across all cores)
+	journeys []*Journey // every journey started, in JID order
+	open     int        // journeys started but not yet finished
+
+	block []Journey  // the journey block being filled
+	spans []Span     // the span block being filled
+	free  [][]Span   // scratch span buffers no open journey holds
+	cuts  []sim.Time // the attribution sweep's boundary list
+}
+
+// Storage block sizes, in records. A recorder holding a handful of
+// journeys stays near a kilobyte; a long run allocates once per few
+// hundred journeys.
+const (
+	minJourneyBlock = 4
+	maxJourneyBlock = 512
+	minSpanBlock    = 16
+	maxSpanBlock    = 4096
+	scratchSpans    = 16 // initial capacity of an open journey's buffer
+)
+
+// reserve returns blk if it has room for n more records, or else a new
+// empty block: double the old capacity, within [lo, hi], and at least n.
+// The old block is left to the records already pointing into it.
+func reserve[T any](blk []T, n, lo, hi int) []T {
+	if cap(blk)-len(blk) >= n {
+		return blk
+	}
+	return make([]T, 0, max(min(max(2*cap(blk), lo), hi), n))
+}
+
+// alloc appends a zeroed journey slot to the JID index and returns it.
+func (r *Recorder) alloc() *Journey {
+	r.block = reserve(r.block, 1, minJourneyBlock, maxJourneyBlock)
+	r.block = r.block[:len(r.block)+1]
+	j := &r.block[len(r.block)-1]
+	r.journeys = append(r.journeys, j)
+	return j
+}
+
+// scratch returns an empty span buffer for an open journey.
+func (r *Recorder) scratch() []Span {
+	n := len(r.free)
+	if n == 0 {
+		return make([]Span, 0, scratchSpans)
+	}
+	buf := r.free[n-1]
+	r.free = r.free[:n-1]
+	return buf
+}
+
+// keep copies a finished journey's spans from their scratch buffer into
+// the span block and recycles the buffer. The returned window is
+// capacity-clipped, so nothing appended to it can reach a neighbour's.
+func (r *Recorder) keep(buf []Span) []Span {
+	r.free = append(r.free, buf[:0])
+	if len(buf) == 0 {
+		return nil
+	}
+	r.spans = reserve(r.spans, len(buf), minSpanBlock, maxSpanBlock)
+	n := len(r.spans)
+	r.spans = append(r.spans, buf...)
+	return r.spans[n:len(r.spans):len(r.spans)]
 }
 
 // NewRecorder builds a standalone recorder (tests and single runs). A
@@ -295,17 +365,18 @@ func (r *Recorder) Start(now sim.Time, write bool, vaddr uint64, size, segs int)
 	if splitmix64(r.seq^r.seed)%r.rate != 0 {
 		return 0
 	}
-	j := &Journey{
-		JID:     uint32(len(r.journeys) + 1),
+	j := r.alloc()
+	*j = Journey{
+		JID:     uint32(len(r.journeys)),
 		Seq:     r.seq,
 		Write:   write,
 		VAddr:   vaddr,
 		Size:    size,
 		Start:   now,
 		End:     now,
+		Spans:   r.scratch(),
 		pending: segs,
 	}
-	r.journeys = append(r.journeys, j)
 	r.open++
 	return j.JID
 }
@@ -339,7 +410,8 @@ func (r *Recorder) Span(jid uint32, stage Stage, cause Cause, enter, exit sim.Ti
 }
 
 // SegDone retires one line segment of the journey at cycle now; the
-// last segment finishes the journey and computes its attribution.
+// last segment finishes the journey, computes its attribution and moves
+// its spans into the recorder's span block.
 func (r *Recorder) SegDone(jid uint32, now sim.Time) {
 	j := r.get(jid)
 	if j == nil {
@@ -362,11 +434,14 @@ func (r *Recorder) SegDone(jid uint32, now sim.Time) {
 	}
 	j.finished = true
 	r.open--
-	j.attribute()
+	r.cuts = j.attribute(r.cuts)
+	j.Spans = r.keep(j.Spans)
 }
 
 // Journeys returns every journey started so far, in JID order,
-// including unfinished ones (callers filter with Finished).
+// including unfinished ones (callers filter with Finished). An
+// unfinished journey's Spans is its scratch buffer, which the recorder
+// keeps appending to until the journey finishes.
 func (r *Recorder) Journeys() []*Journey {
 	if r == nil {
 		return nil

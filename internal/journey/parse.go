@@ -2,10 +2,10 @@ package journey
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"prosper/internal/sim"
 )
@@ -56,6 +56,9 @@ type rawSpan struct {
 // count, header counts that disagree with the run's lines, and more
 // than maxInFlight unfinished journeys in a run are all errors
 // (prosper-journey maps them to exit status 2).
+//
+// Journeys land in the recorders' storage blocks, so beyond decoding
+// each line, parsing allocates per block, not per journey.
 func Parse(r io.Reader) (*Journal, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -77,12 +80,12 @@ func Parse(r io.Reader) (*Journal, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
 		var raw rawLine
-		if err := json.Unmarshal([]byte(line), &raw); err != nil {
+		if err := json.Unmarshal(line, &raw); err != nil {
 			return nil, fmt.Errorf("journey: line %d: malformed JSON: %v", lineNo, err)
 		}
 		switch {
@@ -145,7 +148,7 @@ func (r *Recorder) load(raw, hdr *rawLine) error {
 	if int(jid) <= len(r.journeys) || uint64(jid) > hdr.Sampled {
 		return fmt.Errorf("jid %d out of order or beyond the run's %d sampled", jid, hdr.Sampled)
 	}
-	j := &Journey{
+	j := Journey{
 		JID: jid, Seq: raw.Seq, VAddr: raw.VAddr, Size: raw.Size,
 		Start: raw.Start, End: raw.End, finished: true,
 	}
@@ -159,6 +162,7 @@ func (r *Recorder) load(raw, hdr *rawLine) error {
 	if j.End < j.Start || raw.Latency != j.Latency() {
 		return fmt.Errorf("jid %d: latency %d for [%d, %d]", jid, raw.Latency, j.Start, j.End)
 	}
+	spans := r.scratch()
 	for _, rs := range raw.Stages {
 		st, ok := StageFromName(rs.Stage)
 		if !ok {
@@ -172,9 +176,10 @@ func (r *Recorder) load(raw, hdr *rawLine) error {
 			return fmt.Errorf("jid %d: span %s [%d,%d] outside journey [%d,%d]",
 				jid, rs.Stage, rs.Enter, rs.Exit, j.Start, j.End)
 		}
-		j.Spans = append(j.Spans, Span{Stage: st, Cause: ca, Enter: rs.Enter, Exit: rs.Exit})
+		spans = append(spans, Span{Stage: st, Cause: ca, Enter: rs.Enter, Exit: rs.Exit})
 	}
-	j.attribute()
+	j.Spans = spans
+	r.cuts = j.attribute(r.cuts)
 	// Compare by probing known stage names (never ranging the map, which
 	// would be nondeterministic); the count catches unknown keys.
 	matched := 0
@@ -193,7 +198,9 @@ func (r *Recorder) load(raw, hdr *rawLine) error {
 	if err := r.pad(uint64(jid)-1, hdr); err != nil {
 		return err
 	}
-	r.journeys = append(r.journeys, j)
+	slot := r.alloc()
+	*slot = j
+	slot.Spans = r.keep(spans)
 	return nil
 }
 
@@ -205,7 +212,7 @@ func (r *Recorder) pad(n uint64, hdr *rawLine) error {
 		return fmt.Errorf("more journeys in flight than the header's %d sampled, %d finished", hdr.Sampled, hdr.Finished)
 	}
 	for uint64(len(r.journeys)) < n {
-		r.journeys = append(r.journeys, &Journey{JID: uint32(len(r.journeys) + 1)})
+		r.alloc().JID = uint32(len(r.journeys))
 		r.open++
 	}
 	return nil

@@ -21,12 +21,18 @@ import (
 func quickSuiteSpecs() []Spec {
 	params := workload.GapbsPR()
 	prog := func() workload.Program { return workload.NewApp(params) }
+	// The SSP row puts SSP on both stack and heap: its checkpoint and
+	// consolidation walk page maps, so a map-order leak into the timed
+	// NVM traffic moves this row's cycles.
+	ssp := persist.NewSSP(persist.SSPConfig{})
 	mechs := []struct {
 		name    string
 		factory persist.Factory
+		heap    persist.Factory
 	}{
-		{"prosper", persist.NewProsper(persist.ProsperConfig{})},
-		{"dirtybit", persist.NewDirtybit(persist.DirtybitConfig{})},
+		{"prosper", persist.NewProsper(persist.ProsperConfig{}), nil},
+		{"dirtybit", persist.NewDirtybit(persist.DirtybitConfig{}), nil},
+		{"ssp+ssp-heap", ssp, ssp},
 	}
 	const interval = 100 * sim.Microsecond
 	var specs []Spec
@@ -36,6 +42,7 @@ func quickSuiteSpecs() []Spec {
 			Label:       params.Name + "/" + m.name,
 			Prog:        prog,
 			StackMech:   m.factory,
+			HeapMech:    m.heap,
 			Checkpoint:  true,
 			Interval:    interval,
 			Checkpoints: 4,

@@ -90,3 +90,27 @@ func TestSmallTracerStaysSmall(t *testing.T) {
 	}
 	runtime.KeepAlive(tr)
 }
+
+// TestRepeatedArgsStoredOnce pins that a run of events with equal args
+// (a journey's spans, with arg-less flow points between them) shares
+// one args window, and that a change of args starts a new one.
+func TestRepeatedArgsStoredOnce(t *testing.T) {
+	tc := NewTrace().NewTracer("shared")
+	track := tc.Track("lane")
+	for i := 0; i < 10_000; i++ {
+		tc.SpanAt(track, "l1:miss", sim.Time(i), 3, U("jid", 7), U("seq", 9), S("kind", "load"), U("vaddr", 64))
+		tc.FlowStep(track, "journey 7", 7, sim.Time(i))
+	}
+	tc.SpanAt(track, "l1:miss", 0, 3, U("jid", 8), U("seq", 9), S("kind", "load"), U("vaddr", 64))
+	windows := map[*Arg]int{}
+	for _, blk := range tc.blocks() {
+		for i := range blk {
+			if e := &blk[i]; e.ph == 'X' {
+				windows[&e.args[0]]++
+			}
+		}
+	}
+	if len(windows) != 2 {
+		t.Fatalf("10k spans with equal args and one with new args use %d args windows, want 2", len(windows))
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -131,14 +132,20 @@ func (randTrace) Generate(r *rand.Rand, size int) reflect.Value {
 				dur:  randInt64(r),
 				id:   randUint64(r),
 			}
-			for range r.Intn(4) {
-				switch r.Intn(3) {
-				case 0:
-					e.args = append(e.args, I(randString(r), randInt64(r)))
-				case 1:
-					e.args = append(e.args, U(randString(r), randUint64(r)))
-				default:
-					e.args = append(e.args, S(randString(r), randString(r)))
+			// A quarter of the events repeat the previous event's args,
+			// which the tracer stores once and shares.
+			if n := len(g.want); n > 0 && r.Intn(4) == 0 {
+				e.args = slices.Clone(g.want[n-1].e.args)
+			} else {
+				for range r.Intn(4) {
+					switch r.Intn(3) {
+					case 0:
+						e.args = append(e.args, I(randString(r), randInt64(r)))
+					case 1:
+						e.args = append(e.args, U(randString(r), randUint64(r)))
+					default:
+						e.args = append(e.args, S(randString(r), randString(r)))
+					}
 				}
 			}
 			tc.add(e, e.args)

@@ -22,6 +22,7 @@ package telemetry
 import (
 	"bufio"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -92,18 +93,24 @@ type Tracer struct {
 	full    [][]event // filled event blocks, in record order
 	cur     []event   // the block being filled
 	args    []Arg     // the arg block being filled
+	last    []Arg     // the most recent args window
 }
 
 // add records e with a copy of args, so callers' variadic args never
-// escape to the heap.
+// escape to the heap. Args equal to the previous window share it
+// instead: windows are never written after they are cut, and a run of
+// events with one set of args (a journey's spans) stores it once.
 func (t *Tracer) add(e event, args []Arg) {
 	if len(args) > 0 {
-		if cap(t.args)-len(t.args) < len(args) {
-			t.args = make([]Arg, 0, max(nextBlock(cap(t.args), minArgBlock, maxArgBlock), len(args)))
+		if !slices.Equal(args, t.last) {
+			if cap(t.args)-len(t.args) < len(args) {
+				t.args = make([]Arg, 0, max(nextBlock(cap(t.args), minArgBlock, maxArgBlock), len(args)))
+			}
+			n := len(t.args)
+			t.args = append(t.args, args...)
+			t.last = t.args[n:len(t.args):len(t.args)]
 		}
-		n := len(t.args)
-		t.args = append(t.args, args...)
-		e.args = t.args[n:len(t.args):len(t.args)]
+		e.args = t.last
 	}
 	if len(t.cur) == cap(t.cur) {
 		if t.cur != nil {
